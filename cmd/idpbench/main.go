@@ -5,7 +5,7 @@
 // Usage:
 //
 //	idpbench [-exp all|table1|fig2|fig3|fig4|fig5|fig6|fig7|fig8|degradation|lpraid|table9a|fig9b]
-//	         [-requests N] [-seed S] [-workload NAME] [-parallel N] [-lpparallel] [-quiet]
+//	         [-requests N] [-seed S] [-workload NAME] [-parallel N] [-lpworkers N] [-quiet]
 //	         [-trace out.jsonl] [-metrics] [-pprof out.pb.gz]
 //	idpbench -exp calibration -calibrate fin.spc,srv.msr
 //
@@ -20,15 +20,12 @@
 // printed in canonical order, so the output is byte-identical at any
 // parallelism level. Progress is reported on stderr.
 //
-// -lpparallel additionally parallelizes *within* each simulation: jobs
-// run on the partitioned engine (internal/simkit/par) instead of the
-// sequential one. Single-timeline studies execute on one logical process
-// (inline, byte-identical by construction); the lpraid scenario — a
-// 64-drive partitioned array, the one simulation too wide for a single
-// event loop, run healthy and again degraded (RAID-5 member death and
-// rebuild crossing the links) — and the degradation study's rebuild-lp
-// rows run their member timelines on all cores. Output bytes are
-// identical with and without the flag; only wall-clock time changes.
+// -lpworkers parallelizes *within* the lpraid scenario — a 64-drive
+// partitioned array (internal/simkit/par), the one simulation too wide
+// for a single event loop, run healthy and again degraded (RAID-5 member
+// death and rebuild crossing the links). 1 (the default) advances its
+// logical processes one at a time, 0 uses all cores. Output bytes are
+// identical at every worker count; only wall-clock time changes.
 //
 // With -trace, every simulated request's lifecycle span events
 // (submit/queue/seek/rotate/transfer/complete, with actuator ids) are
@@ -63,7 +60,7 @@ func main() {
 		seed     = flag.Int64("seed", experiments.DefaultConfig().Seed, "workload synthesis seed")
 		wl       = flag.String("workload", "", "restrict trace experiments to one workload (Financial, Websearch, TPC-C, TPC-H)")
 		parallel = flag.Int("parallel", 0, "worker-pool size for independent simulations (0 = GOMAXPROCS)")
-		lppar    = flag.Bool("lpparallel", false, "run each simulation on the partitioned engine (byte-identical output)")
+		lpWork   = flag.Int("lpworkers", 1, "lpraid only: goroutines advancing the partitioned array's logical processes (0 = all cores; byte-identical output)")
 		quiet    = flag.Bool("quiet", false, "suppress per-section progress on stderr")
 		traceOut = flag.String("trace", "", "write request-lifecycle span events to this JSONL file")
 		metrics  = flag.Bool("metrics", false, "append device statistics snapshots to each section")
@@ -72,6 +69,14 @@ func main() {
 	flag.Parse()
 	if *parallel < 0 {
 		fmt.Fprintln(os.Stderr, "idpbench: -parallel must be >= 0")
+		os.Exit(1)
+	}
+	if *lpWork < 0 {
+		fmt.Fprintf(os.Stderr, "idpbench: -lpworkers must be >= 0, got %d\n", *lpWork)
+		os.Exit(1)
+	}
+	if *lpWork != 1 && *exp != "all" && *exp != "lpraid" {
+		fmt.Fprintf(os.Stderr, "idpbench: -lpworkers requires -exp lpraid (or all), got -exp %s\n", *exp)
 		os.Exit(1)
 	}
 	if *pprofOut != "" {
@@ -93,7 +98,6 @@ func main() {
 		Requests:    *requests,
 		Seed:        *seed,
 		Parallelism: *parallel,
-		LPParallel:  *lppar,
 		Observe:     experiments.Observe{Trace: *traceOut != "", Metrics: *metrics},
 	}
 
@@ -130,7 +134,7 @@ func main() {
 			}
 		}
 	}
-	if err := run(os.Stdout, *exp, cfg, workloads, calibrate, progress, sink); err != nil {
+	if err := run(os.Stdout, *exp, cfg, *lpWork, workloads, calibrate, progress, sink); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
@@ -216,7 +220,7 @@ func writeSnapshotsOut(out io.Writer, runs ...experiments.Run) {
 	}
 }
 
-func run(out io.Writer, exp string, cfg experiments.Config, workloads []trace.WorkloadSpec,
+func run(out io.Writer, exp string, cfg experiments.Config, lpWorkers int, workloads []trace.WorkloadSpec,
 	calibrate []string, progress func(int, int, string), sink obs.Sink) error {
 	all := exp == "all"
 	ran := false
@@ -366,8 +370,9 @@ func run(out io.Writer, exp string, cfg experiments.Config, workloads []trace.Wo
 		ran = true
 		// The healthy scale run, then the same array serving through a
 		// member death and rebuild — both on the partitioned engine, both
-		// byte-identical with -lpparallel on or off.
-		for _, opts := range []experiments.LPRAIDOpts{{}, {Degraded: true}} {
+		// byte-identical at any -lpworkers.
+		for _, degraded := range []bool{false, true} {
+			opts := experiments.LPRAIDOpts{Workers: lpWorkers, Degraded: degraded}
 			lr, err := experiments.LPRAID(cfg, opts)
 			if err != nil {
 				return err
@@ -451,11 +456,15 @@ func run(out io.Writer, exp string, cfg experiments.Config, workloads []trace.Wo
 		fmt.Fprintln(out, "Workload calibration: synthesized trace statistics (Table 2 shapes)")
 		err := perWorkload(out, "workloads", workloads, cfg, progress, sink,
 			func(w trace.WorkloadSpec, buf *bytes.Buffer) ([]obs.Event, error) {
-				tr, err := trace.Generate(w.WithRequests(cfg.Requests), cfg.Seed)
+				g, err := trace.NewGenerator(w.WithRequests(cfg.Requests), cfg.Seed)
 				if err != nil {
 					return nil, err
 				}
-				trace.WriteStats(buf, w.Name, trace.Analyze(tr))
+				st, err := trace.AnalyzeStream(g)
+				if err != nil {
+					return nil, err
+				}
+				trace.WriteStats(buf, w.Name, st)
 				return nil, nil
 			})
 		if err != nil {

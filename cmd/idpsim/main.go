@@ -6,7 +6,7 @@
 //	idpsim -workload Websearch -system sa4 [-requests N] [-seed S] [-rpm R]
 //	idpsim -replay file.trc -system hcsd
 //	idpsim -system sa4 -trace out.jsonl -metrics
-//	idpsim -system raid64 -lpparallel
+//	idpsim -system raid64 -lpworkers 0
 //
 // Systems:
 //
@@ -18,12 +18,10 @@
 //	       (internal/simkit/par), coupled through links whose latency is
 //	       the engine's conservative lookahead
 //
-// -lpparallel moves the simulation to the partitioned engine. For md,
-// hcsd and saN it runs on one logical process — byte-identical to the
-// sequential engine by construction. For raidN, which always uses the
-// partitioned engine, the flag turns the worker pool on (all cores)
-// instead of simulating the processes one at a time; the output is
-// byte-identical either way, only wall-clock time changes.
+// -lpworkers N (raidN only) sets how many goroutines advance the
+// logical processes: 1 (the default) simulates them one at a time, 0
+// uses all cores. The output is byte-identical at every worker count;
+// only wall-clock time changes.
 //
 // -degraded (raidN only, N >= 3) swaps the stripe set to RAID-5 and
 // injects the degradation study's fault timeline: one member dies at
@@ -74,7 +72,7 @@ func main() {
 		seed     = flag.Int64("seed", 1, "workload synthesis seed")
 		rpm      = flag.Float64("rpm", 0, "override drive RPM (reduced-RPM designs)")
 		degraded = flag.Bool("degraded", false, "raidN only: RAID-5 with a mid-run member death and rebuild under load")
-		lppar    = flag.Bool("lpparallel", false, "simulate on the partitioned engine (byte-identical output)")
+		lpWork   = flag.Int("lpworkers", 1, "raidN only: goroutines advancing the logical processes (0 = all cores; byte-identical output)")
 		traceOut = flag.String("trace", "", "write request-lifecycle span events to this JSONL file")
 		metrics  = flag.Bool("metrics", false, "print the device statistics snapshot after the run")
 		pprofOut = flag.String("pprof", "", "write a CPU profile to this file")
@@ -95,13 +93,13 @@ func main() {
 			f.Close()
 		}()
 	}
-	if err := run(*wl, *replay, *system, *requests, *reorder, *seed, *rpm, *traceOut, *metrics, *degraded, *lppar); err != nil {
+	if err := run(*wl, *replay, *system, *requests, *reorder, *seed, *rpm, *traceOut, *metrics, *degraded, *lpWork); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 }
 
-func run(wl, replayFile, system string, requests, reorder int, seed int64, rpm float64, traceOut string, metrics, degraded, lppar bool) error {
+func run(wl, replayFile, system string, requests, reorder int, seed int64, rpm float64, traceOut string, metrics, degraded bool, lpWorkers int) error {
 	// Unsupported flag combinations fail with one-line errors up front,
 	// before any simulation state exists.
 	if replayFile != "" && strings.HasPrefix(system, "raid") {
@@ -109,6 +107,12 @@ func run(wl, replayFile, system string, requests, reorder int, seed int64, rpm f
 	}
 	if degraded && !strings.HasPrefix(system, "raid") {
 		return fmt.Errorf("-degraded requires -system raidN, got -system %s", system)
+	}
+	if lpWorkers < 0 {
+		return fmt.Errorf("-lpworkers must be >= 0, got %d", lpWorkers)
+	}
+	if lpWorkers != 1 && !strings.HasPrefix(system, "raid") {
+		return fmt.Errorf("-lpworkers requires -system raidN, got -system %s", system)
 	}
 	if reorder != 0 && replayFile == "" {
 		return fmt.Errorf("-reorder only applies with -replay")
@@ -153,14 +157,9 @@ func run(wl, replayFile, system string, requests, reorder int, seed int64, rpm f
 		sink = jsonl
 	}
 
-	// The single-timeline systems run on one logical process of the
-	// partitioned engine when -lpparallel is set — byte-identical to the
-	// sequential engine by construction (see simkit/par). raidN below
-	// builds its own multi-LP engine.
+	// The single-timeline systems run on the sequential engine; raidN
+	// below builds its own multi-LP engine.
 	var eng simkit.Runner = simkit.New()
-	if lppar {
-		eng = par.New(1, par.Options{Workers: 1}).Runner(0)
-	}
 	label := system
 	var resp *stats.Sample
 	var powerOf func(elapsed float64) string
@@ -250,11 +249,7 @@ func run(wl, replayFile, system string, requests, reorder int, seed int64, rpm f
 		if err != nil {
 			return err
 		}
-		workers := 1
-		if lppar {
-			workers = 0 // par default: all cores
-		}
-		pe := par.New(n+1, par.Options{Workers: workers})
+		pe := par.New(n+1, par.Options{Workers: lpWorkers})
 		arr, err := raid.NewPartitioned(pe, layout, bus.DefaultLink(), int64(model.Geom.SectorBytes),
 			func(s simkit.Scheduler, i int) (device.Device, error) {
 				return disk.New(s, model, disk.Options{
@@ -331,7 +326,7 @@ func run(wl, replayFile, system string, requests, reorder int, seed int64, rpm f
 }
 
 // hcsdRemap layers the MD→HC-SD address migration onto the workload
-// stream (the streaming form of experiments.HCSDTrace).
+// stream.
 func hcsdRemap(spec trace.WorkloadSpec, s trace.Stream) (trace.Stream, error) {
 	offsets, err := experiments.HCSDOffsets(spec)
 	if err != nil {

@@ -79,15 +79,20 @@ func run(wl, synthetic, convert string, capacity int64, requests, reorder int, s
 		return err
 	}
 
-	var tr trace.Trace
-	var err error
+	// Synthesis streams generator-to-writer as well; only the comment
+	// header distinguishes it from a conversion.
+	var src trace.Stream
 	var comment string
 	if wl != "" {
-		spec, err2 := trace.WorkloadByName(wl)
-		if err2 != nil {
-			return err2
+		spec, err := trace.WorkloadByName(wl)
+		if err != nil {
+			return err
 		}
-		tr, err = trace.Generate(spec.WithRequests(requests), seed)
+		g, err := trace.NewGenerator(spec.WithRequests(requests), seed)
+		if err != nil {
+			return err
+		}
+		src = g
 		comment = fmt.Sprintf("# workload=%s requests=%d seed=%d disks=%d\n",
 			spec.Name, requests, seed, spec.Disks)
 	} else {
@@ -102,16 +107,17 @@ func run(wl, synthetic, convert string, capacity int64, requests, reorder int, s
 		default:
 			return fmt.Errorf("unknown intensity %q (want 8ms, 4ms, 1ms)", synthetic)
 		}
-		spec := workload.Paper(in, capacity).WithRequests(requests)
-		tr, err = workload.Generate(spec, seed)
+		g, err := workload.NewGenerator(workload.Paper(in, capacity).WithRequests(requests), seed)
+		if err != nil {
+			return err
+		}
+		src = g
 		comment = fmt.Sprintf("# synthetic=%s capacity=%d requests=%d seed=%d\n",
 			synthetic, capacity, requests, seed)
-	}
-	if err != nil {
-		return err
 	}
 	if _, err := io.WriteString(w, comment); err != nil {
 		return err
 	}
-	return trace.Write(w, tr)
+	_, err := trace.WriteStream(w, src)
+	return err
 }

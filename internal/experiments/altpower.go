@@ -3,6 +3,7 @@ package experiments
 import (
 	"repro/internal/disk"
 	"repro/internal/drpm"
+	"repro/internal/simkit"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -40,7 +41,7 @@ func AltPower(spec trace.WorkloadSpec, cfg Config) (*AltPowerResult, error) {
 	out.HCSD = *base
 
 	// DRPM drive with the classic ladder.
-	eng := jobEngine(cfg.LPParallel)
+	eng := simkit.New()
 	dd, err := drpm.New(eng, disk.BarracudaES(), drpm.Config{
 		Levels: []float64{7200, 6200, 5200, 4200},
 	})

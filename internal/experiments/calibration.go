@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/disk"
 	"repro/internal/fleet"
+	"repro/internal/simkit"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -39,8 +40,7 @@ type CalibrationResult struct {
 // real trace and the fitted synthetic through the same HC-SD drive, and
 // reports the divergence. cfg.Requests is ignored — the trace's own
 // length rules both replays, so real and synthetic see equal load.
-// Both replays run as fleet jobs: byte-identical at any cfg.Parallelism
-// and with LPParallel on or off.
+// Both replays run as fleet jobs: byte-identical at any cfg.Parallelism.
 func CalibrationStudy(path string, cfg Config) (*CalibrationResult, error) {
 	cfg.Requests = 1 // unused below; keep Validate happy on zero configs
 	if err := cfg.Validate(); err != nil {
@@ -84,7 +84,7 @@ func CalibrationStudy(path string, cfg Config) (*CalibrationResult, error) {
 			slot = e
 		}
 	}
-	probeEng := jobEngine(false)
+	probeEng := simkit.New()
 	probe, err := disk.New(probeEng, disk.BarracudaES(), disk.Options{})
 	if err != nil {
 		return nil, err
@@ -107,7 +107,7 @@ func CalibrationStudy(path string, cfg Config) (*CalibrationResult, error) {
 			if done != nil {
 				defer done()
 			}
-			eng := jobEngine(cfg.LPParallel)
+			eng := simkit.New()
 			sink := cfg.Observe.sink()
 			d, err := disk.New(eng, disk.BarracudaES(), disk.Options{
 				Obs: sinkOptions(sink, "calibration/"+label),

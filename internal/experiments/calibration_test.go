@@ -24,8 +24,7 @@ func newTestDisk(t *testing.T, eng simkit.Runner) *disk.Drive {
 
 // TestCalibrationDeterminism pins the issue's acceptance criterion in
 // test form: for one vendored fixture per format, the rendered
-// calibration table is byte-identical at Parallelism 1 vs 8 and with
-// the partitioned engine on vs off.
+// calibration table is byte-identical at Parallelism 1 vs 8.
 func TestCalibrationDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
@@ -48,9 +47,6 @@ func TestCalibrationDeterminism(t *testing.T) {
 		}
 		if got := render(path, Config{Seed: 1, Parallelism: 8}); got != base {
 			t.Errorf("%s: table differs at Parallelism 8", fx)
-		}
-		if got := render(path, Config{Seed: 1, Parallelism: 8, LPParallel: true}); got != base {
-			t.Errorf("%s: table differs with LPParallel", fx)
 		}
 	}
 }
@@ -91,7 +87,7 @@ func TestCalibrationResultShape(t *testing.T) {
 // its error from ReplayStream instead of silently truncating the replay
 // (the pre-fix behavior was a panic in RemapStream and silence here).
 func TestReplayStreamPropagatesIngestError(t *testing.T) {
-	eng := jobEngine(false)
+	eng := simkit.New()
 	d := newTestDisk(t, eng)
 	in := "0.0 0 0 8 R\nnot a trace line\n"
 	rd := trace.NewNativeReader(strings.NewReader(in), trace.ReaderOpts{})
@@ -111,7 +107,7 @@ func TestReplayStreamPropagatesIngestError(t *testing.T) {
 // a request targeting a disk beyond the remap offset table is an error,
 // not a panic.
 func TestReplayStreamUnroutableDisk(t *testing.T) {
-	eng := jobEngine(false)
+	eng := simkit.New()
 	d := newTestDisk(t, eng)
 	in := "0.0 0 0 8 R\n0.1 5 0 8 R\n"
 	rd := trace.NewNativeReader(strings.NewReader(in), trace.ReaderOpts{})

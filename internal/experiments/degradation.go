@@ -153,8 +153,8 @@ func degradationRun(label string, dev device.Device, resp *stats.Sample,
 //     and is rebuilt under foreground load at chunk depth N.
 //   - rebuild-lp(d=N): the same fault scenario on the partitioned
 //     topology — controller and members on separate logical processes,
-//     rebuild traffic crossing the member links. LPParallel only turns
-//     the worker pool on; the output is byte-identical either way.
+//     rebuild traffic crossing the member links. Each runs one worker:
+//     the fleet already owns the cores.
 //
 // Every scenario derives all randomness from cfg.Seed, so the study is
 // byte-identical at any Parallelism.
@@ -185,7 +185,7 @@ func RunDegradationStudy(spec trace.WorkloadSpec, cfg Config, depths []int) (*De
 
 	jobs := []fleet.Job[DegradationRun]{
 		{Name: spec.Name + "/degradation/healthy", Run: func(context.Context, int64) (DegradationRun, error) {
-			eng := jobEngine(cfg.LPParallel)
+			eng := simkit.New()
 			sink := cfg.Observe.sink()
 			d, err := core.New(eng, disk.BarracudaES(), core.Config{
 				Actuators: degradationArms, Obs: sinkOptions(sink, "healthy"),
@@ -206,7 +206,7 @@ func RunDegradationStudy(spec trace.WorkloadSpec, cfg Config, depths []int) (*De
 			return r, nil
 		}},
 		{Name: spec.Name + "/degradation/smart", Run: func(context.Context, int64) (DegradationRun, error) {
-			eng := jobEngine(cfg.LPParallel)
+			eng := simkit.New()
 			sink := cfg.Observe.sink()
 			d, err := core.New(eng, disk.BarracudaES(), core.Config{
 				Actuators: degradationArms, Obs: sinkOptions(sink, "smart-deconfig"),
@@ -256,7 +256,7 @@ func RunDegradationStudy(spec trace.WorkloadSpec, cfg Config, depths []int) (*De
 			return r, nil
 		}},
 		{Name: spec.Name + "/degradation/arm-fault-x2", Run: func(context.Context, int64) (DegradationRun, error) {
-			eng := jobEngine(cfg.LPParallel)
+			eng := simkit.New()
 			sink := cfg.Observe.sink()
 			d, err := core.New(eng, disk.BarracudaES(), core.Config{
 				Actuators: degradationArms, Obs: sinkOptions(sink, "arm-fault-x2"),
@@ -296,7 +296,7 @@ func RunDegradationStudy(spec trace.WorkloadSpec, cfg Config, depths []int) (*De
 		jobs = append(jobs, fleet.Job[DegradationRun]{
 			Name: fmt.Sprintf("%s/degradation/%s", spec.Name, label),
 			Run: func(context.Context, int64) (DegradationRun, error) {
-				eng := jobEngine(cfg.LPParallel)
+				eng := simkit.New()
 				sink := cfg.Observe.sink()
 				dt, err := defect.NewTable(per+degradationSpareSectors, degradationSpareSectors)
 				if err != nil {
@@ -365,20 +365,15 @@ func RunDegradationStudy(spec trace.WorkloadSpec, cfg Config, depths []int) (*De
 	// The same rebuild scenarios on the genuinely partitioned topology:
 	// controller and members on separate LPs, sector errors applied on
 	// the defect-table member's own LP, death and rebuild injected on
-	// the controller's. LPParallel turns the worker pool on; results
-	// are byte-identical either way, so the study output diffs clean
-	// against a flag-off run.
+	// the controller's. One worker per job: the fleet already spreads
+	// the study's jobs across the cores.
 	for _, depth := range depths {
 		depth := depth
 		label := fmt.Sprintf("rebuild-lp(d=%d)", depth)
 		jobs = append(jobs, fleet.Job[DegradationRun]{
 			Name: fmt.Sprintf("%s/degradation/%s", spec.Name, label),
 			Run: func(context.Context, int64) (DegradationRun, error) {
-				workers := 1
-				if cfg.LPParallel {
-					workers = 0 // all cores
-				}
-				pe := par.New(degradationMembers+1, par.Options{Workers: workers})
+				pe := par.New(degradationMembers+1, par.Options{Workers: 1})
 				sink := cfg.Observe.sink()
 				dt, err := defect.NewTable(per+degradationSpareSectors, degradationSpareSectors)
 				if err != nil {

@@ -12,10 +12,9 @@ import (
 // the given fleet parallelism: the §8 table plus, when observing, every
 // run's JSONL span trace and statistics snapshot (which include the
 // fault injector's own spans and counters).
-func degradationAt(t *testing.T, parallelism int, lpParallel bool, ob Observe) []byte {
+func degradationAt(t *testing.T, parallelism int, ob Observe) []byte {
 	t.Helper()
-	cfg := Config{Requests: 1500, Seed: 11, Parallelism: parallelism,
-		LPParallel: lpParallel, Observe: ob}
+	cfg := Config{Requests: 1500, Seed: 11, Parallelism: parallelism, Observe: ob}
 	dr, err := DegradationStudy(trace.TPCC(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -41,28 +40,11 @@ func degradationAt(t *testing.T, parallelism int, lpParallel bool, ob Observe) [
 // rather than from the fleet's per-job seeds or ambient state.
 func TestDegradationStudyParallelismInvariant(t *testing.T) {
 	ob := Observe{Trace: true, Metrics: true}
-	serial := degradationAt(t, 1, false, ob)
-	parallel := degradationAt(t, 8, false, ob)
+	serial := degradationAt(t, 1, ob)
+	parallel := degradationAt(t, 8, ob)
 	if !bytes.Equal(serial, parallel) {
 		t.Fatalf("degradation study differs between Parallelism 1 and 8 (%d vs %d bytes)",
 			len(serial), len(parallel))
-	}
-}
-
-// TestDegradationStudyLPParallelInvariant is the degraded cross-LP
-// determinism gate: with LPParallel on, the partitioned rebuild
-// scenarios run their windows on a multi-core worker pool (and the
-// single-timeline scenarios swap substrate), yet every table line,
-// span trace, and snapshot — member deaths, reconstruction reads, and
-// rebuild traffic crossing the links included — must be byte-identical
-// to the flag-off run.
-func TestDegradationStudyLPParallelInvariant(t *testing.T) {
-	ob := Observe{Trace: true, Metrics: true}
-	off := degradationAt(t, 4, false, ob)
-	on := degradationAt(t, 4, true, ob)
-	if !bytes.Equal(off, on) {
-		t.Fatalf("degradation study differs between LPParallel off and on (%d vs %d bytes)",
-			len(off), len(on))
 	}
 }
 

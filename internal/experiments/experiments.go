@@ -39,17 +39,6 @@ type Config struct {
 
 	// Observe selects what each run records beyond its samples.
 	Observe Observe
-
-	// LPParallel swaps each job's simulation substrate from the
-	// sequential simkit.Engine to a single logical process of the
-	// partitioned par.Engine. The windowed runtime preserves the
-	// (at, seq) firing order exactly, so every figure, trace, and
-	// snapshot is byte-identical either way — the flag exists to run
-	// the whole evaluation through the partitioned runtime. The
-	// genuinely multi-LP decomposition is the partitioned RAID
-	// scenario (LPRAID), whose member links carry real latency to
-	// supply the conservative lookahead.
-	LPParallel bool
 }
 
 // Observe selects the observability outputs of an experiment run. Both
@@ -124,18 +113,6 @@ func lpSinkOptions(lp *par.LP, sink *obs.MemorySink, name string) obs.Options {
 // DefaultConfig returns the standard experiment scale.
 func DefaultConfig() Config { return Config{Requests: 150000, Seed: 1} }
 
-// jobEngine builds one job's private simulation substrate: the
-// sequential engine, or (LP-parallel mode) one logical process of a
-// partitioned engine. A single-LP partitioned engine runs the window
-// loop inline — no goroutines — and fires the identical (at, seq)
-// order, so the choice never changes a result byte.
-func jobEngine(lpParallel bool) simkit.Runner {
-	if lpParallel {
-		return par.New(1, par.Options{Workers: 1}).Runner(0)
-	}
-	return simkit.New()
-}
-
 // Validate reports the first problem with the config, if any.
 func (c Config) Validate() error {
 	if c.Requests <= 0 {
@@ -174,13 +151,8 @@ type Run struct {
 // bucket edges.
 func (r *Run) ResponseCDF() []float64 { return r.Resp.ResponseCDF() }
 
-// Replay submits every request of the trace at its arrival time and runs
-// the simulation to completion, returning the response-time sample.
-func Replay(eng simkit.Runner, dev device.Device, tr trace.Trace) (*stats.Sample, error) {
-	return ReplayStream(eng, dev, tr.Stream())
-}
-
-// ReplayStream replays a request stream: arrivals are scheduled one at a
+// ReplayStream replays a request stream and runs the simulation to
+// completion, returning the response-time sample. Arrivals are scheduled one at a
 // time — each firing arrival schedules the next — so the engine's event
 // queue holds one pending arrival instead of the whole trace. At paper
 // scale (4-6M requests per workload) this is what keeps a parallel
@@ -300,20 +272,9 @@ func HCSDOffsets(spec trace.WorkloadSpec) ([]int64, error) {
 	return offsets, nil
 }
 
-// HCSDTrace remaps a workload trace from the MD address space onto the
-// single high-capacity drive.
-func HCSDTrace(spec trace.WorkloadSpec, tr trace.Trace) (trace.Trace, error) {
-	offsets, err := HCSDOffsets(spec)
-	if err != nil {
-		return nil, err
-	}
-	return tr.Remap(offsets)
-}
-
 // hcsdStream builds a per-job streaming synthesis of the workload
-// remapped onto the HC-SD: the request sequence is identical to
-// HCSDTrace(spec, trace.Generate(spec, seed)) without materializing
-// either trace. Each parallel job calls this to own a private stream.
+// remapped onto the HC-SD, without ever materializing the trace. Each
+// parallel job calls this to own a private stream.
 func hcsdStream(spec trace.WorkloadSpec, cfg Config) (trace.Stream, error) {
 	offsets, err := HCSDOffsets(spec)
 	if err != nil {
@@ -348,7 +309,7 @@ func LimitStudy(spec trace.WorkloadSpec, cfg Config) (*LimitStudyResult, error) 
 
 	jobs := []fleet.Job[Run]{
 		{Name: spec.Name + "/MD", Run: func(context.Context, int64) (Run, error) {
-			eng := jobEngine(cfg.LPParallel)
+			eng := simkit.New()
 			sink := cfg.Observe.sink()
 			md, err := NewMDSystem(eng, spec, sinkOptions(sink, ""))
 			if err != nil {
@@ -374,7 +335,7 @@ func LimitStudy(spec trace.WorkloadSpec, cfg Config) (*LimitStudyResult, error) 
 			}, nil
 		}},
 		{Name: spec.Name + "/HC-SD", Run: func(context.Context, int64) (Run, error) {
-			eng := jobEngine(cfg.LPParallel)
+			eng := simkit.New()
 			rot := &stats.Sample{}
 			sink := cfg.Observe.sink()
 			hc, err := disk.New(eng, disk.BarracudaES(), disk.Options{
@@ -453,7 +414,7 @@ func Bottleneck(spec trace.WorkloadSpec, cfg Config) (*BottleneckResult, error) 
 		jobs[i] = fleet.Job[Run]{
 			Name: spec.Name + "/" + sc.Label,
 			Run: func(context.Context, int64) (Run, error) {
-				eng := jobEngine(cfg.LPParallel)
+				eng := simkit.New()
 				sink := cfg.Observe.sink()
 				d, err := disk.New(eng, disk.BarracudaES(), disk.Options{
 					SeekScale: sc.SeekScale,
@@ -512,7 +473,7 @@ func saRunOnStream(s trace.Stream, actuators int, rpm float64, cfg Config) (*Run
 		model = model.WithRPM(rpm)
 		label = fmt.Sprintf("SA(%d)/%d", actuators, int(rpm))
 	}
-	eng := jobEngine(cfg.LPParallel)
+	eng := simkit.New()
 	rot := &stats.Sample{}
 	ob := cfg.Observe
 	sink := ob.sink()

@@ -46,27 +46,34 @@ func TestMDDriveModelMapping(t *testing.T) {
 }
 
 func TestHCSDTraceFitsBarracuda(t *testing.T) {
+	const n = 2000
 	for _, w := range trace.Workloads() {
-		tr, err := trace.Generate(w.WithRequests(2000), 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		remapped, err := HCSDTrace(w, tr)
+		offsets, err := HCSDOffsets(w)
 		if err != nil {
 			t.Fatalf("%s: %v", w.Name, err)
 		}
-		if len(remapped) != len(tr) {
-			t.Fatalf("%s: remap changed length", w.Name)
+		g, err := trace.NewGenerator(w.WithRequests(n), 1)
+		if err != nil {
+			t.Fatal(err)
 		}
+		s := trace.RemapStream(g, offsets)
 		// Everything must fit on the 750 GB drive (the paper's premise).
 		const barracudaSectors = 750e9 / 512
-		for i, r := range remapped {
+		i := 0
+		for r, ok := s.Next(); ok; r, ok = s.Next() {
 			if r.Disk != 0 {
 				t.Fatalf("%s: request %d still targets disk %d", w.Name, i, r.Disk)
 			}
 			if float64(r.End()) > barracudaSectors {
 				t.Fatalf("%s: request %d beyond the drive", w.Name, i)
 			}
+			i++
+		}
+		if err := trace.Err(s); err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		if i != n {
+			t.Fatalf("%s: remap yielded %d of %d requests", w.Name, i, n)
 		}
 	}
 }
@@ -223,6 +230,24 @@ func TestReducedRPMFigure6And7(t *testing.T) {
 	if p42.Resp.FractionAtMost(20) <= rr.HCSD.Resp.FractionAtMost(20) {
 		t.Errorf("SA(4)/4200 (%.3f) not above HC-SD (%.3f) at 20 ms",
 			p42.Resp.FractionAtMost(20), rr.HCSD.Resp.FractionAtMost(20))
+	}
+}
+
+// TestRAIDStudyOneDriveServesWholeDataset is the regression for the
+// seed whose light-load stream reaches the last, partial stripe unit of
+// the one-drive array: the dataset is one whole drive, so that point's
+// RAID-0 must address every sector of its single member.
+func TestRAIDStudyOneDriveServesWholeDataset(t *testing.T) {
+	cfg := Config{Requests: 8000, Seed: -9103284341629296587}
+	rs, err := RunRAIDStudy(cfg, RAIDStudyOpts{
+		DiskCounts: []int{1}, Families: []int{1},
+		Intensities: []workload.Intensity{workload.Light},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p, ok := rs.Point(workload.Light, 1, 1); !ok || !(p.P90 > 0) {
+		t.Fatalf("8 ms/SA(1)x1 point missing or empty: %+v", p)
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 // LPRAIDOpts configures the partitioned-array scale scenario. The zero
 // value is the canonical run: a 64-drive RAID-0 of 2-actuator drives
 // under the paper's light per-drive load (scaled up by the drive count),
-// with worker count taken from Config.LPParallel.
+// on all cores.
 type LPRAIDOpts struct {
 	// Drives is the array width (default 64). Unlike the Figure 8 study,
 	// which caps at 16 drives on one event loop, this scenario exists to
@@ -32,9 +32,9 @@ type LPRAIDOpts struct {
 	// arrival rate is this intensity's rate times Drives, so per-member
 	// load stays constant as the array widens.
 	Intensity workload.Intensity
-	// Workers sets the partitioned engine's worker-goroutine count
-	// directly. Zero defers to Config.LPParallel: all cores when set,
-	// one otherwise. Results are byte-identical at every setting.
+	// Workers is the partitioned engine's worker-goroutine count,
+	// passed straight to par.Options.Workers: zero means all cores.
+	// Results are byte-identical at every setting.
 	Workers int
 	// Degraded turns the run into the §8 fault scenario on the
 	// partitioned engine: the layout becomes RAID-5 (the array needs
@@ -95,11 +95,10 @@ type LPRAIDResult struct {
 // logical process, coupled through point-to-point links whose minimum
 // latency (bus.DefaultLink's arbitration overhead) is the conservative
 // lookahead that lets member timelines advance concurrently. This is
-// the one experiment whose simulation actually runs on multiple cores;
-// the LPParallel substrate swap elsewhere keeps single-timeline studies
-// byte-stable while this scenario buys wall-clock speedup on arrays too
-// wide for one event loop. Results are byte-identical at every worker
-// count — only elapsed real time changes.
+// the one experiment whose simulation can run on multiple cores, which
+// buys wall-clock speedup on arrays too wide for one event loop. Results
+// are byte-identical at every worker count — only elapsed real time
+// changes.
 func LPRAID(cfg Config, opts LPRAIDOpts) (*LPRAIDResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -107,14 +106,6 @@ func LPRAID(cfg Config, opts LPRAIDOpts) (*LPRAIDResult, error) {
 	opts = opts.withDefaults()
 	if opts.Drives < 1 {
 		return nil, fmt.Errorf("experiments: LPRAID drives %d", opts.Drives)
-	}
-	workers := opts.Workers
-	if workers <= 0 {
-		if cfg.LPParallel {
-			workers = 0 // par default: all cores
-		} else {
-			workers = 1
-		}
 	}
 
 	model := disk.BarracudaES()
@@ -140,7 +131,7 @@ func LPRAID(cfg Config, opts LPRAIDOpts) (*LPRAIDResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	pe := par.New(opts.Drives+1, par.Options{Workers: workers})
+	pe := par.New(opts.Drives+1, par.Options{Workers: opts.Workers})
 	sink := cfg.Observe.sink()
 	arr, err := raid.NewPartitioned(pe, layout, bus.DefaultLink(), int64(model.Geom.SectorBytes),
 		func(s simkit.Scheduler, i int) (device.Device, error) {

@@ -144,7 +144,7 @@ func RunRAIDStudy(cfg Config, opts RAIDStudyOpts) (*RAIDStudyResult, error) {
 				jobs = append(jobs, fleet.Job[RAIDPoint]{
 					Name: fmt.Sprintf("raid/%s/SA(%d)x%d", in, fam, count),
 					Run: func(context.Context, int64) (RAIDPoint, error) {
-						eng := jobEngine(cfg.LPParallel)
+						eng := simkit.New()
 						sink := cfg.Observe.sink()
 						members := make([]device.Device, count)
 						for i := range members {

@@ -44,12 +44,6 @@ type WhatIfQuery struct {
 	// AtFrac of the nominal replay duration (mean inter-arrival ×
 	// requests), so fault timing scales with Requests.
 	ArmFaults []WhatIfArmFault `json:"arm_faults,omitempty"`
-	// LPParallel runs the replicate on the partitioned engine's
-	// windowed runtime instead of the sequential engine. The answer is
-	// byte-identical either way — the field selects a substrate, not a
-	// result — but it participates in the cache key like every other
-	// field, so an answer always records how it was computed.
-	LPParallel bool `json:"lp_parallel,omitempty"`
 }
 
 // WhatIfArmFault is one scheduled actuator deconfiguration.
@@ -185,7 +179,7 @@ func RunWhatIf(ctx context.Context, q WhatIfQuery, seed int64, ob Observe) (*Wha
 	if q.RPM != 0 && q.RPM != model.RPM {
 		model = model.WithRPM(q.RPM)
 	}
-	eng := jobEngine(q.LPParallel)
+	eng := simkit.New()
 	rot := &stats.Sample{}
 	sink := ob.sink()
 	d, err := core.New(eng, model, core.Config{

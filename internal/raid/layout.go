@@ -118,11 +118,9 @@ func (j *JBOD) Plan(r trace.Request) (Plan, error) {
 
 // RAID0 stripes the address space across members in fixed stripe units.
 type RAID0 struct {
-	members     int
-	memberCap   int64
-	stripeUnit  int64 // sectors per stripe unit
-	stripesPerM int64
-	total       int64
+	members    int
+	stripeUnit int64 // sectors per stripe unit
+	total      int64
 }
 
 // NewRAID0 builds a stripe set of `members` equal disks.
@@ -139,12 +137,16 @@ func NewRAID0(members int, memberSectors, stripeUnitSectors int64) (*RAID0, erro
 	if stripes == 0 {
 		return nil, fmt.Errorf("raid: stripe unit larger than member")
 	}
+	total := int64(members) * stripes * stripeUnitSectors
+	if members == 1 {
+		// A one-member stripe set maps its member 1:1, so the partial
+		// last stripe is addressable too.
+		total = memberSectors
+	}
 	return &RAID0{
-		members:     members,
-		memberCap:   memberSectors,
-		stripeUnit:  stripeUnitSectors,
-		stripesPerM: stripes,
-		total:       int64(members) * stripes * stripeUnitSectors,
+		members:    members,
+		stripeUnit: stripeUnitSectors,
+		total:      total,
 	}, nil
 }
 

@@ -171,6 +171,30 @@ func TestRAID0RoundRobinStripes(t *testing.T) {
 	}
 }
 
+// A one-member stripe set maps its member 1:1, partial last stripe
+// unit included.
+func TestRAID0OneMemberMapsWholeMember(t *testing.T) {
+	r0, err := NewRAID0(1, 1005, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r0.Capacity() != 1005 || r0.MemberExtent() != 1005 {
+		t.Fatalf("Capacity %d, MemberExtent %d; want 1005", r0.Capacity(), r0.MemberExtent())
+	}
+	p, err := r0.Plan(trace.Request{LBA: 995, Sectors: 10, Read: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range p.Phases[0] {
+		if op.Dev != 0 || op.LBA < 995 || op.LBA+int64(op.Sectors) > 1005 {
+			t.Fatalf("op %+v not 1:1 within [995,1005)", op)
+		}
+	}
+	if _, err := r0.Plan(trace.Request{LBA: 1000, Sectors: 6, Read: true}); err == nil {
+		t.Fatal("request past the member accepted")
+	}
+}
+
 func TestRAID0LargeRequestFansOut(t *testing.T) {
 	r0, _ := NewRAID0(4, 1000, 8)
 	p, err := r0.Plan(trace.Request{LBA: 4, Sectors: 28, Read: true})

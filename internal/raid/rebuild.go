@@ -13,8 +13,9 @@ type MemberSizer interface {
 	MemberExtent() int64
 }
 
-// MemberExtent implements MemberSizer for RAID-0.
-func (r0 *RAID0) MemberExtent() int64 { return r0.stripesPerM * r0.stripeUnit }
+// MemberExtent implements MemberSizer for RAID-0: whole stripe units
+// per member, or the whole member of a one-member set.
+func (r0 *RAID0) MemberExtent() int64 { return r0.total / int64(r0.members) }
 
 // MemberExtent implements MemberSizer for RAID-1.
 func (r1 *RAID1) MemberExtent() int64 { return r1.memberCap }

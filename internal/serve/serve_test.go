@@ -163,6 +163,16 @@ func TestCacheKeyCodeVersion(t *testing.T) {
 	if ka != kb {
 		t.Fatal("normalized and explicit default queries hash differently")
 	}
+	// The canonical JSON is the key's preimage: pinning it pins every
+	// cached default answer across releases that only drop unset fields.
+	canon, err := json.Marshal(qDefaulted.Normalize())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"workload":"TPC-C","actuators":1,"arrival_scale":1,"requests":150000,"seed":3,"reps":1}`
+	if string(canon) != want {
+		t.Fatalf("default query canonical JSON\n got %s\nwant %s", canon, want)
+	}
 }
 
 // fakeRuns builds a minimal deterministic replicate result for stubbed
@@ -474,24 +484,30 @@ func TestStreamProgressAndResult(t *testing.T) {
 	}
 }
 
-// TestQueryValidation400 maps malformed and invalid queries to 400s.
+// TestQueryValidation400 maps malformed and invalid queries to 400s;
+// where want is set, the error message must name the offending input.
+// The query has no engine-selection field: lp_parallel is unknown.
 func TestQueryValidation400(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
-	for name, body := range map[string]string{
-		"bad json":        "{",
-		"unknown field":   `{"workload":"Financial","bogus":1}`,
-		"bad workload":    `{"workload":"nope"}`,
-		"bad actuators":   `{"workload":"Financial","actuators":99}`,
-		"trace too large": fmt.Sprintf(`{"workload":"Financial","requests":%d,"include_trace":true}`, MaxTraceRequests+1),
+	for name, c := range map[string]struct{ body, want string }{
+		"bad json":        {body: "{"},
+		"unknown field":   {body: `{"workload":"Financial","bogus":1}`, want: "bogus"},
+		"lp_parallel":     {body: `{"workload":"Financial","lp_parallel":true}`, want: `unknown field \"lp_parallel\"`},
+		"bad workload":    {body: `{"workload":"nope"}`},
+		"bad actuators":   {body: `{"workload":"Financial","actuators":99}`},
+		"trace too large": {body: fmt.Sprintf(`{"workload":"Financial","requests":%d,"include_trace":true}`, MaxTraceRequests+1)},
 	} {
-		resp, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(body))
+		resp, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(c.body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		io.Copy(io.Discard, resp.Body)
+		msg, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != 400 {
 			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
+		}
+		if !strings.Contains(string(msg), c.want) {
+			t.Errorf("%s: error %s does not mention %s", name, msg, c.want)
 		}
 	}
 }
