@@ -142,6 +142,12 @@ type arm struct {
 	assigned   *pending
 	seekDoneAt float64
 
+	// The request this arm is servicing (valid while busy; an arm holds
+	// at most one service), and the completion event that retires it,
+	// built once in New so a service schedules no per-request closure.
+	inService pending
+	complete  simkit.Event
+
 	serviced uint64
 }
 
@@ -285,6 +291,7 @@ func New(eng simkit.Scheduler, model disk.Model, cfg Config) (*ParallelDrive, er
 		} else {
 			d.arms[i].alpha = float64(i) / float64(cfg.Actuators)
 		}
+		d.arms[i].complete = func() { d.finishService(i) }
 	}
 	d.queueCost = func(p pending) float64 {
 		_, c := d.bestArmFor(p.loc, d.costNow)
@@ -503,27 +510,6 @@ func (d *ParallelDrive) bestArmFor(loc geom.Loc, now float64) (armIdx int, cost 
 	return armIdx, cost
 }
 
-// transferTime walks the request across tracks, as disk.Drive does.
-func (d *ParallelDrive) transferTime(lba int64, sectors int) float64 {
-	t := 0.0
-	cur := lba
-	remaining := sectors
-	for remaining > 0 {
-		l := d.geo.Locate(cur)
-		onTrack := l.SPT - l.Sector
-		if onTrack > remaining {
-			onTrack = remaining
-		}
-		t += d.rot.TransferTime(onTrack, l.SPT)
-		remaining -= onTrack
-		cur += int64(onTrack)
-		if remaining > 0 {
-			t += d.model.TrackSwitchMs
-		}
-	}
-	return t
-}
-
 // trySchedule starts as many services as free channels allow, then (in
 // the multi-arm-motion variant) assigns idle arms to pre-seek.
 func (d *ParallelDrive) trySchedule() {
@@ -575,18 +561,16 @@ func (d *ParallelDrive) dispatchOne() bool {
 		}
 	}
 
-	var fromQueue *pending
-	var fromQueueCost float64
+	// One cost scan serves both the comparison against the pre-seeked
+	// candidate and the dispatch itself: Take removes what Pick chose.
+	var fromQueue sched.Pick[pending]
+	queued := false
 	if haveIdleArm && d.queue.Len() > 0 {
-		if p, ok := d.queue.Peek(now, d.queueCost); ok {
-			c := d.queueCost(p)
-			fromQueue = &p
-			fromQueueCost = c
-		}
+		fromQueue, queued = d.queue.Pick(now, d.queueCost)
 	}
 
 	// Background work runs only when no foreground work is dispatchable.
-	if fromQueue == nil && bestAssigned == -1 && haveIdleArm && d.bgQueue.Len() > 0 {
+	if !queued && bestAssigned == -1 && haveIdleArm && d.bgQueue.Len() > 0 {
 		if p, ok := d.bgQueue.Pop(now, d.queueCost); ok {
 			armIdx, _ := d.bestArmFor(p.loc, now)
 			if armIdx != -1 {
@@ -600,8 +584,8 @@ func (d *ParallelDrive) dispatchOne() bool {
 	}
 
 	switch {
-	case fromQueue != nil && (bestAssigned == -1 || fromQueueCost <= bestAssignedCost):
-		p, _ := d.queue.Pop(now, d.queueCost)
+	case queued && (bestAssigned == -1 || fromQueue.Cost <= bestAssignedCost):
+		p := d.queue.Take(fromQueue)
 		d.qDepth.Set(float64(d.queue.Len()))
 		armIdx, _ := d.bestArmFor(p.loc, now)
 		if armIdx == -1 {
@@ -654,7 +638,7 @@ func (d *ParallelDrive) startService(armIdx int, p pending, preSeeked bool, remS
 		seekMs, rotMs = d.posCost(armIdx, p.loc, now)
 		overhead = d.model.ControllerOverheadMs
 	}
-	xferMs := d.transferTime(p.req.LBA, p.req.Sectors)
+	xferMs := d.model.TransferTime(d.geo, d.rot, p.req.LBA, p.req.Sectors)
 	serviceEnd := now + overhead + seekMs + rotMs + xferMs
 
 	d.hSeek.Observe(seekMs)
@@ -678,29 +662,37 @@ func (d *ParallelDrive) startService(armIdx int, p pending, preSeeked bool, remS
 	}
 	a.cyl = p.loc.Cyl
 
-	d.eng.At(serviceEnd, func() {
-		a.busy = false
-		a.serviced++
-		d.activeChannels--
-		if p.background {
-			d.bgCompleted++
-		} else {
-			d.completed++
-		}
-		if p.req.Read {
-			d.buf.InsertRead(p.req.LBA, p.req.Sectors)
-		} else {
-			d.buf.InsertWrite(p.req.LBA, p.req.Sectors)
-		}
-		d.em.Complete(p.obsReq, armIdx, p.submitMs)
-		if p.done != nil {
-			p.done(d.eng.Now())
-		}
-		if d.cfg.IdleReturn {
-			d.returnIdleArms(armIdx, p.loc.Cyl)
-		}
-		d.trySchedule()
-	})
+	a.inService = p
+	d.eng.At(serviceEnd, a.complete)
+}
+
+// finishService retires arm armIdx's in-service request at its service
+// end and frees the arm and its channel.
+func (d *ParallelDrive) finishService(armIdx int) {
+	a := &d.arms[armIdx]
+	p := a.inService
+	a.inService = pending{} // release the done callback
+	a.busy = false
+	a.serviced++
+	d.activeChannels--
+	if p.background {
+		d.bgCompleted++
+	} else {
+		d.completed++
+	}
+	if p.req.Read {
+		d.buf.InsertRead(p.req.LBA, p.req.Sectors)
+	} else {
+		d.buf.InsertWrite(p.req.LBA, p.req.Sectors)
+	}
+	d.em.Complete(p.obsReq, armIdx, p.submitMs)
+	if p.done != nil {
+		p.done(d.eng.Now())
+	}
+	if d.cfg.IdleReturn {
+		d.returnIdleArms(armIdx, p.loc.Cyl)
+	}
+	d.trySchedule()
 }
 
 // returnIdleArms repositions idle arms that have drifted far from the

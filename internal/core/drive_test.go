@@ -444,6 +444,37 @@ func TestReducedRPMParallelDrive(t *testing.T) {
 	}
 }
 
+// TestMediaServiceAllocatesNothing pins the allocation-free service
+// path on HC-SD-SA(4): once warm, a media-miss request's submit, the
+// single (request, arm) SPTF scan, and the per-arm completion event
+// allocate nothing.
+func TestMediaServiceAllocatesNothing(t *testing.T) {
+	eng, d := newSA(t, 4)
+	rng := rand.New(rand.NewSource(3))
+	var lba int64
+	submit := func() { d.Submit(trace.Request{LBA: lba, Sectors: 8, Read: false}, nil) }
+	cycle := func() {
+		// Two requests per cycle, so the second queues behind the first
+		// and dispatch scans a non-empty queue.
+		lba = rng.Int63n(d.Capacity() - 64)
+		eng.After(3, submit)
+		eng.After(3, submit)
+		eng.Run()
+	}
+	for i := 0; i < 100; i++ {
+		cycle()
+	}
+	if n := testing.AllocsPerRun(500, cycle); n != 0 {
+		t.Fatalf("media service allocated %v times per cycle, want 0", n)
+	}
+}
+
+// BenchmarkSA4Throughput times a burst of 8 random writes arriving at
+// once on HC-SD-SA(4), so every dispatch scans the (request, arm) pairs
+// of a queued backlog; one op is one burst. The harness allocates
+// nothing per op, so allocs/op counts the drive's own per-request
+// allocations: zero, where a per-request completion closure would show
+// as 8.
 func BenchmarkSA4Throughput(b *testing.B) {
 	eng := simkit.New()
 	d, err := NewSA(eng, smallModel(), 4)
@@ -451,13 +482,19 @@ func BenchmarkSA4Throughput(b *testing.B) {
 		b.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(59))
+	var lbas [8]int64
+	burst := func() {
+		for _, lba := range lbas {
+			d.Submit(trace.Request{LBA: lba, Sectors: 8, Read: false}, nil)
+		}
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		at := eng.Now() + 3
-		lba := rng.Int63n(d.Capacity() - 64)
-		eng.At(at, func() {
-			d.Submit(trace.Request{LBA: lba, Sectors: 8, Read: false}, nil)
-		})
+		for k := range lbas {
+			lbas[k] = rng.Int63n(d.Capacity() - 64)
+		}
+		eng.After(3, burst)
 		eng.Run()
 	}
 }

@@ -87,6 +87,12 @@ type Drive struct {
 	armCyl int
 	busy   bool
 
+	// The request on the media while busy, and the completion event
+	// that retires it — a method value bound once in New, so a service
+	// schedules no per-request closure.
+	inService pending
+	complete  simkit.Event
+
 	// Dispatch cost function, built once at construction: the policy
 	// never changes, so trySchedule only refreshes costNow instead of
 	// closing over `now` on every dispatch. Nil for FCFS.
@@ -174,6 +180,7 @@ func New(eng simkit.Scheduler, model Model, opts Options) (*Drive, error) {
 		hXfer:       reg.Histogram("xfer_ms", obs.PhaseEdgesMs),
 	}
 	d.costFn = d.buildCostFn()
+	d.complete = d.finishService
 	return d, nil
 }
 
@@ -332,28 +339,6 @@ func (d *Drive) positioning(loc geom.Loc, at float64) (seekMs, rotMs float64) {
 	return seekMs, rotMs
 }
 
-// transferTime walks the request across tracks and zones, accumulating
-// media transfer time plus track-switch overheads.
-func (d *Drive) transferTime(lba int64, sectors int) float64 {
-	t := 0.0
-	cur := lba
-	remaining := sectors
-	for remaining > 0 {
-		l := d.geo.Locate(cur)
-		onTrack := l.SPT - l.Sector
-		if onTrack > remaining {
-			onTrack = remaining
-		}
-		t += d.rot.TransferTime(onTrack, l.SPT)
-		remaining -= onTrack
-		cur += int64(onTrack)
-		if remaining > 0 {
-			t += d.model.TrackSwitchMs
-		}
-	}
-	return t
-}
-
 // trySchedule dispatches the next queued request if the drive is free.
 func (d *Drive) trySchedule() {
 	if d.busy || (d.queue.Len() == 0 && d.flushQ.Len() == 0) {
@@ -373,7 +358,7 @@ func (d *Drive) trySchedule() {
 	}
 	d.busy = true
 	seekMs, rotMs := d.positioning(p.loc, now)
-	xferMs := d.transferTime(p.req.LBA, p.req.Sectors)
+	xferMs := d.model.TransferTime(d.geo, d.rot, p.req.LBA, p.req.Sectors)
 	serviceEnd := now + d.model.ControllerOverheadMs + seekMs + rotMs + xferMs
 
 	d.acct.AddSeek(seekMs, 1)
@@ -387,36 +372,41 @@ func (d *Drive) trySchedule() {
 	}
 	d.armCyl = p.loc.Cyl
 
-	obsReq := p.obsReq
 	if p.flush {
 		// Destages complete no request; they trace under their own id.
-		obsReq = d.em.NextReq()
+		p.obsReq = d.em.NextReq()
 	}
-	d.em.Service(obsReq, 0, p.submitMs, d.model.ControllerOverheadMs, seekMs, rotMs, xferMs)
+	d.em.Service(p.obsReq, 0, p.submitMs, d.model.ControllerOverheadMs, seekMs, rotMs, xferMs)
 
-	d.eng.At(serviceEnd, func() {
-		d.busy = false
-		switch {
-		case p.flush:
-			// Destage: the logical write already completed at ack time
-			// and the data is already in the cache.
-			d.cFlushes.Inc()
-			d.em.Span(obsReq, obs.PhaseFlush, 0, d.eng.Now(), 0)
-		case p.req.Read:
-			d.completed++
-			d.buf.InsertRead(p.req.LBA, p.req.Sectors)
-		default:
-			d.completed++
-			d.buf.InsertWrite(p.req.LBA, p.req.Sectors)
-		}
-		if !p.flush && !p.fragment {
-			d.em.Complete(obsReq, 0, p.submitMs)
-		}
-		if p.done != nil {
-			p.done(d.eng.Now())
-		}
-		d.trySchedule()
-	})
+	d.inService = p
+	d.eng.At(serviceEnd, d.complete)
+}
+
+// finishService retires the in-service request at its service end.
+func (d *Drive) finishService() {
+	p := d.inService
+	d.inService = pending{} // release the done callback
+	d.busy = false
+	switch {
+	case p.flush:
+		// Destage: the logical write already completed at ack time
+		// and the data is already in the cache.
+		d.cFlushes.Inc()
+		d.em.Span(p.obsReq, obs.PhaseFlush, 0, d.eng.Now(), 0)
+	case p.req.Read:
+		d.completed++
+		d.buf.InsertRead(p.req.LBA, p.req.Sectors)
+	default:
+		d.completed++
+		d.buf.InsertWrite(p.req.LBA, p.req.Sectors)
+	}
+	if !p.flush && !p.fragment {
+		d.em.Complete(p.obsReq, 0, p.submitMs)
+	}
+	if p.done != nil {
+		p.done(d.eng.Now())
+	}
+	d.trySchedule()
 }
 
 // buildCostFn builds the scheduler cost function once, at construction.

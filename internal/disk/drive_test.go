@@ -433,8 +433,8 @@ func TestLowerRPMSlowsService(t *testing.T) {
 func TestTransferTimeProportionalToSize(t *testing.T) {
 	eng, d := newDrive(t, smallModel(), Options{})
 	_ = eng
-	small := d.transferTime(0, 30)
-	large := d.transferTime(0, 300) // spans tracks
+	small := d.model.TransferTime(d.geo, d.rot, 0, 30)
+	large := d.model.TransferTime(d.geo, d.rot, 0, 300) // spans tracks
 	if large <= small {
 		t.Fatalf("transfer time not increasing with size")
 	}
@@ -485,6 +485,33 @@ func TestMeanRandomServiceTimeMatchesTheory(t *testing.T) {
 	}
 }
 
+// TestMediaServiceAllocatesNothing pins the allocation-free service
+// path: once the event heap and queue are warm, a media-miss request's
+// submit, dispatch, SPTF scan and completion allocate nothing (the
+// completion event is bound once per drive, not built per request).
+func TestMediaServiceAllocatesNothing(t *testing.T) {
+	eng, d := newDrive(t, smallModel(), Options{})
+	rng := rand.New(rand.NewSource(3))
+	var lba int64
+	submit := func() { d.Submit(trace.Request{LBA: lba, Sectors: 8, Read: false}, nil) }
+	cycle := func() {
+		lba = rng.Int63n(d.Capacity() - 64)
+		eng.After(5, submit)
+		eng.Run()
+	}
+	for i := 0; i < 100; i++ {
+		cycle()
+	}
+	if n := testing.AllocsPerRun(500, cycle); n != 0 {
+		t.Fatalf("media service allocated %v times per request, want 0", n)
+	}
+}
+
+// BenchmarkDriveThroughput times a burst of 8 random writes arriving at
+// once and drained through the SPTF queue; one op is one burst. The
+// harness allocates nothing per op, so allocs/op counts the drive's own
+// per-request allocations: zero, where a per-request completion closure
+// would show as 8.
 func BenchmarkDriveThroughput(b *testing.B) {
 	m := smallModel()
 	eng := simkit.New()
@@ -493,13 +520,19 @@ func BenchmarkDriveThroughput(b *testing.B) {
 		b.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(9))
+	var lbas [8]int64
+	burst := func() {
+		for _, lba := range lbas {
+			d.Submit(trace.Request{LBA: lba, Sectors: 8, Read: false}, nil)
+		}
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		at := eng.Now() + 5
-		lba := rng.Int63n(d.Capacity() - 64)
-		eng.At(at, func() {
-			d.Submit(trace.Request{LBA: lba, Sectors: 8, Read: false}, nil)
-		})
+		for k := range lbas {
+			lbas[k] = rng.Int63n(d.Capacity() - 64)
+		}
+		eng.After(5, burst)
 		eng.Run()
 	}
 }

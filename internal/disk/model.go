@@ -90,6 +90,32 @@ func (m Model) PowerSpec(actuators int) power.DriveSpec {
 	}
 }
 
+// TransferTime reports the media time to transfer sectors starting at
+// lba on a drive with geometry geo spinning at rot: it walks the request
+// across tracks and zones, accumulating each track's share of a
+// revolution plus TrackSwitchMs at every track crossing. Every drive
+// kind built from a Model (conventional, intra-disk parallel, DRPM)
+// shares this walk, so they agree on transfer time to the bit.
+func (m *Model) TransferTime(geo *geom.Geometry, rot *mech.Rotation, lba int64, sectors int) float64 {
+	t := 0.0
+	cur := lba
+	remaining := sectors
+	for remaining > 0 {
+		l := geo.Locate(cur)
+		onTrack := l.SPT - l.Sector
+		if onTrack > remaining {
+			onTrack = remaining
+		}
+		t += rot.TransferTime(onTrack, l.SPT)
+		remaining -= onTrack
+		cur += int64(onTrack)
+		if remaining > 0 {
+			t += m.TrackSwitchMs
+		}
+	}
+	return t
+}
+
 // WithRPM returns a copy of the model redesigned for a different spindle
 // speed — the paper's §7.2 reduced-RPM design points. Geometry, seek
 // curve and cache are unchanged; rotation period and power both follow

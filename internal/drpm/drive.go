@@ -105,7 +105,24 @@ type Drive struct {
 	transitioning bool
 	busy          bool
 	armCyl        int
-	idleTimerSeq  uint64
+
+	// The idle step-down timer. Every armIdle schedules one idleEvent,
+	// and all of them share the one IdleThresholdMs delay, so they fire
+	// in the order they were armed: a firing timer is the latest one
+	// exactly when it is the last outstanding (idlePending reaches 0),
+	// and idleLive says no request arrived since it was armed.
+	idlePending int
+	idleLive    bool
+	idleEvent   simkit.Event
+
+	// The request on the media while busy, and the completion event
+	// that retires it. The events and the SPTF cost function are built
+	// once in New (the cost reads costNow and the current level's
+	// rotation), so a service allocates nothing.
+	inService pending
+	complete  simkit.Event
+	cost      func(pending) float64
+	costNow   float64
 
 	submitted   uint64
 	completed   uint64
@@ -179,6 +196,12 @@ func New(eng simkit.Scheduler, model disk.Model, cfg Config) (*Drive, error) {
 	// noteLevelTime; the accountant tracks busy-mode energy at full speed
 	// as an approximation for seek/transfer increments.
 	d.acct = power.NewAccountant(d.pms[0])
+	d.idleEvent = d.idleTimer
+	d.complete = d.finishService
+	d.cost = func(p pending) float64 {
+		seekMs := d.curve.Time(d.armCyl - p.loc.Cyl)
+		return seekMs + d.rots[d.level].LatencyTo(p.loc.Angle, d.costNow+d.model.ControllerOverheadMs+seekMs)
+	}
 	d.armIdle()
 	return d, nil
 }
@@ -261,18 +284,24 @@ func (d *Drive) noteLevel(newLevel int) {
 	d.level = newLevel
 }
 
-// armIdle starts (or restarts) the idle step-down timer.
+// armIdle starts (or restarts) the idle step-down timer, superseding
+// any timer already outstanding.
 func (d *Drive) armIdle() {
-	d.idleTimerSeq++
-	seq := d.idleTimerSeq
-	d.eng.After(d.cfg.IdleThresholdMs, func() {
-		if seq != d.idleTimerSeq || d.busy || d.transitioning || d.queue.Len() > 0 {
-			return
-		}
-		if d.level < len(d.cfg.Levels)-1 {
-			d.stepTo(d.level + 1)
-		}
-	})
+	d.idlePending++
+	d.idleLive = true
+	d.eng.After(d.cfg.IdleThresholdMs, d.idleEvent)
+}
+
+// idleTimer fires an idle step-down timer: only the most recently armed
+// one acts, and only if no request arrived since it was armed.
+func (d *Drive) idleTimer() {
+	d.idlePending--
+	if d.idlePending > 0 || !d.idleLive || d.busy || d.transitioning || d.queue.Len() > 0 {
+		return
+	}
+	if d.level < len(d.cfg.Levels)-1 {
+		d.stepTo(d.level + 1)
+	}
 }
 
 // stepTo transitions the spindle to the target level.
@@ -317,7 +346,7 @@ func (d *Drive) Submit(r trace.Request, done device.Done) {
 		})
 		return
 	}
-	d.idleTimerSeq++ // cancel any pending step-down
+	d.idleLive = false // cancel any pending step-down
 	d.queue.Push(pending{req: r, done: done, loc: d.geo.Locate(r.LBA)}, d.eng.Now())
 	// Load pressure: spin back up.
 	if d.queue.Len() >= d.cfg.UpQueueLen && d.level != 0 && !d.transitioning {
@@ -331,59 +360,42 @@ func (d *Drive) trySchedule() {
 		return
 	}
 	now := d.eng.Now()
-	rot := d.rots[d.level]
-	cost := func(p pending) float64 {
-		seekMs := d.curve.Time(d.armCyl - p.loc.Cyl)
-		return seekMs + rot.LatencyTo(p.loc.Angle, now+d.model.ControllerOverheadMs+seekMs)
-	}
-	p, ok := d.queue.Pop(now, cost)
+	d.costNow = now
+	p, ok := d.queue.Pop(now, d.cost)
 	if !ok {
 		return
 	}
+	rot := d.rots[d.level]
 	d.busy = true
 	seekMs := d.curve.Time(d.armCyl - p.loc.Cyl)
 	atTrack := now + d.model.ControllerOverheadMs + seekMs
 	rotMs := rot.LatencyTo(p.loc.Angle, atTrack)
-	xferMs := d.transferTime(rot, p.req.LBA, p.req.Sectors)
+	xferMs := d.model.TransferTime(d.geo, rot, p.req.LBA, p.req.Sectors)
 	d.acct.AddSeek(seekMs, 1)
 	d.acct.Add(power.RotLatency, rotMs)
 	d.acct.Add(power.Transfer, xferMs)
 	d.armCyl = p.loc.Cyl
-	d.eng.At(atTrack+rotMs+xferMs, func() {
-		d.busy = false
-		d.completed++
-		if p.req.Read {
-			d.buf.InsertRead(p.req.LBA, p.req.Sectors)
-		} else {
-			d.buf.InsertWrite(p.req.LBA, p.req.Sectors)
-		}
-		if p.done != nil {
-			p.done(d.eng.Now())
-		}
-		if d.queue.Len() > 0 {
-			d.trySchedule()
-		} else {
-			d.armIdle()
-		}
-	})
+	d.inService = p
+	d.eng.At(atTrack+rotMs+xferMs, d.complete)
 }
 
-func (d *Drive) transferTime(rot *mech.Rotation, lba int64, sectors int) float64 {
-	t := 0.0
-	cur := lba
-	remaining := sectors
-	for remaining > 0 {
-		l := d.geo.Locate(cur)
-		onTrack := l.SPT - l.Sector
-		if onTrack > remaining {
-			onTrack = remaining
-		}
-		t += rot.TransferTime(onTrack, l.SPT)
-		remaining -= onTrack
-		cur += int64(onTrack)
-		if remaining > 0 {
-			t += d.model.TrackSwitchMs
-		}
+// finishService retires the in-service request at its service end.
+func (d *Drive) finishService() {
+	p := d.inService
+	d.inService = pending{} // release the done callback
+	d.busy = false
+	d.completed++
+	if p.req.Read {
+		d.buf.InsertRead(p.req.LBA, p.req.Sectors)
+	} else {
+		d.buf.InsertWrite(p.req.LBA, p.req.Sectors)
 	}
-	return t
+	if p.done != nil {
+		p.done(d.eng.Now())
+	}
+	if d.queue.Len() > 0 {
+		d.trySchedule()
+	} else {
+		d.armIdle()
+	}
 }

@@ -220,3 +220,24 @@ func TestSubmitBeyondCapacityPanics(t *testing.T) {
 	})
 	eng.Run()
 }
+
+// TestMediaServiceAllocatesNothing pins the allocation-free service
+// path: once warm, a media-miss request's submit, SPTF scan, completion
+// and the idle step-down timer it re-arms allocate nothing.
+func TestMediaServiceAllocatesNothing(t *testing.T) {
+	eng, d := newDrive(t, Config{})
+	rng := rand.New(rand.NewSource(3))
+	var lba int64
+	submit := func() { d.Submit(trace.Request{LBA: lba, Sectors: 8, Read: false}, nil) }
+	cycle := func() {
+		lba = rng.Int63n(d.Capacity() - 64)
+		eng.After(5, submit)
+		eng.Run()
+	}
+	for i := 0; i < 100; i++ {
+		cycle()
+	}
+	if n := testing.AllocsPerRun(500, cycle); n != 0 {
+		t.Fatalf("media service allocated %v times per request, want 0", n)
+	}
+}

@@ -250,12 +250,78 @@ func BenchmarkSeekTime(b *testing.B) {
 	}
 }
 
-func BenchmarkLatencyTo(b *testing.B) {
-	r := mustRotation(b, 7200)
-	for i := 0; i < b.N; i++ {
-		_ = r.LatencyTo(0.37, float64(i))
+// modFraction is AngleAt's original formulation, kept as the reference:
+// the fractional part of x via math.Mod, shifted into [0,1).
+func modFraction(x float64) float64 {
+	frac := math.Mod(x, 1)
+	if frac < 0 {
+		frac += 1
+	}
+	return frac
+}
+
+// TestAngleAtMatchesModReference checks the floor-based AngleAt against
+// the math.Mod formulation bit for bit: randomized times spanning 1e-6 to
+// 1e9 revolutions (log-uniform, so every exponent range is covered), and
+// the edge cases where a fractional-part computation can slip — zero,
+// exact integers, the float just below an integer, and negative time.
+func TestAngleAtMatchesModReference(t *testing.T) {
+	r := mustRotation(t, 7200)
+	p := r.PeriodMs()
+	check := func(x float64) {
+		t.Helper()
+		tm := x * p
+		got, want := r.AngleAt(tm), modFraction(tm/p)
+		if !math.Signbit(x) {
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("AngleAt(%v) = %v (%#x), Mod reference %v (%#x)",
+					tm, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		} else if got != want {
+			// An exact negative integer (or -0) gives +0 where Mod
+			// gives -0: the same angle, so compare by value.
+			t.Fatalf("AngleAt(%v) = %v, Mod reference %v", tm, got, want)
+		}
+		if got < 0 || got >= 1 {
+			t.Fatalf("AngleAt(%v) = %v outside [0,1)", tm, got)
+		}
+	}
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 200000; i++ {
+		x := math.Pow(10, -6+15*rng.Float64()) // 1e-6 .. 1e9 revolutions
+		check(x)
+		check(-x)
+	}
+	for _, k := range []float64{0, 1, 2, 3, 7, 1e4, 123456, 1 << 30, 1 << 52, 1 << 53} {
+		check(k)
+		check(-k)
+		check(math.Nextafter(k, 0))
+		check(math.Nextafter(k, math.Inf(1)))
+		check(-math.Nextafter(k, 0))
 	}
 }
+
+// BenchmarkLatencyTo times the rotational-latency query at the simulated
+// times a run actually reaches (10^4 to 10^6 ms, i.e. thousands to
+// hundreds of thousands of revolutions), where the cost of extracting
+// the rotation phase shows.
+func BenchmarkLatencyTo(b *testing.B) {
+	r := mustRotation(b, 7200)
+	times := make([]float64, 1024)
+	rng := rand.New(rand.NewSource(5))
+	for i := range times {
+		times[i] = math.Pow(10, 4+2*rng.Float64())
+	}
+	b.ResetTimer()
+	sum := 0.0
+	for i := 0; i < b.N; i++ {
+		sum += r.LatencyTo(0.37, times[i&(len(times)-1)])
+	}
+	latencySink = sum
+}
+
+// latencySink keeps BenchmarkLatencyTo's results live.
+var latencySink float64
 
 // --- Physical (bang-bang) seek curve ---
 

@@ -117,12 +117,17 @@ func (r *Rotation) PeriodMs() float64 { return r.periodMs }
 // AngleAt reports the platter's angular position at time t (ms), as a
 // fraction of a revolution in [0,1). Position zero passes under the heads
 // at t=0, t=period, 2*period, ...
+//
+// The fraction is x - Floor(x) for x = t/period. For x >= 0 the
+// subtraction is exact (Floor(x) is within a factor of two of x), as is
+// math.Mod(x, 1), so the two agree bit for bit; for x < 0 both round the
+// same exact value x - Floor(x) once. Floor compiles to one instruction,
+// where Mod is a software loop over the exponent — and this runs once
+// per candidate per arm in every SPTF scan. (An exact negative integer
+// gives +0 here where Mod gave -0; simulated time is never negative.)
 func (r *Rotation) AngleAt(t float64) float64 {
-	frac := math.Mod(t/r.periodMs, 1)
-	if frac < 0 {
-		frac += 1
-	}
-	return frac
+	x := t / r.periodMs
+	return x - math.Floor(x)
 }
 
 // LatencyTo reports the time (ms) until the sector starting at angular

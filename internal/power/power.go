@@ -110,6 +110,11 @@ func (d DriveSpec) Validate() error {
 type Model struct {
 	coeff Coefficients
 	spec  DriveSpec
+
+	// The two math.Pow-based levels, computed once in NewModel: the
+	// spec and coefficients never change, and the accountant asks for
+	// them on every service.
+	spm, vcm float64
 }
 
 // NewModel builds a power model for the drive described by spec.
@@ -117,7 +122,14 @@ func NewModel(coeff Coefficients, spec DriveSpec) (*Model, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	return &Model{coeff: coeff, spec: spec}, nil
+	return &Model{
+		coeff: coeff,
+		spec:  spec,
+		spm: coeff.SPMCoeff * float64(spec.Platters) *
+			math.Pow(spec.DiameterIn, coeff.SPMDiamExp) *
+			math.Pow(spec.RPM/1000, coeff.SPMRPMExp),
+		vcm: coeff.VCMCoeff * math.Pow(spec.DiameterIn, coeff.VCMDiamExp),
+	}, nil
 }
 
 // Spec returns the drive parameters of the model.
@@ -125,17 +137,10 @@ func (m *Model) Spec() DriveSpec { return m.spec }
 
 // SPMPower reports the spindle-motor power in watts: the always-on cost
 // of keeping the platter stack spinning.
-func (m *Model) SPMPower() float64 {
-	c := m.coeff
-	return c.SPMCoeff * float64(m.spec.Platters) *
-		math.Pow(m.spec.DiameterIn, c.SPMDiamExp) *
-		math.Pow(m.spec.RPM/1000, c.SPMRPMExp)
-}
+func (m *Model) SPMPower() float64 { return m.spm }
 
 // VCMPower reports the power one moving arm assembly draws, in watts.
-func (m *Model) VCMPower() float64 {
-	return m.coeff.VCMCoeff * math.Pow(m.spec.DiameterIn, m.coeff.VCMDiamExp)
-}
+func (m *Model) VCMPower() float64 { return m.vcm }
 
 // ElectronicsPower reports the baseline electronics power, including the
 // per-actuator servo/preamp increment.

@@ -8,9 +8,10 @@ import (
 // refQueue is the pre-ring-buffer slice implementation of Queue, kept as
 // the behavioral model: selection, tie-breaks, and arrival order are the
 // original splice-based mechanics. Forced-dispatch counting follows the
-// fixed semantics (only Pop counts; Peek is side-effect-free) — the
-// original implementation's counting through pickIndex inflated the
-// counter on Peek, which TestPeekDoesNotCountForcedDispatches pins down.
+// fixed semantics (only a removal counts; a look-ahead is side-effect-free)
+// — the original implementation's counting through pickIndex inflated the
+// counter on a look-ahead, which TestPickDoesNotCountForcedDispatches
+// pins down.
 type refQueue struct {
 	cfg     Config
 	entries []refEntry
@@ -79,10 +80,11 @@ func (q *refQueue) pop(now float64, cost func(int) float64) (int, bool) {
 }
 
 // TestRingMatchesSliceModel drives the ring-buffer Queue and the
-// reference slice queue through identical randomized Push/Pop/Peek
-// sequences across every policy, window, and age-cap setting, and
-// requires identical observable behavior at every step: same pops, same
-// peeks, same lengths, same oldest arrivals, same forced counts, same
+// reference slice queue through identical randomized sequences of Push,
+// Pop, Pick alone, and Pick followed by Take, across every policy,
+// window, and age-cap setting, and requires identical observable
+// behavior at every step: same dispatched items, same picks (and pick
+// costs), same lengths, same oldest arrivals, same forced counts, same
 // arrival-order iteration.
 func TestRingMatchesSliceModel(t *testing.T) {
 	configs := []Config{
@@ -128,7 +130,7 @@ func TestRingMatchesSliceModel(t *testing.T) {
 						q.Push(next, now)
 						ref.push(next, now)
 						next++
-					case k < 8: // pop
+					case k < 7: // pop
 						got, gotOK := q.Pop(now, costFn)
 						want, wantOK := ref.pop(now, costFn)
 						if gotOK != wantOK || got != want {
@@ -138,12 +140,25 @@ func TestRingMatchesSliceModel(t *testing.T) {
 						if gotOK {
 							armPos = got
 						}
-					default: // peek
-						got, gotOK := q.Peek(now, costFn)
+					default: // pick, then take it on k == 9
+						pk, gotOK := q.Pick(now, costFn)
 						want, wantOK := ref.peek(now, costFn)
-						if gotOK != wantOK || got != want {
-							t.Fatalf("trial %d op %d: Peek = (%d,%v), reference = (%d,%v)",
-								trial, op, got, gotOK, want, wantOK)
+						if gotOK != wantOK || (gotOK && pk.Item != want) {
+							t.Fatalf("trial %d op %d: Pick = (%d,%v), reference = (%d,%v)",
+								trial, op, pk.Item, gotOK, want, wantOK)
+						}
+						if gotOK && costFn != nil && pk.Cost != costFn(pk.Item) {
+							t.Fatalf("trial %d op %d: Pick cost %v, cost(item) %v",
+								trial, op, pk.Cost, costFn(pk.Item))
+						}
+						if gotOK && k == 9 {
+							got := q.Take(pk)
+							want, _ := ref.pop(now, costFn)
+							if got != want {
+								t.Fatalf("trial %d op %d: Take = %d, reference Pop = %d",
+									trial, op, got, want)
+							}
+							armPos = got
 						}
 					}
 					if q.Len() != len(ref.entries) {
@@ -184,31 +199,56 @@ func TestRingMatchesSliceModel(t *testing.T) {
 	}
 }
 
-// TestPeekDoesNotCountForcedDispatches is the regression test for the
-// Peek accounting bug: peeking at a queue whose front entry has exceeded
-// the age cap must not count a forced dispatch — only the Pop that
-// actually dispatches it does.
-func TestPeekDoesNotCountForcedDispatches(t *testing.T) {
+// TestPickDoesNotCountForcedDispatches is the regression test for the
+// look-ahead accounting bug: picking from a queue whose front entry has
+// exceeded the age cap must not count a forced dispatch — only the Take
+// (or Pop) that actually dispatches it does.
+func TestPickDoesNotCountForcedDispatches(t *testing.T) {
 	q := NewQueue[int](Config{Policy: SPTF, MaxAgeMs: 10})
 	cost := func(int) float64 { return 1 }
 	q.Push(1, 0)
 	q.Push(2, 0)
 
+	var pk Pick[int]
 	for i := 0; i < 5; i++ {
-		if _, ok := q.Peek(100, cost); !ok {
-			t.Fatal("Peek on non-empty queue failed")
+		var ok bool
+		if pk, ok = q.Pick(100, cost); !ok {
+			t.Fatal("Pick on non-empty queue failed")
 		}
 	}
 	if got := q.ForcedDispatches(); got != 0 {
-		t.Fatalf("ForcedDispatches after peeks = %d, want 0", got)
+		t.Fatalf("ForcedDispatches after picks = %d, want 0", got)
 	}
 
-	if v, ok := q.Pop(100, cost); !ok || v != 1 {
-		t.Fatalf("Pop = (%d,%v), want the aged front entry 1", v, ok)
+	if v := q.Take(pk); v != 1 {
+		t.Fatalf("Take = %d, want the aged front entry 1", v)
 	}
 	if got := q.ForcedDispatches(); got != 1 {
-		t.Fatalf("ForcedDispatches after one forced pop = %d, want 1", got)
+		t.Fatalf("ForcedDispatches after one forced take = %d, want 1", got)
 	}
+	if v, ok := q.Pop(100, cost); !ok || v != 2 {
+		t.Fatalf("Pop = (%d,%v), want the aged entry 2", v, ok)
+	}
+	if got := q.ForcedDispatches(); got != 2 {
+		t.Fatalf("ForcedDispatches after a forced pop = %d, want 2", got)
+	}
+}
+
+// TestTakeRejectsStalePick checks that a pick made before the queue
+// changed cannot remove whatever entry now sits at its position.
+func TestTakeRejectsStalePick(t *testing.T) {
+	q := NewQueue[int](Config{Policy: FCFS})
+	q.Push(1, 0)
+	q.Push(2, 0)
+	pk, _ := q.Pick(0, nil)
+	q.Pop(0, nil)
+	q.Push(3, 0)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Take of a stale pick did not panic")
+		}
+	}()
+	q.Take(pk)
 }
 
 // TestQueueSizedPreallocates checks that a pre-sized queue absorbs its

@@ -158,17 +158,45 @@ func (q *Queue[T]) Push(item T, now float64) {
 	q.n++
 }
 
-// Peek returns the item a Pop would dispatch, without removing it.
-// Peeking is side-effect-free: in particular it never counts toward
-// ForcedDispatches, which only a Pop can increment. ok is false when the
-// queue is empty.
-func (q *Queue[T]) Peek(now float64, cost func(T) float64) (item T, ok bool) {
-	i, _ := q.pickIndex(now, cost)
+// Pick is a dispatch decision: the queued entry a Take removes. It is
+// valid until the queue next changes.
+type Pick[T any] struct {
+	Item T
+	// Cost is the cost function's value for Item (zero for a nil cost
+	// function). A cost-scan pick reuses the scan's own evaluation, so a
+	// caller comparing the pick against other work pays for no second
+	// scan or re-evaluation.
+	Cost float64
+
+	index  int
+	forced bool
+	seq    uint64 // the picked entry's sequence, to reject stale picks
+}
+
+// Pick selects the entry a Pop would dispatch, without removing it.
+// Picking is side-effect-free: in particular it never counts toward
+// ForcedDispatches, which only Take and Pop increment. ok is false when
+// the queue is empty.
+func (q *Queue[T]) Pick(now float64, cost func(T) float64) (p Pick[T], ok bool) {
+	i, forced, c, scanned := q.pickIndex(now, cost)
 	if i < 0 {
-		var zero T
-		return zero, false
+		return Pick[T]{}, false
 	}
-	return q.slot(i).item, true
+	e := q.slot(i)
+	if !scanned && cost != nil {
+		c = cost(e.item)
+	}
+	return Pick[T]{Item: e.item, Cost: c, index: i, forced: forced, seq: e.sequence}, true
+}
+
+// Take removes the picked entry and returns its item, counting an
+// age-cap-forced pick in ForcedDispatches exactly as Pop does. A pick
+// made before the queue last changed panics: it may name another entry.
+func (q *Queue[T]) Take(p Pick[T]) T {
+	if p.index >= q.n || q.slot(p.index).sequence != p.seq {
+		panic("sched: Take of a stale Pick")
+	}
+	return q.takeAt(p.index, p.forced)
 }
 
 // Pop removes and returns the next request to dispatch. For FCFS the
@@ -176,17 +204,23 @@ func (q *Queue[T]) Peek(now float64, cost func(T) float64) (item T, ok bool) {
 // request to its dispatch cost at `now`. Ties break by arrival order.
 // ok is false when the queue is empty.
 func (q *Queue[T]) Pop(now float64, cost func(T) float64) (item T, ok bool) {
-	i, forced := q.pickIndex(now, cost)
+	i, forced, _, _ := q.pickIndex(now, cost)
 	if i < 0 {
 		var zero T
 		return zero, false
 	}
+	return q.takeAt(i, forced), true
+}
+
+// takeAt removes and returns the entry at logical position i, counting
+// the dispatch in ForcedDispatches when the age cap forced it.
+func (q *Queue[T]) takeAt(i int, forced bool) T {
 	if forced {
 		q.forced++
 	}
-	item = q.slot(i).item
+	item := q.slot(i).item
 	q.remove(i)
-	return item, true
+	return item
 }
 
 // remove deletes the entry at logical position i, preserving the order
@@ -219,19 +253,20 @@ func (q *Queue[T]) remove(i int) {
 }
 
 // pickIndex returns the logical index of the entry a dispatch would
-// take (-1 if empty) and whether the age cap forced the choice. It is
-// side-effect-free so Peek and Pop share it; only Pop commits the
-// forced-dispatch count.
-func (q *Queue[T]) pickIndex(now float64, cost func(T) float64) (index int, forced bool) {
+// take (-1 if empty), whether the age cap forced the choice, and — when
+// the choice came from a cost scan (scanned) — the winner's cost. It is
+// side-effect-free so Pick and Pop share it; only Take and Pop commit
+// the forced-dispatch count.
+func (q *Queue[T]) pickIndex(now float64, cost func(T) float64) (index int, forced bool, bestCost float64, scanned bool) {
 	if q.n == 0 {
-		return -1, false
+		return -1, false, 0, false
 	}
 	if q.cfg.Policy == FCFS {
-		return 0, false
+		return 0, false, 0, false
 	}
 	// Anti-starvation: the front entry is always the oldest.
 	if q.cfg.MaxAgeMs > 0 && now-q.slot(0).arrival >= q.cfg.MaxAgeMs {
-		return 0, true
+		return 0, true, 0, false
 	}
 	if cost == nil {
 		panic("sched: cost function required for " + q.cfg.Policy.String())
@@ -241,13 +276,13 @@ func (q *Queue[T]) pickIndex(now float64, cost func(T) float64) (index int, forc
 		limit = q.cfg.Window
 	}
 	best := 0
-	bestCost := cost(q.slot(0).item)
+	bestCost = cost(q.slot(0).item)
 	for i := 1; i < limit; i++ {
 		if c := cost(q.slot(i).item); c < bestCost {
 			best, bestCost = i, c
 		}
 	}
-	return best, false
+	return best, false, bestCost, true
 }
 
 // Items invokes fn for every queued item in arrival order. It exists for

@@ -94,12 +94,12 @@ func TestMaxAgeForcesOldest(t *testing.T) {
 	cost := func(v int) float64 { return float64(v) }
 
 	// Before the age cap the cheap request wins.
-	got, _ := q.Peek(60, cost)
-	if got != 1 {
-		t.Fatalf("Peek before age cap = %d, want 1", got)
+	pk, _ := q.Pick(60, cost)
+	if pk.Item != 1 || pk.Cost != 1 {
+		t.Fatalf("Pick before age cap = %+v, want item 1 at cost 1", pk)
 	}
 	// Once the oldest entry exceeds MaxAge it is forced out.
-	got, _ = q.Pop(150, cost)
+	got, _ := q.Pop(150, cost)
 	if got != 999 {
 		t.Fatalf("Pop after age cap = %d, want forced 999", got)
 	}
@@ -108,17 +108,17 @@ func TestMaxAgeForcesOldest(t *testing.T) {
 	}
 }
 
-func TestPeekDoesNotRemove(t *testing.T) {
+func TestPickDoesNotRemove(t *testing.T) {
 	q := NewQueue[int](Config{Policy: FCFS})
 	q.Push(7, 0)
-	if v, ok := q.Peek(0, nil); !ok || v != 7 {
-		t.Fatalf("Peek = %d,%v", v, ok)
+	if pk, ok := q.Pick(0, nil); !ok || pk.Item != 7 {
+		t.Fatalf("Pick = %+v,%v", pk, ok)
 	}
 	if q.Len() != 1 {
-		t.Fatalf("Peek removed the entry")
+		t.Fatalf("Pick removed the entry")
 	}
-	if _, ok := NewQueue[int](Config{}).Peek(0, nil); ok {
-		t.Fatalf("Peek on empty queue reported ok")
+	if _, ok := NewQueue[int](Config{}).Pick(0, nil); ok {
+		t.Fatalf("Pick on empty queue reported ok")
 	}
 }
 

@@ -75,7 +75,7 @@ func (p *blkparseParser) parse(line string) (Request, bool, error) {
 	disk, ok := p.devs[f[0]]
 	if !ok {
 		disk = len(p.devs)
-		p.devs[f[0]] = disk
+		p.devs[strings.Clone(f[0])] = disk // f[0] aliases the scan buffer
 	}
 	return Request{
 		ArrivalMs: ts * 1000, // seconds -> ms

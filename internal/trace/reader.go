@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"strings"
+	"unsafe"
 )
 
 // Format identifies an on-disk trace format understood by the ingestion
@@ -47,6 +48,8 @@ type ReaderOpts struct {
 // summary sections, records that are not data I/O). Parsers validate
 // every field except the arrival sign — near-sorted rebasing means an
 // arrival may only be judged after reordering, which the Reader does.
+// The line aliases the Reader's scan buffer and is valid only during the
+// call: a parser that keeps any part of it must copy it (strings.Clone).
 type lineParser interface {
 	format() Format
 	parse(line string) (r Request, skip bool, err error)
@@ -221,7 +224,12 @@ func (rd *Reader) Next() (Request, bool) {
 func (rd *Reader) scanOne() (Request, int, bool) {
 	for rd.sc.Scan() {
 		rd.lineNo++
-		line := strings.TrimSpace(rd.sc.Text())
+		// View the scanned bytes in place instead of copying them into a
+		// fresh string: the line only has to live through parse (see
+		// lineParser), and skipping the copy makes a record cost no
+		// allocation.
+		b := rd.sc.Bytes()
+		line := strings.TrimSpace(unsafe.String(unsafe.SliceData(b), len(b)))
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}

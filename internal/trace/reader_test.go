@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -441,9 +442,73 @@ func TestReaderAllocsConstant(t *testing.T) {
 	}
 	small, large := perRequest(1000), perRequest(8000)
 	// Fixed setup costs amortize away; per-request allocations must be
-	// flat (one line-string per scan plus drain's slice growth).
+	// flat (drain's slice growth only: scanning allocates nothing).
 	if large > small*1.5+1 {
 		t.Errorf("allocs per request grew with length: %.2f at 1k vs %.2f at 8k", small, large)
+	}
+}
+
+// TestReaderNextAllocatesNothing pins the zero-copy scan: once the
+// scanner buffer is warm, Next allocates nothing per record in any
+// format.
+func TestReaderNextAllocatesNothing(t *testing.T) {
+	cases := []struct {
+		name string
+		line func(i int) string
+		open func(r io.Reader) *Reader
+	}{
+		{"native", func(i int) string { return fmt.Sprintf("%d.%03d 0 %d 8 R\n", i/1000, i%1000, i*8) },
+			func(r io.Reader) *Reader { return NewNativeReader(r, ReaderOpts{}) }},
+		{"spc", func(i int) string { return fmt.Sprintf("%d,%d,4096,r,%d.%03d\n", i%3, i*8, i/1000, i%1000) },
+			func(r io.Reader) *Reader { return NewSPCReader(r, ReaderOpts{}) }},
+		{"msr", func(i int) string {
+			return fmt.Sprintf("%d,srv0,0,Read,%d,4096,500\n", 128166372003000000+int64(i)*10000, i*4096)
+		}, func(r io.Reader) *Reader { return NewMSRReader(r, ReaderOpts{}) }},
+		{"blkparse", func(i int) string {
+			return fmt.Sprintf("8,0 1 %d %d.%09d 42 Q R %d + 8 [fio]\n", i, i/1000, (i%1000)*1000000, i*8)
+		}, func(r io.Reader) *Reader { return NewBlkparseReader(r, ReaderOpts{}) }},
+	}
+	for _, c := range cases {
+		var sb strings.Builder
+		for i := 0; i < 20000; i++ {
+			sb.WriteString(c.line(i))
+		}
+		rd := c.open(strings.NewReader(sb.String()))
+		for i := 0; i < 100; i++ { // warm the scanner buffer and parser state
+			rd.Next()
+		}
+		if n := testing.AllocsPerRun(1000, func() {
+			if _, ok := rd.Next(); !ok {
+				t.Fatalf("%s: stream ended early: %v", c.name, rd.Err())
+			}
+		}); n != 0 {
+			t.Errorf("%s: Next allocated %v times per record, want 0", c.name, n)
+		}
+	}
+}
+
+// TestBlkparseDeviceNamesSurviveBufferReuse checks that the device map
+// owns its keys: a device first seen early in a trace must still map to
+// its index after the scanner has refilled (and overwritten) the buffer
+// the line was read from.
+func TestBlkparseDeviceNamesSurviveBufferReuse(t *testing.T) {
+	var sb strings.Builder
+	devs := []string{"8,0", "8,16"}
+	const n = 8000 // ~400 KB: many scanner refills
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&sb, "%s 1 %d %d.%06d 42 Q R %d + 8 [fio]\n", devs[i%2], i, i/1000, (i%1000)*1000, i*8)
+	}
+	got, err := drain(NewBlkparseReader(strings.NewReader(sb.String()), ReaderOpts{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != n {
+		t.Fatalf("read %d requests, want %d", len(got), n)
+	}
+	for i, r := range got {
+		if r.Disk != i%2 {
+			t.Fatalf("request %d (device %s) mapped to disk %d, want %d", i, devs[i%2], r.Disk, i%2)
+		}
 	}
 }
 
