@@ -214,27 +214,32 @@ func BenchmarkFigure8RAIDArrays(b *testing.B) {
 
 // BenchmarkPartitionedRAID runs the 64-drive partitioned-array scale
 // scenario (experiments.LPRAID) on the conservative windowed engine,
-// sequentially (one worker) and with a worker per core. The simulated
-// results are byte-identical between the two — only wall-clock time may
-// differ, and only when cores are available: ns/op of par vs seq IS the
-// measured speedup on the machine running the benchmark. The
-// avg-busy-LPs metric is the engine-invariant parallelism actually
-// available per synchronization window (so the speedup ceiling), which
-// a single-core CI box reports identically to a 64-core one.
+// sequentially (one worker) and with a worker per core, healthy and
+// degraded (RAID-5 with a member death and a rebuild under load). The
+// simulated results are byte-identical between seq and par — only
+// wall-clock time may differ, and only when cores are available: ns/op
+// of par vs seq IS the measured speedup on the machine running the
+// benchmark. The avg-busy-LPs metric is the engine-invariant
+// parallelism actually available per synchronization window (so the
+// speedup ceiling), which a single-core CI box reports identically to a
+// 64-core one.
 func BenchmarkPartitionedRAID(b *testing.B) {
 	for _, bc := range []struct {
-		name    string
-		workers int
+		name     string
+		workers  int
+		degraded bool
 	}{
-		{"seq", 1},
-		{"par", runtime.GOMAXPROCS(0)},
+		{"seq", 1, false},
+		{"par", runtime.GOMAXPROCS(0), false},
+		{"degraded-seq", 1, true},
+		{"degraded-par", runtime.GOMAXPROCS(0), true},
 	} {
 		bc := bc
 		b.Run(bc.name, func(b *testing.B) {
 			var r *experiments.LPRAIDResult
 			for i := 0; i < b.N; i++ {
 				var err error
-				r, err = experiments.LPRAID(benchConfig(), experiments.LPRAIDOpts{Workers: bc.workers})
+				r, err = experiments.LPRAID(benchConfig(), experiments.LPRAIDOpts{Workers: bc.workers, Degraded: bc.degraded})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -263,7 +263,7 @@ func New(eng simkit.Scheduler, model disk.Model, cfg Config) (*ParallelDrive, er
 		rot:       rot,
 		buf:       buf,
 		queue:     sched.NewQueueSized[pending](scfg, 256),
-		bgQueue:   sched.NewQueueSized[pending](scfg, 256),
+		bgQueue:   sched.NewQueue[pending](scfg),
 		acct:      power.NewAccountant(pm),
 		pm:        pm,
 		arms:      make([]arm, cfg.Actuators),

@@ -96,21 +96,41 @@ func (m Model) PowerSpec(actuators int) power.DriveSpec {
 // revolution plus TrackSwitchMs at every track crossing. Every drive
 // kind built from a Model (conventional, intra-disk parallel, DRPM)
 // shares this walk, so they agree on transfer time to the bit.
+//
+// Only the first, possibly partial, track needs Locate. Both layouts
+// split a zone into SPT-sector tracks starting at the zone's FirstLBA,
+// so every later track starts at a track boundary of a known zone and
+// the walk steps through the zone table directly. The per-track terms
+// are still added one at a time, in track order: a closed form such as
+// k*(period+switch) rounds differently, and callers rely on the sum
+// being bit-identical to a track-by-track walk.
 func (m *Model) TransferTime(geo *geom.Geometry, rot *mech.Rotation, lba int64, sectors int) float64 {
-	t := 0.0
-	cur := lba
-	remaining := sectors
-	for remaining > 0 {
-		l := geo.Locate(cur)
-		onTrack := l.SPT - l.Sector
-		if onTrack > remaining {
-			onTrack = remaining
+	if sectors <= 0 {
+		return 0
+	}
+	l := geo.Locate(lba)
+	first := min(l.SPT-l.Sector, sectors)
+	t := rot.TransferTime(first, l.SPT)
+	remaining := int64(sectors - first)
+	cur := lba + int64(first)
+	zones := geo.Zones()
+	for zi := l.Zone; remaining > 0; zi++ {
+		if zi == len(zones) {
+			geo.Locate(cur) // past the last zone: panics with the range error
 		}
-		t += rot.TransferTime(onTrack, l.SPT)
-		remaining -= onTrack
-		cur += int64(onTrack)
-		if remaining > 0 {
+		z := &zones[zi]
+		spt := int64(z.SPT)
+		full := rot.TransferTime(z.SPT, z.SPT)
+		for end := z.FirstLBA + z.Sectors; remaining > 0 && cur < end; {
 			t += m.TrackSwitchMs
+			if remaining >= spt {
+				t += full
+				remaining -= spt
+				cur += spt
+			} else {
+				t += rot.TransferTime(int(remaining), z.SPT)
+				remaining = 0
+			}
 		}
 	}
 	return t

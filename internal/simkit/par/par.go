@@ -40,10 +40,11 @@
 package par
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/obs"
@@ -169,6 +170,12 @@ type Engine struct {
 	windows uint64
 	busyLPs uint64
 
+	// Per-window scratch, reused so a window allocates nothing once the
+	// buffers reach their high-water marks: the LPs with work in the
+	// current window, and the merged sends of the current barrier.
+	work   []*LP
+	merged []envelope
+
 	// Worker pool state, lazily started on the first parallel window
 	// and stopped when Run/RunUntil returns.
 	pool *pool
@@ -260,29 +267,36 @@ func (e *Engine) deliver() {
 		for _, s := range lp.spans {
 			s.base.Emit(s.ev)
 		}
+		clear(lp.spans)
 		lp.spans = lp.spans[:0]
 	}
-	var all []envelope
+	all := e.merged[:0]
 	for _, lp := range e.lps {
 		all = append(all, lp.outbox...)
+		clear(lp.outbox)
 		lp.outbox = lp.outbox[:0]
 	}
 	if len(all) == 0 {
 		return
 	}
-	sort.Slice(all, func(i, j int) bool {
-		a, b := all[i], all[j]
-		if a.at != b.at {
-			return a.at < b.at
+	// (at, src, seq) is unique — seq is per source — so any sort gives
+	// the same order.
+	slices.SortFunc(all, func(a, b envelope) int {
+		if c := cmp.Compare(a.at, b.at); c != 0 {
+			return c
 		}
-		if a.src != b.src {
-			return a.src < b.src
+		if c := cmp.Compare(a.src, b.src); c != 0 {
+			return c
 		}
-		return a.seq < b.seq
+		return cmp.Compare(a.seq, b.seq)
 	})
 	for _, env := range all {
 		e.lps[env.dst].eng.At(env.at, env.fn)
 	}
+	// Drop the delivered closures: the destination queues own them now,
+	// and a stale copy here would keep them reachable until overwritten.
+	clear(all)
+	e.merged = all[:0]
 }
 
 // nextAt reports the earliest pending event time across all LPs.
@@ -351,12 +365,13 @@ func (e *Engine) run(limit float64) {
 func (e *Engine) runLPs(bound, limit float64) uint64 {
 	// An LP with no event below the bound has nothing to do; skip the
 	// handoff cost entirely when at most one LP has work.
-	work := make([]*LP, 0, len(e.lps))
+	work := e.work[:0]
 	for _, lp := range e.lps {
 		if at, ok := lp.eng.NextAt(); ok && at < bound && at <= limit {
 			work = append(work, lp)
 		}
 	}
+	e.work = work
 	e.busyLPs += uint64(len(work))
 	if e.workers == 1 || len(work) == 1 {
 		var n uint64

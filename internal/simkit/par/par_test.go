@@ -328,3 +328,40 @@ func TestIndependentLPsOneWindow(t *testing.T) {
 		t.Fatalf("fired %d, want 40", pe.Fired())
 	}
 }
+
+// TestBarrierAllocatesNothing pins the allocation-free window barrier:
+// once the per-window buffers reach their high-water marks, selecting
+// the LPs with work and merging the cross-LP sends (including a
+// same-timestamp tie between two sources) allocate nothing.
+func TestBarrierAllocatesNothing(t *testing.T) {
+	e := par.New(3, par.Options{Workers: 1})
+	for _, m := range []int{1, 2} {
+		e.Link(0, m, 1)
+		e.Link(m, 0, 1)
+	}
+	lp0, lp1, lp2 := e.LP(0), e.LP(1), e.LP(2)
+	rounds := 0
+	var ping, pong1, pong2 simkit.Event
+	nop := func() {}
+	ping = func() {
+		if rounds == 0 {
+			return
+		}
+		rounds--
+		lp0.Send(1, lp0.Now()+1, pong1)
+		lp0.Send(2, lp0.Now()+1, pong2)
+	}
+	pong1 = func() { lp1.Send(0, lp1.Now()+1, ping) }
+	pong2 = func() { lp2.Send(0, lp2.Now()+1, nop) }
+	cycle := func() {
+		rounds = 50
+		lp0.After(1, ping)
+		e.Run()
+	}
+	for i := 0; i < 10; i++ {
+		cycle()
+	}
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Fatalf("a 100-window run allocated %v times, want 0", n)
+	}
+}
