@@ -119,6 +119,12 @@ func (c Config) Validate() error {
 			return fmt.Errorf("core: angular offset %v outside [0,1)", a)
 		}
 	}
+	if err := device.ValidateScale("SeekScale", c.SeekScale); err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
+	if err := device.ValidateScale("RotScale", c.RotScale); err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
 	return nil
 }
 
@@ -171,15 +177,26 @@ type ParallelDrive struct {
 
 	arms           []arm
 	activeChannels int
+	channels       int // cfg.Channels, normalized once in New
+	heads          int // cfg.HeadsPerArm, normalized once in New
 
 	// Dispatch cost functions, built once at construction so the hot
-	// loop never allocates a closure. Both read costNow (and armCost
-	// additionally costArm), which dispatchOne / preSeekAssign refresh
-	// before each queue scan.
-	queueCost func(pending) float64 // best idle arm's positioning cost
-	armCost   func(pending) float64 // positioning cost for arm costArm
-	costNow   float64
+	// loop never allocates a closure. Both follow the sched.Cost bound
+	// contract and read costStart (and armCost additionally costArm),
+	// which dispatchOne / preSeekAssign refresh before each queue scan.
+	queueCost sched.Cost[pending] // best idle arm's positioning cost
+	armCost   sched.Cost[pending] // positioning cost for arm costArm
+	costStart float64             // now + ControllerOverheadMs: when a dispatched seek starts
 	costArm   int
+
+	// plan is the best idle arm for the entry of the last queueCost call
+	// that returned below its bound — after a queue Pick, the picked
+	// entry's — with that arm's seek and rotational latency, so the
+	// dispatch starts service without re-costing its winner.
+	plan struct {
+		arm           int
+		seekMs, rotMs float64
+	}
 
 	// bgQueue holds background-class requests (SubmitBackground): work
 	// that is only dispatched when no foreground request is waiting.
@@ -267,6 +284,8 @@ func New(eng simkit.Scheduler, model disk.Model, cfg Config) (*ParallelDrive, er
 		acct:      power.NewAccountant(pm),
 		pm:        pm,
 		arms:      make([]arm, cfg.Actuators),
+		channels:  cfg.channels(),
+		heads:     cfg.headsPerArm(),
 		seekScale: device.NormalizeScale(cfg.SeekScale),
 		rotScale:  device.NormalizeScale(cfg.RotScale),
 
@@ -293,13 +312,15 @@ func New(eng simkit.Scheduler, model disk.Model, cfg Config) (*ParallelDrive, er
 		}
 		d.arms[i].complete = func() { d.finishService(i) }
 	}
-	d.queueCost = func(p pending) float64 {
-		_, c := d.bestArmFor(p.loc, d.costNow)
-		return c
+	d.queueCost = func(p *pending, bound float64) float64 {
+		return d.planArm(&p.loc, bound)
 	}
-	d.armCost = func(p pending) float64 {
-		seekMs, rotMs := d.posCost(d.costArm, p.loc, d.costNow)
-		return seekMs + rotMs
+	d.armCost = func(p *pending, bound float64) float64 {
+		seekMs := d.seekTime(d.costArm, &p.loc)
+		if seekMs >= bound {
+			return seekMs // its rotation cannot bring it below bound
+		}
+		return seekMs + d.rotLatency(d.costArm, &p.loc, d.costStart+seekMs)
 	}
 	return d, nil
 }
@@ -313,7 +334,7 @@ func NewSA(eng simkit.Scheduler, model disk.Model, n int) (*ParallelDrive, error
 // Taxonomy reports the drive's DASH taxonomy point.
 func (d *ParallelDrive) Taxonomy() DASH {
 	t := SA(d.cfg.Actuators)
-	t.H = d.cfg.headsPerArm()
+	t.H = d.heads
 	return t
 }
 
@@ -468,8 +489,8 @@ func (d *ParallelDrive) Submit(r trace.Request, done device.Done) {
 // under head `head` of the given arm: the sector angle shifted by the
 // arm's angular mounting position plus the head's offset along the arm's
 // head circle.
-func (d *ParallelDrive) armTarget(armIdx, head int, loc geom.Loc) float64 {
-	h := float64(head) / float64(d.cfg.headsPerArm())
+func (d *ParallelDrive) armTarget(armIdx, head int, loc *geom.Loc) float64 {
+	h := float64(head) / float64(d.heads)
 	t := loc.Angle - d.arms[armIdx].alpha - h
 	for t < 0 {
 		t += 1
@@ -477,43 +498,61 @@ func (d *ParallelDrive) armTarget(armIdx, head int, loc geom.Loc) float64 {
 	return t
 }
 
-// posCost is the positioning time (seek + rotational latency) for the
-// given arm to begin service at loc at time now. With multiple heads per
-// arm, the wait ends when the sector reaches the nearest head.
-func (d *ParallelDrive) posCost(armIdx int, loc geom.Loc, now float64) (seekMs, rotMs float64) {
-	seekMs = d.curve.Time(d.arms[armIdx].cyl-loc.Cyl) * d.seekScale
-	atTrack := now + d.model.ControllerOverheadMs + seekMs
-	rotMs = d.rot.LatencyTo(d.armTarget(armIdx, 0, loc), atTrack)
-	for h := 1; h < d.cfg.headsPerArm(); h++ {
+// seekTime is the scaled seek time for the given arm to reach loc's
+// cylinder.
+func (d *ParallelDrive) seekTime(armIdx int, loc *geom.Loc) float64 {
+	return d.curve.Time(d.arms[armIdx].cyl-loc.Cyl) * d.seekScale
+}
+
+// rotLatency is the scaled rotational latency for the given arm, on
+// track at time atTrack, to begin service at loc. With multiple heads
+// per arm, the wait ends when the sector reaches the nearest head.
+func (d *ParallelDrive) rotLatency(armIdx int, loc *geom.Loc, atTrack float64) float64 {
+	rotMs := d.rot.LatencyTo(d.armTarget(armIdx, 0, loc), atTrack)
+	for h := 1; h < d.heads; h++ {
 		if r := d.rot.LatencyTo(d.armTarget(armIdx, h, loc), atTrack); r < rotMs {
 			rotMs = r
 		}
 	}
-	rotMs *= d.rotScale
-	return seekMs, rotMs
+	return rotMs * d.rotScale
 }
 
-// bestArmFor reports the idle arm with the lowest positioning cost for
-// loc, or -1 when no arm is available.
-func (d *ParallelDrive) bestArmFor(loc geom.Loc, now float64) (armIdx int, cost float64) {
-	armIdx = -1
+// planArm is the SPTF cost of dispatching loc at costStart: the lowest
+// positioning time (seek + rotational latency) over the idle arms, ties
+// going to the lowest arm. It is branch-and-bound under the sched.Cost
+// contract: an arm whose scaled seek alone already reaches bound, or the
+// best arm so far, is skipped without computing its rotation, since a
+// non-negative rotation cannot bring it back below. A result below bound
+// is exact and makes loc the scan's new best, so planArm records its
+// arm, seek and rotation in d.plan; otherwise it returns bound and
+// leaves d.plan alone. With bound +Inf it is the exhaustive choice.
+func (d *ParallelDrive) planArm(loc *geom.Loc, bound float64) float64 {
+	best := -1
+	var bestSeek, bestRot float64
 	for i := range d.arms {
 		a := &d.arms[i]
 		if a.failed || a.busy || a.assigned != nil {
 			continue
 		}
-		seekMs, rotMs := d.posCost(i, loc, now)
-		if c := seekMs + rotMs; armIdx == -1 || c < cost {
-			armIdx, cost = i, c
+		seekMs := d.seekTime(i, loc)
+		if seekMs >= bound {
+			continue
+		}
+		rotMs := d.rotLatency(i, loc, d.costStart+seekMs)
+		if c := seekMs + rotMs; c < bound {
+			best, bestSeek, bestRot, bound = i, seekMs, rotMs, c
 		}
 	}
-	return armIdx, cost
+	if best >= 0 {
+		d.plan.arm, d.plan.seekMs, d.plan.rotMs = best, bestSeek, bestRot
+	}
+	return bound
 }
 
 // trySchedule starts as many services as free channels allow, then (in
 // the multi-arm-motion variant) assigns idle arms to pre-seek.
 func (d *ParallelDrive) trySchedule() {
-	for d.activeChannels < d.cfg.channels() {
+	for d.activeChannels < d.channels {
 		if !d.dispatchOne() {
 			break
 		}
@@ -526,11 +565,11 @@ func (d *ParallelDrive) trySchedule() {
 // dispatchOne starts one service if work and an arm are available.
 func (d *ParallelDrive) dispatchOne() bool {
 	now := d.eng.Now()
-	d.costNow = now
+	d.costStart = now + d.model.ControllerOverheadMs
 
 	// Candidate 1: a pre-positioned arm holding an assignment.
 	bestAssigned := -1
-	var bestAssignedCost float64
+	var bestAssignedCost, bestAssignedSeek, bestAssignedRot float64
 	for i := range d.arms {
 		a := &d.arms[i]
 		if a.assigned == nil || a.busy || a.failed {
@@ -540,15 +579,10 @@ func (d *ParallelDrive) dispatchOne() bool {
 		if rem < 0 {
 			rem = 0
 		}
-		rot := d.rot.LatencyTo(d.armTarget(i, 0, a.assigned.loc), now+rem)
-		for h := 1; h < d.cfg.headsPerArm(); h++ {
-			if r := d.rot.LatencyTo(d.armTarget(i, h, a.assigned.loc), now+rem); r < rot {
-				rot = r
-			}
-		}
-		rot *= d.rotScale
+		rot := d.rotLatency(i, &a.assigned.loc, now+rem)
 		if c := rem + rot; bestAssigned == -1 || c < bestAssignedCost {
 			bestAssigned, bestAssignedCost = i, c
+			bestAssignedSeek, bestAssignedRot = rem, rot
 		}
 	}
 
@@ -562,7 +596,8 @@ func (d *ParallelDrive) dispatchOne() bool {
 	}
 
 	// One cost scan serves both the comparison against the pre-seeked
-	// candidate and the dispatch itself: Take removes what Pick chose.
+	// candidate and the dispatch itself: Take removes what Pick chose,
+	// and d.plan holds the arm, seek and rotation the scan found for it.
 	var fromQueue sched.Pick[pending]
 	queued := false
 	if haveIdleArm && d.queue.Len() > 0 {
@@ -571,80 +606,49 @@ func (d *ParallelDrive) dispatchOne() bool {
 
 	// Background work runs only when no foreground work is dispatchable.
 	if !queued && bestAssigned == -1 && haveIdleArm && d.bgQueue.Len() > 0 {
-		if p, ok := d.bgQueue.Pop(now, d.queueCost); ok {
-			armIdx, _ := d.bestArmFor(p.loc, now)
-			if armIdx != -1 {
-				d.gBgDepth.Set(float64(d.bgQueue.Len()))
-				d.startService(armIdx, p, false, 0)
-				return true
-			}
-			d.bgQueue.Push(p, now)
-			d.gBgDepth.Set(float64(d.bgQueue.Len()))
-		}
+		pk, _ := d.bgQueue.Pick(now, d.queueCost)
+		p := d.bgQueue.Take(pk)
+		d.gBgDepth.Set(float64(d.bgQueue.Len()))
+		d.startService(d.plan.arm, p, d.model.ControllerOverheadMs, d.plan.seekMs, d.plan.rotMs)
+		return true
 	}
 
 	switch {
 	case queued && (bestAssigned == -1 || fromQueue.Cost <= bestAssignedCost):
 		p := d.queue.Take(fromQueue)
 		d.qDepth.Set(float64(d.queue.Len()))
-		armIdx, _ := d.bestArmFor(p.loc, now)
-		if armIdx == -1 {
-			// Should be impossible: haveIdleArm was true and nothing
-			// changed since. Re-queue defensively.
-			d.queue.Push(p, now)
-			d.qDepth.Set(float64(d.queue.Len()))
-			return false
-		}
-		d.startService(armIdx, p, false, 0)
+		d.startService(d.plan.arm, p, d.model.ControllerOverheadMs, d.plan.seekMs, d.plan.rotMs)
 		return true
 	case bestAssigned != -1:
 		a := &d.arms[bestAssigned]
 		p := *a.assigned
 		a.assigned = nil
-		rem := a.seekDoneAt - now
-		if rem < 0 {
-			rem = 0
-		}
-		d.startService(bestAssigned, p, true, rem)
+		// The seek was overlapped: pay the residual plus rotation from
+		// there; the command overhead was paid at assignment time.
+		d.startService(bestAssigned, p, 0, bestAssignedSeek, bestAssignedRot)
 		return true
 	default:
 		return false
 	}
 }
 
-// startService begins media access for p on the given arm. preSeeked
-// marks a request whose seek already ran during an earlier service (the
-// multi-arm-motion variant); remSeek is its residual seek time.
-func (d *ParallelDrive) startService(armIdx int, p pending, preSeeked bool, remSeek float64) {
+// startService begins media access for p on the given arm, whose
+// positioning the dispatch already costed: overheadMs of controller
+// time, then seekMs and rotMs.
+func (d *ParallelDrive) startService(armIdx int, p pending, overheadMs, seekMs, rotMs float64) {
 	now := d.eng.Now()
 	a := &d.arms[armIdx]
 	a.busy = true
 	primary := d.activeChannels == 0
 	d.activeChannels++
 
-	var seekMs, rotMs, overhead float64
-	if preSeeked {
-		// Seek was overlapped; pay the residual plus rotation from there.
-		seekMs = remSeek
-		rotMs = d.rot.LatencyTo(d.armTarget(armIdx, 0, p.loc), now+remSeek)
-		for h := 1; h < d.cfg.headsPerArm(); h++ {
-			if r := d.rot.LatencyTo(d.armTarget(armIdx, h, p.loc), now+remSeek); r < rotMs {
-				rotMs = r
-			}
-		}
-		rotMs *= d.rotScale
-		overhead = 0 // command overhead was paid at assignment time
-	} else {
-		seekMs, rotMs = d.posCost(armIdx, p.loc, now)
-		overhead = d.model.ControllerOverheadMs
-	}
 	xferMs := d.model.TransferTime(d.geo, d.rot, p.req.LBA, p.req.Sectors)
-	serviceEnd := now + overhead + seekMs + rotMs + xferMs
+	serviceEnd := now + overheadMs + seekMs + rotMs + xferMs
 
 	d.hSeek.Observe(seekMs)
 	d.hRot.Observe(rotMs)
 	d.hXfer.Observe(xferMs)
-	d.em.Service(p.obsReq, armIdx, p.submitMs, overhead, seekMs, rotMs, xferMs)
+	d.em.Service(p.obsReq, armIdx, p.submitMs, overheadMs, seekMs, rotMs, xferMs)
 
 	if primary {
 		d.acct.AddSeek(seekMs, 1)
@@ -733,7 +737,7 @@ func (d *ParallelDrive) returnIdleArms(servicedArm, cyl int) {
 // while the channel is busy (the relaxed multi-arm-motion design).
 func (d *ParallelDrive) preSeekAssign() {
 	now := d.eng.Now()
-	d.costNow = now
+	d.costStart = now + d.model.ControllerOverheadMs
 	for i := range d.arms {
 		a := &d.arms[i]
 		if a.failed || a.busy || a.assigned != nil {
@@ -748,10 +752,10 @@ func (d *ParallelDrive) preSeekAssign() {
 			return
 		}
 		d.qDepth.Set(float64(d.queue.Len()))
-		seekMs, _ := d.posCost(i, p.loc, now)
+		seekMs := d.seekTime(i, &p.loc)
 		held := p
 		a.assigned = &held
-		a.seekDoneAt = now + d.model.ControllerOverheadMs + seekMs
+		a.seekDoneAt = d.costStart + seekMs
 		a.cyl = held.loc.Cyl
 		// Overlapped motion: charge the VCM increment only.
 		d.acct.AddSeekIncrement(seekMs)

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/disk"
@@ -86,6 +87,33 @@ func TestConfigValidation(t *testing.T) {
 	for _, cfg := range bad {
 		if _, err := New(eng, smallModel(), cfg); err == nil {
 			t.Errorf("accepted invalid config %+v", cfg)
+		}
+	}
+}
+
+// TestConfigRejectsBadScales checks that a negative (other than
+// ZeroedScale), NaN or infinite seek or rotation scale is a
+// configuration error naming the field, reported before New builds
+// anything — a NaN scale would make every positioning cost NaN, which
+// no cost-minimizing dispatch can order.
+func TestConfigRejectsBadScales(t *testing.T) {
+	for _, field := range []string{"SeekScale", "RotScale"} {
+		for _, s := range []float64{-0.5, -2, math.NaN(), math.Inf(1), math.Inf(-1)} {
+			cfg := Config{Actuators: 2}
+			if field == "SeekScale" {
+				cfg.SeekScale = s
+			} else {
+				cfg.RotScale = s
+			}
+			_, err := New(simkit.New(), smallModel(), cfg)
+			if err == nil || !strings.Contains(err.Error(), field) {
+				t.Errorf("%s = %v: New error %v, want one naming %s", field, s, err, field)
+			}
+		}
+	}
+	for _, s := range []float64{0, disk.ZeroedScale, 0.25, 3} {
+		if _, err := New(simkit.New(), smallModel(), Config{Actuators: 2, SeekScale: s, RotScale: s}); err != nil {
+			t.Errorf("scale %v rejected: %v", s, err)
 		}
 	}
 }

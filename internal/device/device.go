@@ -4,6 +4,7 @@ package device
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/obs"
 	"repro/internal/power"
@@ -44,17 +45,32 @@ type Instrumented interface {
 // paper's Figure 4 limit-study points S=0 and R=0.
 const ZeroedScale = -1
 
+// ValidateScale reports whether s is a usable seek/rotation scale: 0
+// (unset, meaning 1.0), ZeroedScale (exactly 0), or a finite positive
+// multiplier. The error names the field. NaN and the infinities are
+// rejected with the negatives: a NaN scale makes every positioning
+// cost NaN, and a cost-minimizing dispatch cannot order NaNs.
+func ValidateScale(field string, s float64) error {
+	if s == 0 || s == ZeroedScale || (s > 0 && !math.IsInf(s, 1)) {
+		return nil
+	}
+	return fmt.Errorf("%s %v must be 0 (unset), ZeroedScale (%d) or finite and positive",
+		field, s, ZeroedScale)
+}
+
 // NormalizeScale resolves the scale semantics shared by every drive
-// model: 0 means unset (1.0), ZeroedScale means exactly 0, any other
-// negative value is a configuration bug.
+// model: 0 means unset (1.0), ZeroedScale means exactly 0. Any value
+// ValidateScale rejects is a configuration bug that the drive's
+// validation should already have reported, so it panics.
 func NormalizeScale(s float64) float64 {
-	switch {
-	case s == 0:
+	if err := ValidateScale("scale", s); err != nil {
+		panic("device: invalid " + err.Error())
+	}
+	switch s {
+	case 0:
 		return 1
-	case s == ZeroedScale:
+	case ZeroedScale:
 		return 0
-	case s < 0:
-		panic(fmt.Sprintf("device: invalid scale %v", s))
 	default:
 		return s
 	}

@@ -47,6 +47,17 @@ type Options struct {
 	Obs obs.Options
 }
 
+// Validate reports the first problem with the options, if any.
+func (o Options) Validate() error {
+	if err := device.ValidateScale("SeekScale", o.SeekScale); err != nil {
+		return fmt.Errorf("disk: %w", err)
+	}
+	if err := device.ValidateScale("RotScale", o.RotScale); err != nil {
+		return fmt.Errorf("disk: %w", err)
+	}
+	return nil
+}
+
 // ZeroedScale is a scale value meaning "exactly zero" — distinguishable
 // from an unset (default 1.0) scale (see device.NormalizeScale).
 const ZeroedScale = device.ZeroedScale
@@ -94,10 +105,11 @@ type Drive struct {
 	complete  simkit.Event
 
 	// Dispatch cost function, built once at construction: the policy
-	// never changes, so trySchedule only refreshes costNow instead of
+	// never changes, so trySchedule only refreshes costStart (now plus
+	// the controller overhead, when a dispatched seek starts) instead of
 	// closing over `now` on every dispatch. Nil for FCFS.
-	costFn  func(pending) float64
-	costNow float64
+	costFn    sched.Cost[pending]
+	costStart float64
 
 	submitted uint64
 	completed uint64
@@ -126,6 +138,9 @@ var _ device.Device = (*Drive)(nil)
 // sequential engine or one logical process of the partitioned engine.
 func New(eng simkit.Scheduler, model Model, opts Options) (*Drive, error) {
 	if err := model.Validate(); err != nil {
+		return nil, err
+	}
+	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	geo, err := geom.New(model.Geom)
@@ -345,7 +360,7 @@ func (d *Drive) trySchedule() {
 		return
 	}
 	now := d.eng.Now()
-	d.costNow = now
+	d.costStart = now + d.model.ControllerOverheadMs
 	p, ok := d.queue.Pop(now, d.costFn)
 	if ok {
 		d.qDepth.Set(float64(d.queue.Len()))
@@ -410,14 +425,14 @@ func (d *Drive) finishService() {
 }
 
 // buildCostFn builds the scheduler cost function once, at construction.
-// Time-dependent policies read d.costNow, which trySchedule refreshes
+// Time-dependent policies read d.costStart, which trySchedule refreshes
 // before every dispatch, so the hot loop never allocates a closure.
-func (d *Drive) buildCostFn() func(pending) float64 {
+func (d *Drive) buildCostFn() sched.Cost[pending] {
 	switch d.queue.Config().Policy {
 	case sched.FCFS:
 		return nil
 	case sched.SSTF:
-		return func(p pending) float64 {
+		return func(p *pending, _ float64) float64 {
 			dist := d.armCyl - p.loc.Cyl
 			if dist < 0 {
 				dist = -dist
@@ -428,17 +443,20 @@ func (d *Drive) buildCostFn() func(pending) float64 {
 		// Circular elevator: requests at or above the arm are served in
 		// ascending order; requests below it sort after a full wrap.
 		span := float64(d.geo.Cylinders())
-		return func(p pending) float64 {
+		return func(p *pending, _ float64) float64 {
 			delta := float64(p.loc.Cyl - d.armCyl)
 			if delta < 0 {
 				delta += span
 			}
 			return delta
 		}
-	default: // SPTF
-		return func(p pending) float64 {
-			seekMs, rotMs := d.positioning(p.loc, d.costNow)
-			return seekMs + rotMs
+	default: // SPTF, branch-and-bound on the seek (see sched.Cost)
+		return func(p *pending, bound float64) float64 {
+			seekMs := d.curve.Time(d.armCyl-p.loc.Cyl) * d.seekScale
+			if seekMs >= bound {
+				return seekMs // its rotation cannot bring it below bound
+			}
+			return seekMs + d.rot.LatencyTo(p.loc.Angle, d.costStart+seekMs)*d.rotScale
 		}
 	}
 }

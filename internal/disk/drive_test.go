@@ -3,6 +3,7 @@ package disk
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/power"
@@ -342,14 +343,71 @@ func TestSubmitBeyondCapacityPanics(t *testing.T) {
 	eng.Run()
 }
 
-func TestInvalidScalePanics(t *testing.T) {
-	eng := simkit.New()
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("negative scale did not panic")
+// TestInvalidScaleRejected checks that New refuses a negative (other
+// than ZeroedScale), NaN or infinite seek or rotation scale with an
+// error naming the field, instead of panicking or running with NaN
+// positioning costs that a cost-minimizing dispatch cannot order.
+func TestInvalidScaleRejected(t *testing.T) {
+	for _, field := range []string{"SeekScale", "RotScale"} {
+		for _, s := range []float64{-0.5, -2, math.NaN(), math.Inf(1), math.Inf(-1)} {
+			opts := Options{SeekScale: s}
+			if field == "RotScale" {
+				opts = Options{RotScale: s}
+			}
+			_, err := New(simkit.New(), smallModel(), opts)
+			if err == nil || !strings.Contains(err.Error(), field) {
+				t.Errorf("%s = %v: New error %v, want one naming %s", field, s, err, field)
+			}
 		}
-	}()
-	_, _ = New(eng, smallModel(), Options{SeekScale: -0.5})
+	}
+	for _, s := range []float64{0, ZeroedScale, 0.25, 3} {
+		if _, err := New(simkit.New(), smallModel(), Options{SeekScale: s, RotScale: s}); err != nil {
+			t.Errorf("scale %v rejected: %v", s, err)
+		}
+	}
+}
+
+// TestBoundedSPTFMatchesExhaustive checks the drive's branch-and-bound
+// SPTF cost against the full positioning cost: on random arm positions,
+// scales (ZeroedScale included) and queues with duplicate LBAs, the
+// bounded Pick must name the same entry at the same cost, bit for bit.
+func TestBoundedSPTFMatchesExhaustive(t *testing.T) {
+	scales := []float64{0, 0.5, 2, ZeroedScale}
+	rng := rand.New(rand.NewSource(11))
+	for c := 0; c < 500; c++ {
+		eng := simkit.New()
+		now := rng.Float64() * 1e5
+		eng.RunUntil(now)
+		d, err := New(eng, smallModel(), Options{
+			SeekScale: scales[rng.Intn(len(scales))],
+			RotScale:  scales[rng.Intn(len(scales))],
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.armCyl = rng.Intn(d.geo.Cylinders())
+		pool := make([]int64, 1+rng.Intn(10))
+		for i := range pool {
+			pool[i] = rng.Int63n(d.Capacity())
+		}
+		for i := rng.Intn(200); i >= 0; i-- {
+			lba := pool[rng.Intn(len(pool))]
+			if rng.Intn(2) == 0 {
+				lba = rng.Int63n(d.Capacity())
+			}
+			d.queue.Push(pending{loc: d.geo.Locate(lba), obsReq: uint64(i)}, now)
+		}
+		d.costStart = now + d.model.ControllerOverheadMs
+		got, _ := d.queue.Pick(now, d.costFn)
+		want, _ := d.queue.Pick(now, func(p *pending, _ float64) float64 {
+			seekMs, rotMs := d.positioning(p.loc, now)
+			return seekMs + rotMs
+		})
+		if got.Item.obsReq != want.Item.obsReq || math.Float64bits(got.Cost) != math.Float64bits(want.Cost) {
+			t.Fatalf("case %d: bounded pick %d at %v, exhaustive %d at %v",
+				c, got.Item.obsReq, got.Cost, want.Item.obsReq, want.Cost)
+		}
+	}
 }
 
 func TestQueueHighWaterMark(t *testing.T) {

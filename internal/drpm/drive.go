@@ -117,12 +117,12 @@ type Drive struct {
 
 	// The request on the media while busy, and the completion event
 	// that retires it. The events and the SPTF cost function are built
-	// once in New (the cost reads costNow and the current level's
+	// once in New (the cost reads costStart and the current level's
 	// rotation), so a service allocates nothing.
 	inService pending
 	complete  simkit.Event
-	cost      func(pending) float64
-	costNow   float64
+	cost      sched.Cost[pending]
+	costStart float64 // now + ControllerOverheadMs, refreshed per dispatch
 
 	submitted   uint64
 	completed   uint64
@@ -198,9 +198,12 @@ func New(eng simkit.Scheduler, model disk.Model, cfg Config) (*Drive, error) {
 	d.acct = power.NewAccountant(d.pms[0])
 	d.idleEvent = d.idleTimer
 	d.complete = d.finishService
-	d.cost = func(p pending) float64 {
+	d.cost = func(p *pending, bound float64) float64 {
 		seekMs := d.curve.Time(d.armCyl - p.loc.Cyl)
-		return seekMs + d.rots[d.level].LatencyTo(p.loc.Angle, d.costNow+d.model.ControllerOverheadMs+seekMs)
+		if seekMs >= bound {
+			return seekMs // its rotation cannot bring it below bound
+		}
+		return seekMs + d.rots[d.level].LatencyTo(p.loc.Angle, d.costStart+seekMs)
 	}
 	d.armIdle()
 	return d, nil
@@ -360,7 +363,7 @@ func (d *Drive) trySchedule() {
 		return
 	}
 	now := d.eng.Now()
-	d.costNow = now
+	d.costStart = now + d.model.ControllerOverheadMs
 	p, ok := d.queue.Pop(now, d.cost)
 	if !ok {
 		return

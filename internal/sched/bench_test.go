@@ -8,7 +8,7 @@ import (
 // benchCost is a cheap deterministic stand-in for a dispatch-cost
 // function: queues are benchmarked on their own mechanics, not on the
 // drive model behind the cost callback.
-func benchCost(v int64) float64 { return float64(v % 997) }
+func benchCost(v *int64, _ float64) float64 { return float64(*v % 997) }
 
 // BenchmarkQueue measures one push plus one pop at a steady queue depth,
 // across the policy/depth grid the simulator actually runs in: FCFS
@@ -29,7 +29,7 @@ func BenchmarkQueue(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			q := NewQueue[int64](bc.cfg)
-			var cost func(int64) float64
+			var cost Cost[int64]
 			if bc.cfg.Policy != FCFS {
 				cost = benchCost
 			}

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -79,123 +80,169 @@ func (q *refQueue) pop(now float64, cost func(int) float64) (int, bool) {
 	return item, true
 }
 
+// modelConfigs covers every policy, with and without scan windows and
+// age caps.
+var modelConfigs = []Config{
+	{Policy: FCFS},
+	{Policy: SSTF},
+	{Policy: SPTF},
+	{Policy: CLOOK},
+	{Policy: SPTF, Window: 4},
+	{Policy: SPTF, Window: 128},
+	{Policy: SSTF, Window: 1},
+	{Policy: SPTF, MaxAgeMs: 3},
+	{Policy: SPTF, Window: 8, MaxAgeMs: 2},
+	{Policy: SSTF, Window: 3, MaxAgeMs: 0.5},
+	{Policy: CLOOK, Window: 16, MaxAgeMs: 1},
+}
+
 // TestRingMatchesSliceModel drives the ring-buffer Queue and the
 // reference slice queue through identical randomized sequences of Push,
 // Pop, Pick alone, and Pick followed by Take, across every policy,
 // window, and age-cap setting, and requires identical observable
 // behavior at every step: same dispatched items, same picks (and pick
 // costs), same lengths, same oldest arrivals, same forced counts, same
-// arrival-order iteration.
+// arrival-order iteration. Both queues see the exact cost.
 func TestRingMatchesSliceModel(t *testing.T) {
-	configs := []Config{
-		{Policy: FCFS},
-		{Policy: SSTF},
-		{Policy: SPTF},
-		{Policy: CLOOK},
-		{Policy: SPTF, Window: 4},
-		{Policy: SPTF, Window: 128},
-		{Policy: SSTF, Window: 1},
-		{Policy: SPTF, MaxAgeMs: 3},
-		{Policy: SPTF, Window: 8, MaxAgeMs: 2},
-		{Policy: SSTF, Window: 3, MaxAgeMs: 0.5},
-		{Policy: CLOOK, Window: 16, MaxAgeMs: 1},
+	// A stateful cost (keyed off the item and the last dispatch)
+	// exercises re-scanning with changing "arm positions".
+	cost := func(v, armPos int) float64 {
+		d := v%211 - armPos%211
+		if d < 0 {
+			d = -d
+		}
+		return float64(d)
 	}
-	for _, cfg := range configs {
-		cfg := cfg
+	for _, cfg := range modelConfigs {
 		t.Run(cfg.Policy.String(), func(t *testing.T) {
 			for trial := 0; trial < 20; trial++ {
-				rng := rand.New(rand.NewSource(int64(trial*31 + 7)))
-				q := NewQueue[int](cfg)
-				ref := newRefQueue(cfg)
-				// A stateful cost function (keyed off the item) exercises
-				// re-scanning with changing "arm positions".
-				armPos := 0
-				cost := func(v int) float64 {
-					d := v%211 - armPos%211
-					if d < 0 {
-						d = -d
-					}
-					return float64(d)
-				}
-				var costFn func(int) float64
-				if cfg.Policy != FCFS {
-					costFn = cost
-				}
-				now := 0.0
-				next := 0
-				for op := 0; op < 400; op++ {
-					now += rng.Float64()
-					switch k := rng.Intn(10); {
-					case k < 5: // push
-						q.Push(next, now)
-						ref.push(next, now)
-						next++
-					case k < 7: // pop
-						got, gotOK := q.Pop(now, costFn)
-						want, wantOK := ref.pop(now, costFn)
-						if gotOK != wantOK || got != want {
-							t.Fatalf("trial %d op %d: Pop = (%d,%v), reference = (%d,%v)",
-								trial, op, got, gotOK, want, wantOK)
-						}
-						if gotOK {
-							armPos = got
-						}
-					default: // pick, then take it on k == 9
-						pk, gotOK := q.Pick(now, costFn)
-						want, wantOK := ref.peek(now, costFn)
-						if gotOK != wantOK || (gotOK && pk.Item != want) {
-							t.Fatalf("trial %d op %d: Pick = (%d,%v), reference = (%d,%v)",
-								trial, op, pk.Item, gotOK, want, wantOK)
-						}
-						if gotOK && costFn != nil && pk.Cost != costFn(pk.Item) {
-							t.Fatalf("trial %d op %d: Pick cost %v, cost(item) %v",
-								trial, op, pk.Cost, costFn(pk.Item))
-						}
-						if gotOK && k == 9 {
-							got := q.Take(pk)
-							want, _ := ref.pop(now, costFn)
-							if got != want {
-								t.Fatalf("trial %d op %d: Take = %d, reference Pop = %d",
-									trial, op, got, want)
-							}
-							armPos = got
-						}
-					}
-					if q.Len() != len(ref.entries) {
-						t.Fatalf("trial %d op %d: Len = %d, reference = %d",
-							trial, op, q.Len(), len(ref.entries))
-					}
-					if q.ForcedDispatches() != ref.forced {
-						t.Fatalf("trial %d op %d: forced = %d, reference = %d",
-							trial, op, q.ForcedDispatches(), ref.forced)
-					}
-					gotAt, gotOK := q.OldestArrival()
-					var wantAt float64
-					wantOK := len(ref.entries) > 0
-					if wantOK {
-						wantAt = ref.entries[0].arrival
-					}
-					if gotOK != wantOK || gotAt != wantAt {
-						t.Fatalf("trial %d op %d: OldestArrival = (%v,%v), reference = (%v,%v)",
-							trial, op, gotAt, gotOK, wantAt, wantOK)
-					}
-					var items, refItems []int
-					q.Items(func(v int) { items = append(items, v) })
-					for _, e := range ref.entries {
-						refItems = append(refItems, e.item)
-					}
-					if len(items) != len(refItems) {
-						t.Fatalf("trial %d op %d: Items length mismatch", trial, op)
-					}
-					for i := range items {
-						if items[i] != refItems[i] {
-							t.Fatalf("trial %d op %d: arrival order diverges at %d: %d vs %d",
-								trial, op, i, items[i], refItems[i])
-						}
-					}
-				}
+				checkAgainstModel(t, cfg, int64(trial*31+7), cost, false)
 			}
 		})
+	}
+}
+
+// TestBoundedCostMatchesSliceModel is the exactness check for the
+// branch-and-bound scan: the Queue scans with a bounded cost that gives
+// up (+Inf) whenever the true cost reaches the bound it is handed, while
+// the reference slice queue scans with exact costs. Picks, pick costs,
+// forced-dispatch counts and contents must stay identical op for op.
+// Most costs are drawn from a handful of values, so most scans break
+// ties; every third item is nudged up by a few 1e-4, so near-ties test
+// that the bound handed to the cost is the exact best so far.
+func TestBoundedCostMatchesSliceModel(t *testing.T) {
+	cost := func(v, armPos int) float64 {
+		c := float64((v*31+armPos*17)%5) * 0.25
+		if v%3 == 0 {
+			c += float64(v%7) * 1e-4
+		}
+		return c
+	}
+	for _, cfg := range modelConfigs {
+		t.Run(cfg.Policy.String(), func(t *testing.T) {
+			for trial := 0; trial < 20; trial++ {
+				checkAgainstModel(t, cfg, int64(trial*37+11), cost, true)
+			}
+		})
+	}
+}
+
+// checkAgainstModel runs one randomized 400-op trial of the Queue
+// against the reference slice queue. cost(v, armPos) is the exact cost
+// of item v given the last dispatched item; the reference always scans
+// with it, and the Queue scans with it too unless bounded, in which case
+// its cost returns +Inf for every candidate whose exact cost is at least
+// the scan's bound.
+func checkAgainstModel(t *testing.T, cfg Config, seed int64, cost func(v, armPos int) float64, bounded bool) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	q := NewQueue[int](cfg)
+	ref := newRefQueue(cfg)
+	armPos := 0
+	var exactFn func(int) float64
+	var qcost Cost[int]
+	if cfg.Policy != FCFS {
+		exactFn = func(v int) float64 { return cost(v, armPos) }
+		qcost = func(v *int, bound float64) float64 {
+			c := cost(*v, armPos)
+			if bounded && c >= bound {
+				return math.Inf(1)
+			}
+			return c
+		}
+	}
+	now := 0.0
+	next := 0
+	for op := 0; op < 400; op++ {
+		now += rng.Float64()
+		switch k := rng.Intn(10); {
+		case k < 5: // push
+			q.Push(next, now)
+			ref.push(next, now)
+			next++
+		case k < 7: // pop
+			got, gotOK := q.Pop(now, qcost)
+			want, wantOK := ref.pop(now, exactFn)
+			if gotOK != wantOK || got != want {
+				t.Fatalf("seed %d op %d: Pop = (%d,%v), reference = (%d,%v)",
+					seed, op, got, gotOK, want, wantOK)
+			}
+			if gotOK {
+				armPos = got
+			}
+		default: // pick, then take it on k == 9
+			pk, gotOK := q.Pick(now, qcost)
+			want, wantOK := ref.peek(now, exactFn)
+			if gotOK != wantOK || (gotOK && pk.Item != want) {
+				t.Fatalf("seed %d op %d: Pick = (%d,%v), reference = (%d,%v)",
+					seed, op, pk.Item, gotOK, want, wantOK)
+			}
+			if gotOK && exactFn != nil && pk.Cost != exactFn(pk.Item) {
+				t.Fatalf("seed %d op %d: Pick cost %v, exact cost %v",
+					seed, op, pk.Cost, exactFn(pk.Item))
+			}
+			if gotOK && k == 9 {
+				got := q.Take(pk)
+				want, _ := ref.pop(now, exactFn)
+				if got != want {
+					t.Fatalf("seed %d op %d: Take = %d, reference Pop = %d",
+						seed, op, got, want)
+				}
+				armPos = got
+			}
+		}
+		if q.Len() != len(ref.entries) {
+			t.Fatalf("seed %d op %d: Len = %d, reference = %d",
+				seed, op, q.Len(), len(ref.entries))
+		}
+		if q.ForcedDispatches() != ref.forced {
+			t.Fatalf("seed %d op %d: forced = %d, reference = %d",
+				seed, op, q.ForcedDispatches(), ref.forced)
+		}
+		gotAt, gotOK := q.OldestArrival()
+		var wantAt float64
+		wantOK := len(ref.entries) > 0
+		if wantOK {
+			wantAt = ref.entries[0].arrival
+		}
+		if gotOK != wantOK || gotAt != wantAt {
+			t.Fatalf("seed %d op %d: OldestArrival = (%v,%v), reference = (%v,%v)",
+				seed, op, gotAt, gotOK, wantAt, wantOK)
+		}
+		var items, refItems []int
+		q.Items(func(v int) { items = append(items, v) })
+		for _, e := range ref.entries {
+			refItems = append(refItems, e.item)
+		}
+		if len(items) != len(refItems) {
+			t.Fatalf("seed %d op %d: Items length mismatch", seed, op)
+		}
+		for i := range items {
+			if items[i] != refItems[i] {
+				t.Fatalf("seed %d op %d: arrival order diverges at %d: %d vs %d",
+					seed, op, i, items[i], refItems[i])
+			}
+		}
 	}
 }
 
@@ -205,7 +252,7 @@ func TestRingMatchesSliceModel(t *testing.T) {
 // (or Pop) that actually dispatches it does.
 func TestPickDoesNotCountForcedDispatches(t *testing.T) {
 	q := NewQueue[int](Config{Policy: SPTF, MaxAgeMs: 10})
-	cost := func(int) float64 { return 1 }
+	cost := exact(func(int) float64 { return 1 })
 	q.Push(1, 0)
 	q.Push(2, 0)
 

@@ -3,13 +3,21 @@
 // cost-minimizing request (SSTF when the cost is seek distance, SPTF when
 // the cost is total positioning time, as the paper's drives use).
 //
+// A cost scan is branch-and-bound: each cost call receives the scan's
+// best cost so far and may give up early once its entry cannot win. The
+// scan keeps an entry only on a strict <, so giving up never changes a
+// pick or its tie-break (see Cost).
+//
 // Greedy positioning-time schedulers can starve requests under load, so
 // the queue supports a scan window (bounding the dispatch scan, which also
 // bounds simulation cost on deeply backed-up queues) and an age cap that
 // forces the oldest request out once it has waited too long.
 package sched
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Policy selects how the queue orders dispatches.
 type Policy int
@@ -72,6 +80,16 @@ type Config struct {
 	// this long, preventing starvation. Zero disables the cap.
 	MaxAgeMs float64
 }
+
+// Cost maps a queued item to its dispatch cost at the scan's `now`. The
+// item is passed by pointer into the queue's storage (valid only for the
+// call, and never to be modified), so a scan copies no item. bound is the
+// best cost the scan has seen so far, +Inf for the first entry: when the
+// item's true cost is below bound the function must return it exactly;
+// otherwise it may return any value >= bound, typically as soon as a
+// partial sum of non-negative terms reaches bound. A return below bound
+// therefore always means "this item is the scan's new best".
+type Cost[T any] func(item *T, bound float64) float64
 
 type entry[T any] struct {
 	item     T
@@ -162,10 +180,13 @@ func (q *Queue[T]) Push(item T, now float64) {
 // valid until the queue next changes.
 type Pick[T any] struct {
 	Item T
-	// Cost is the cost function's value for Item (zero for a nil cost
-	// function). A cost-scan pick reuses the scan's own evaluation, so a
-	// caller comparing the pick against other work pays for no second
-	// scan or re-evaluation.
+	// Cost is the cost function's exact value for Item (zero for a nil
+	// cost function). A cost-scan pick reuses the scan's own evaluation,
+	// so a caller comparing the pick against other work pays for no
+	// second scan or re-evaluation. Pick evaluates Item's cost with a
+	// +Inf bound whenever the scan did not (FCFS, or an age-forced
+	// pick), so with a non-nil cost and finite costs, the last cost call
+	// of a Pick that returned below its bound was for Item.
 	Cost float64
 
 	index  int
@@ -177,14 +198,14 @@ type Pick[T any] struct {
 // Picking is side-effect-free: in particular it never counts toward
 // ForcedDispatches, which only Take and Pop increment. ok is false when
 // the queue is empty.
-func (q *Queue[T]) Pick(now float64, cost func(T) float64) (p Pick[T], ok bool) {
+func (q *Queue[T]) Pick(now float64, cost Cost[T]) (p Pick[T], ok bool) {
 	i, forced, c, scanned := q.pickIndex(now, cost)
 	if i < 0 {
 		return Pick[T]{}, false
 	}
 	e := q.slot(i)
 	if !scanned && cost != nil {
-		c = cost(e.item)
+		c = cost(&e.item, math.Inf(1))
 	}
 	return Pick[T]{Item: e.item, Cost: c, index: i, forced: forced, seq: e.sequence}, true
 }
@@ -200,10 +221,11 @@ func (q *Queue[T]) Take(p Pick[T]) T {
 }
 
 // Pop removes and returns the next request to dispatch. For FCFS the
-// cost function is ignored (and may be nil); for SSTF/SPTF it must map a
-// request to its dispatch cost at `now`. Ties break by arrival order.
+// cost function is ignored (and may be nil); for the cost-driven
+// policies it must follow the Cost contract at `now`. Ties break by
+// arrival order.
 // ok is false when the queue is empty.
-func (q *Queue[T]) Pop(now float64, cost func(T) float64) (item T, ok bool) {
+func (q *Queue[T]) Pop(now float64, cost Cost[T]) (item T, ok bool) {
 	i, forced, _, _ := q.pickIndex(now, cost)
 	if i < 0 {
 		var zero T
@@ -256,8 +278,9 @@ func (q *Queue[T]) remove(i int) {
 // take (-1 if empty), whether the age cap forced the choice, and — when
 // the choice came from a cost scan (scanned) — the winner's cost. It is
 // side-effect-free so Pick and Pop share it; only Take and Pop commit
-// the forced-dispatch count.
-func (q *Queue[T]) pickIndex(now float64, cost func(T) float64) (index int, forced bool, bestCost float64, scanned bool) {
+// the forced-dispatch count. The scan is branch-and-bound: each entry
+// after the first is costed against the best cost so far.
+func (q *Queue[T]) pickIndex(now float64, cost Cost[T]) (index int, forced bool, bestCost float64, scanned bool) {
 	if q.n == 0 {
 		return -1, false, 0, false
 	}
@@ -276,9 +299,9 @@ func (q *Queue[T]) pickIndex(now float64, cost func(T) float64) (index int, forc
 		limit = q.cfg.Window
 	}
 	best := 0
-	bestCost = cost(q.slot(0).item)
+	bestCost = cost(&q.slot(0).item, math.Inf(1))
 	for i := 1; i < limit; i++ {
-		if c := cost(q.slot(i).item); c < bestCost {
+		if c := cost(&q.slot(i).item, bestCost); c < bestCost {
 			best, bestCost = i, c
 		}
 	}

@@ -6,6 +6,12 @@ import (
 	"testing/quick"
 )
 
+// exact adapts a plain cost function to the Cost contract by ignoring
+// the bound: it always returns the exact cost, which the contract allows.
+func exact[T any](f func(T) float64) Cost[T] {
+	return func(item *T, _ float64) float64 { return f(*item) }
+}
+
 func TestPolicyString(t *testing.T) {
 	cases := map[Policy]string{FCFS: "FCFS", SSTF: "SSTF", SPTF: "SPTF", Policy(9): "Policy(9)"}
 	for p, want := range cases {
@@ -47,7 +53,7 @@ func TestCostBasedPicksMinimum(t *testing.T) {
 	for _, v := range []int{50, 10, 30, 5, 40} {
 		q.Push(v, 0)
 	}
-	cost := func(v int) float64 { return float64(v) }
+	cost := exact(func(v int) float64 { return float64(v) })
 	want := []int{5, 10, 30, 40, 50}
 	for _, w := range want {
 		got, ok := q.Pop(0, cost)
@@ -61,7 +67,7 @@ func TestTieBreaksByArrival(t *testing.T) {
 	q := NewQueue[string](Config{Policy: SPTF})
 	q.Push("first", 0)
 	q.Push("second", 1)
-	cost := func(string) float64 { return 7 }
+	cost := exact(func(string) float64 { return 7 })
 	got, _ := q.Pop(2, cost)
 	if got != "first" {
 		t.Fatalf("tie dispatched %q, want first arrival", got)
@@ -73,7 +79,7 @@ func TestWindowBoundsScan(t *testing.T) {
 	q.Push(100, 0)
 	q.Push(50, 0)
 	q.Push(1, 0) // outside the window; must not be chosen
-	cost := func(v int) float64 { return float64(v) }
+	cost := exact(func(v int) float64 { return float64(v) })
 	got, _ := q.Pop(0, cost)
 	if got != 50 {
 		t.Fatalf("windowed Pop = %d, want 50 (cheapest inside window)", got)
@@ -91,7 +97,7 @@ func TestMaxAgeForcesOldest(t *testing.T) {
 	q := NewQueue[int](Config{Policy: SPTF, MaxAgeMs: 100})
 	q.Push(999, 0) // expensive but old
 	q.Push(1, 50)  // cheap and fresh
-	cost := func(v int) float64 { return float64(v) }
+	cost := exact(func(v int) float64 { return float64(v) })
 
 	// Before the age cap the cheap request wins.
 	pk, _ := q.Pick(60, cost)
@@ -175,7 +181,7 @@ func TestPropertyWorkConserving(t *testing.T) {
 		for i := 0; i < n; i++ {
 			q.Push(i, float64(i))
 		}
-		cost := func(v int) float64 { return float64((v * 31) % 17) }
+		cost := exact(func(v int) float64 { return float64((v * 31) % 17) })
 		for q.Len() > 0 {
 			v, ok := q.Pop(float64(n), cost)
 			if !ok || seen[v] {
@@ -205,7 +211,7 @@ func TestPropertyGreedyMinimum(t *testing.T) {
 				minVal = v
 			}
 		}
-		got, ok := q.Pop(0, func(v uint16) float64 { return float64(v) })
+		got, ok := q.Pop(0, exact(func(v uint16) float64 { return float64(v) }))
 		return ok && got == minVal
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -215,7 +221,7 @@ func TestPropertyGreedyMinimum(t *testing.T) {
 
 func BenchmarkPopWindowed(b *testing.B) {
 	q := NewQueue[int](Config{Policy: SPTF, Window: 128})
-	cost := func(v int) float64 { return float64(v % 97) }
+	cost := exact(func(v int) float64 { return float64(v % 97) })
 	for i := 0; i < b.N; i++ {
 		q.Push(i, float64(i))
 		if q.Len() > 1000 {
