@@ -2,7 +2,7 @@
 // allocation regressions against a committed baseline.
 //
 //	usage: benchgate [-input bench.out] -emit
-//	       benchgate [-input bench.out] -baseline BENCH_pr15.json [-tolerance 0.10]
+//	       benchgate [-input bench.out] -baseline BENCH_pr16.json [-tolerance 0.10]
 //
 // With -emit it writes the parsed results as JSON to stdout (the format
 // of a baseline file's "after" section). With -baseline it compares the

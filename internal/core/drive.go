@@ -113,6 +113,11 @@ func (c Config) Validate() error {
 	case c.AngularOffsets != nil && len(c.AngularOffsets) != c.Actuators:
 		return fmt.Errorf("core: %d angular offsets for %d actuators",
 			len(c.AngularOffsets), c.Actuators)
+	case c.Sched != nil && c.Sched.Policy != sched.FCFS && c.Sched.Policy != sched.SPTF:
+		// Dispatch costs every queued request by its best idle arm's
+		// positioning time, so any other cost-driven policy would
+		// silently run SPTF.
+		return fmt.Errorf("core: Sched.Policy %v unsupported (FCFS or SPTF)", c.Sched.Policy)
 	}
 	for _, a := range c.AngularOffsets {
 		if a < 0 || a >= 1 {

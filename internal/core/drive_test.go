@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/disk"
 	"repro/internal/power"
+	"repro/internal/sched"
 	"repro/internal/simkit"
 	"repro/internal/trace"
 )
@@ -91,6 +92,32 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestConfigRejectsUnsupportedPolicy pins that only FCFS and SPTF are
+// accepted: the SA(n) dispatch costs every queued request by its best
+// idle arm's positioning time, so SSTF or C-LOOK would silently run SPTF.
+func TestConfigRejectsUnsupportedPolicy(t *testing.T) {
+	for _, c := range []struct {
+		policy sched.Policy
+		ok     bool
+	}{
+		{sched.FCFS, true},
+		{sched.SPTF, true},
+		{sched.SSTF, false},
+		{sched.CLOOK, false},
+		{sched.Policy(99), false},
+	} {
+		scfg := disk.DefaultSchedConfig()
+		scfg.Policy = c.policy
+		_, err := New(simkit.New(), smallModel(), Config{Actuators: 2, Sched: &scfg})
+		switch {
+		case c.ok && err != nil:
+			t.Errorf("%v rejected: %v", c.policy, err)
+		case !c.ok && (err == nil || !strings.Contains(err.Error(), "Sched.Policy")):
+			t.Errorf("%v: New error %v, want one naming Sched.Policy", c.policy, err)
+		}
+	}
+}
+
 // TestConfigRejectsBadScales checks that a negative (other than
 // ZeroedScale), NaN or infinite seek or rotation scale is a
 // configuration error naming the field, reported before New builds
@@ -149,21 +176,20 @@ func TestSA1EquivalentToConventionalDrive(t *testing.T) {
 	respPar := replay(engB, func(r trace.Request, f func(float64)) { par.Submit(r, f) }, tr)
 
 	for i := range respConv {
-		if math.Abs(respConv[i]-respPar[i]) > 1e-6 {
-			t.Fatalf("request %d: conventional %.9f ms vs SA(1) %.9f ms",
+		if math.Float64bits(respConv[i]) != math.Float64bits(respPar[i]) {
+			t.Fatalf("request %d: conventional %v ms vs SA(1) %v ms",
 				i, respConv[i], respPar[i])
 		}
 	}
 	if conv.Snapshot().CacheHits != par.Snapshot().CacheHits {
 		t.Fatalf("cache hits differ: %d vs %d", conv.Snapshot().CacheHits, par.Snapshot().CacheHits)
 	}
-	// Power accounting must agree too.
+	// Power accounting must agree too, to the bit: SA(1) carries the
+	// same actuator count and charges the same mode intervals.
 	bc := conv.Power(engA.Now())
 	bp := par.Power(engB.Now())
 	for _, mode := range power.Modes {
-		// SA(1) carries the same actuator count, so per-mode watts match
-		// up to the tiny per-arm electronics term.
-		if math.Abs(bc.Watts[mode]-bp.Watts[mode]) > 0.2 {
+		if math.Float64bits(bc.Watts[mode]) != math.Float64bits(bp.Watts[mode]) {
 			t.Fatalf("mode %v watts differ: %v vs %v", mode, bc.Watts[mode], bp.Watts[mode])
 		}
 	}

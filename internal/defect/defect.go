@@ -9,6 +9,7 @@ package defect
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/obs"
@@ -20,7 +21,7 @@ type Table struct {
 	userSectors  int64 // addressable space [0, userSectors)
 	spareStart   int64 // first sector of the spare pool
 	spareCount   int64
-	remaps       map[int64]int64 // defective lba -> spare lba
+	remaps       []remap // ascending by defective lba
 	nextSpare    int64
 	reallocated  uint64
 	exhaustedAdd uint64
@@ -40,8 +41,17 @@ func NewTable(totalSectors, spareSectors int64) (*Table, error) {
 		userSectors: totalSectors - spareSectors,
 		spareStart:  totalSectors - spareSectors,
 		spareCount:  spareSectors,
-		remaps:      make(map[int64]int64),
 	}, nil
+}
+
+// remap is one grown defect: a user sector and the spare it moved to.
+type remap struct {
+	lba, spare int64
+}
+
+// search returns the index of the first remap at or above lba.
+func (t *Table) search(lba int64) int {
+	return sort.Search(len(t.remaps), func(i int) bool { return t.remaps[i].lba >= lba })
 }
 
 // UserSectors reports the addressable user space.
@@ -62,14 +72,15 @@ func (t *Table) Grow(lba int64) error {
 	if lba < 0 || lba >= t.userSectors {
 		return fmt.Errorf("defect: lba %d outside user space [0,%d)", lba, t.userSectors)
 	}
-	if _, dup := t.remaps[lba]; dup {
+	i := t.search(lba)
+	if i < len(t.remaps) && t.remaps[i].lba == lba {
 		return fmt.Errorf("defect: lba %d already remapped", lba)
 	}
 	if t.nextSpare >= t.spareCount {
 		t.exhaustedAdd++
 		return fmt.Errorf("defect: spare pool exhausted (%d remaps)", t.reallocated)
 	}
-	t.remaps[lba] = t.spareStart + t.nextSpare
+	t.remaps = slices.Insert(t.remaps, i, remap{lba: lba, spare: t.spareStart + t.nextSpare})
 	t.nextSpare++
 	t.reallocated++
 	return nil
@@ -78,8 +89,8 @@ func (t *Table) Grow(lba int64) error {
 // Resolve maps a user sector to its physical sector: itself when
 // healthy, its spare when remapped.
 func (t *Table) Resolve(lba int64) int64 {
-	if s, ok := t.remaps[lba]; ok {
-		return s
+	if i := t.search(lba); i < len(t.remaps) && t.remaps[i].lba == lba {
+		return t.remaps[i].spare
 	}
 	return lba
 }
@@ -109,37 +120,30 @@ type Extent struct {
 }
 
 // Split decomposes a logical request [lba, lba+sectors) into physically
-// contiguous extents: healthy runs stay in place, each remapped sector
-// becomes its own extent in the spare area. The extent count is what a
-// drive pays extra positioning for.
-func (t *Table) Split(lba int64, sectors int) ([]Extent, error) {
-	if lba < 0 || sectors <= 0 || lba+int64(sectors) > t.userSectors {
-		return nil, fmt.Errorf("defect: request [%d,%d) outside user space [0,%d)",
-			lba, lba+int64(sectors), t.userSectors)
+// contiguous extents, appended to dst in request order: healthy runs
+// stay in place, each remapped sector becomes its own extent in the
+// spare area. The extent count is what a drive pays extra positioning
+// for. A caller that passes the previous result back as dst[:0] splits
+// without allocating once the buffer has grown to its longest split.
+func (t *Table) Split(dst []Extent, lba int64, sectors int) ([]Extent, error) {
+	end := lba + int64(sectors)
+	if lba < 0 || sectors <= 0 || end > t.userSectors {
+		return dst, fmt.Errorf("defect: request [%d,%d) outside user space [0,%d)",
+			lba, end, t.userSectors)
 	}
-	// Fast path: find remapped sectors inside the range.
-	var hits []int64
-	for d := range t.remaps {
-		if d >= lba && d < lba+int64(sectors) {
-			hits = append(hits, d)
-		}
-	}
-	if len(hits) == 0 {
-		return []Extent{{LBA: lba, Sectors: sectors}}, nil
-	}
-	sort.Slice(hits, func(i, j int) bool { return hits[i] < hits[j] })
-
-	var out []Extent
 	cur := lba
-	for _, d := range hits {
-		if d > cur {
-			out = append(out, Extent{LBA: cur, Sectors: int(d - cur)})
+	for _, r := range t.remaps[t.search(lba):] {
+		if r.lba >= end {
+			break
 		}
-		out = append(out, Extent{LBA: t.remaps[d], Sectors: 1})
-		cur = d + 1
+		if r.lba > cur {
+			dst = append(dst, Extent{LBA: cur, Sectors: int(r.lba - cur)})
+		}
+		dst = append(dst, Extent{LBA: r.spare, Sectors: 1})
+		cur = r.lba + 1
 	}
-	if end := lba + int64(sectors); cur < end {
-		out = append(out, Extent{LBA: cur, Sectors: int(end - cur)})
+	if cur < end {
+		dst = append(dst, Extent{LBA: cur, Sectors: int(end - cur)})
 	}
-	return out, nil
+	return dst, nil
 }

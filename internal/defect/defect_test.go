@@ -73,17 +73,17 @@ func TestSpareExhaustion(t *testing.T) {
 
 func TestSplitHealthyRange(t *testing.T) {
 	tab := mustTable(t, 1000, 100)
-	ext, err := tab.Split(10, 20)
+	ext, err := tab.Split(nil, 10, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ext) != 1 || ext[0].LBA != 10 || ext[0].Sectors != 20 {
 		t.Fatalf("healthy split %+v", ext)
 	}
-	if _, err := tab.Split(890, 20); err == nil {
+	if _, err := tab.Split(nil, 890, 20); err == nil {
 		t.Fatalf("split beyond user space accepted")
 	}
-	if _, err := tab.Split(0, 0); err == nil {
+	if _, err := tab.Split(nil, 0, 0); err == nil {
 		t.Fatalf("zero-length split accepted")
 	}
 }
@@ -95,7 +95,7 @@ func TestSplitAroundDefects(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ext, err := tab.Split(10, 12) // [10,22): defects at 15 and 18
+	ext, err := tab.Split(nil, 10, 12) // [10,22): defects at 15 and 18
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestSplitDefectAtBoundaries(t *testing.T) {
 	if err := tab.Grow(19); err != nil {
 		t.Fatal(err)
 	}
-	ext, err := tab.Split(10, 10) // defects at both ends
+	ext, err := tab.Split(nil, 10, 10) // defects at both ends
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestPropertySplitCoverage(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		lba := r.Int63n(tab.UserSectors() - 300)
 		n := 1 + r.Intn(300)
-		ext, err := tab.Split(lba, n)
+		ext, err := tab.Split(nil, lba, n)
 		if err != nil {
 			return false
 		}

@@ -1,6 +1,7 @@
 package disk
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/defect"
@@ -128,4 +129,57 @@ func TestRequestInsideSparePoolPanics(t *testing.T) {
 		d.Submit(trace.Request{LBA: tab.UserSectors(), Sectors: 8, Read: true}, nil)
 	})
 	eng.Run()
+}
+
+// TestSplitAllocatesNothing pins the allocation-free defect split: with
+// grown defects on the drive, splitting into a reused buffer allocates
+// nothing, and neither does a healthy media-miss request's service on a
+// drive with a defect table (the drive reuses one extent buffer).
+func TestSplitAllocatesNothing(t *testing.T) {
+	eng, d, tab := defectDrive(t)
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 200; i++ {
+		tab.Grow(rng.Int63n(tab.UserSectors())) // a rare duplicate is refused
+	}
+	var buf []defect.Extent
+	var lba int64
+	split := func() {
+		var err error
+		if buf, err = tab.Split(buf[:0], lba, 4096); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fragments := 0
+	for i := 0; i < 1000; i++ {
+		lba = rng.Int63n(tab.UserSectors() - 4096)
+		split()
+		if len(buf) > 1 {
+			fragments++
+		}
+	}
+	if fragments == 0 {
+		t.Fatal("no split crossed a defect")
+	}
+	lba = 0
+	if n := testing.AllocsPerRun(500, func() { lba = rng.Int63n(tab.UserSectors() - 4096); split() }); n != 0 {
+		t.Fatalf("Split allocated %v times per call, want 0", n)
+	}
+
+	submit := func() { d.Submit(trace.Request{LBA: lba, Sectors: 8, Read: false}, nil) }
+	cycle := func() {
+		for {
+			lba = rng.Int63n(d.Capacity() - 64)
+			if ext, _ := tab.Split(buf[:0], lba, 8); len(ext) == 1 {
+				break // healthy: fragmented requests build per-fragment callbacks
+			}
+		}
+		eng.After(5, submit)
+		eng.Run()
+	}
+	for i := 0; i < 100; i++ {
+		cycle()
+	}
+	if n := testing.AllocsPerRun(500, cycle); n != 0 {
+		t.Fatalf("media service with a defect table allocated %v times per request, want 0", n)
+	}
 }

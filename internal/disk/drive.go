@@ -111,6 +111,9 @@ type Drive struct {
 	costFn    sched.Cost[pending]
 	costStart float64
 
+	// extents is the defect split's buffer, reused by every Submit.
+	extents []defect.Extent
+
 	submitted uint64
 	completed uint64
 	cacheHits uint64
@@ -282,7 +285,8 @@ func (d *Drive) Submit(r trace.Request, done device.Done) {
 		return
 	}
 	if d.opts.Defects != nil {
-		exts, err := d.opts.Defects.Split(r.LBA, r.Sectors)
+		exts, err := d.opts.Defects.Split(d.extents[:0], r.LBA, r.Sectors)
+		d.extents = exts
 		if err != nil {
 			panic(fmt.Sprintf("disk: %s: %v", d.model.Name, err))
 		}

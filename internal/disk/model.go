@@ -7,6 +7,7 @@ package disk
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/cache"
 	"repro/internal/geom"
@@ -100,10 +101,12 @@ func (m Model) PowerSpec(actuators int) power.DriveSpec {
 // Only the first, possibly partial, track needs Locate. Both layouts
 // split a zone into SPT-sector tracks starting at the zone's FirstLBA,
 // so every later track starts at a track boundary of a known zone and
-// the walk steps through the zone table directly. The per-track terms
-// are still added one at a time, in track order: a closed form such as
-// k*(period+switch) rounds differently, and callers rely on the sum
-// being bit-identical to a track-by-track walk.
+// the walk steps through the zone table directly. The result is the
+// track-by-track sum, rounded after every addition in track order:
+// callers rely on it being bit-identical to that walk. A zone's run of
+// full tracks adds the same two terms over and over, and trackRun
+// computes that run in one step per binade of the running sum instead
+// of one per track; see there for why this is exact.
 func (m *Model) TransferTime(geo *geom.Geometry, rot *mech.Rotation, lba int64, sectors int) float64 {
 	if sectors <= 0 {
 		return 0
@@ -120,20 +123,100 @@ func (m *Model) TransferTime(geo *geom.Geometry, rot *mech.Rotation, lba int64, 
 		}
 		z := &zones[zi]
 		spt := int64(z.SPT)
-		full := rot.TransferTime(z.SPT, z.SPT)
-		for end := z.FirstLBA + z.Sectors; remaining > 0 && cur < end; {
+		end := z.FirstLBA + z.Sectors
+		if span := min(remaining, end-cur); span >= spt {
+			k := span / spt
+			t = trackRun(t, m.TrackSwitchMs, rot.TransferTime(z.SPT, z.SPT), k)
+			remaining -= k * spt
+			cur += k * spt
+		}
+		if remaining > 0 && cur < end {
+			// The last, partial track ends the transfer inside this zone.
 			t += m.TrackSwitchMs
-			if remaining >= spt {
-				t += full
-				remaining -= spt
-				cur += spt
-			} else {
-				t += rot.TransferTime(int(remaining), z.SPT)
-				remaining = 0
-			}
+			t += rot.TransferTime(int(remaining), z.SPT)
+			remaining = 0
 		}
 	}
 	return t
+}
+
+// directRun is the run length below which trackRun just adds the terms:
+// a binade step costs two divisions, which a short run of additions
+// (a track or a few dozen, the common request sizes) does not repay.
+const directRun = 16
+
+// trackRun returns t after k iterations of t = (t + sw) + full, rounded
+// exactly as those 2k additions would be, in O(binades) steps.
+//
+// Inside a binade [2^e, 2^(e+1)) every double is a multiple of
+// u = 2^(e-52). For t in the binade and c >= 0 with t + c below
+// 2^(e+1), the nearest double to t + c is therefore t + rn_u(c), c
+// rounded to the nearest multiple of u, whatever t is, except when c
+// lies exactly halfway between two multiples: that tie rounds to even,
+// which depends on t. So while no partial sum reaches 2^(e+1), n
+// iterations add exactly n*(rn_u(sw) + rn_u(full)), an integer count of
+// u computed without rounding. trackRun jumps as many iterations as fit
+// strictly below the binade's upper edge, then adds the next pair
+// plainly to cross it. Runs too short to pay for the divisions, ties,
+// terms too large for the binade, and t that is negative, non-finite or
+// below 2^-970 take plain additions.
+func trackRun(t, sw, full float64, k int64) float64 {
+	for k >= directRun {
+		// The biased exponent; above 0x7fe t is NaN, ±Inf or negative,
+		// and at or below 52 its binade's spacing is subnormal.
+		e := math.Float64bits(t) >> 52
+		if e <= 52 || e >= 0x7ff {
+			break
+		}
+		edge := math.Float64frombits((e + 1) << 52) // +Inf above the last binade
+		if edge-t >= directRun*(sw+full) {
+			u := math.Float64frombits((e - 52) << 52) // 2^(e-1075), the binade's spacing
+			ns, okS := gridUnits(sw, u)
+			nf, okF := gridUnits(full, u)
+			if okS && okF {
+				units := int64(t / u) // exact: t is a multiple of u below 2^53·u
+				n := k
+				if step := ns + nf; step > 0 {
+					n = min(k, (1<<53-1-units)/step)
+				}
+				t = float64(units+n*(ns+nf)) * u // exact: an integer below 2^53 times u
+				k -= n
+			}
+		}
+		// Add the binade's remaining iterations plainly, crossing its
+		// edge: one after a jump, a few when few fit, all of them when
+		// a tie or a term too large for the grid ruled out the jump.
+		for ; k > 0 && t < edge; k-- {
+			t += sw
+			t += full
+		}
+	}
+	for ; k > 0; k-- {
+		t += sw
+		t += full
+	}
+	return t
+}
+
+// gridUnits rounds c >= 0 to the nearest multiple of the power of two
+// u and reports that multiple as an integer count. It reports false for
+// a tie, where round-half-even depends on what c is added to, and for c
+// that is negative, NaN, or at least 2^53·u. The floor and remainder
+// are exact; Floor(q+0.5) is not, since q+0.5 can round up to the next
+// integer when q is just below a half.
+func gridUnits(c, u float64) (int64, bool) {
+	q := c / u // exact: u is a power of two (or q underflows far below 1/2)
+	if !(q >= 0 && q < 1<<53) {
+		return 0, false
+	}
+	f := math.Floor(q)
+	switch r := q - f; {
+	case r < 0.5:
+		return int64(f), true
+	case r > 0.5:
+		return int64(f) + 1, true
+	}
+	return 0, false
 }
 
 // WithRPM returns a copy of the model redesigned for a different spindle
