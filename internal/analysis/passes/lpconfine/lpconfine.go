@@ -8,7 +8,7 @@
 // racing path executes.
 //
 // The pass propagates an execution context over the program call
-// graph, using the raid.Partitioned convention that LP 0 is the
+// graph, using the convention of raid.NewPartitioned that LP 0 is the
 // controller and LPs 1..n are members:
 //
 //   - A function literal passed to LP.Send runs on the destination LP:
@@ -19,15 +19,16 @@
 //     as a plain value runs wherever its enclosing function runs.
 //   - A literal bound to a function-typed parameter of an in-program
 //     callee runs where that callee invokes the parameter — so a
-//     callback handed to raid's issueOp, which fires it inside a
-//     Send(0, ...) event, is controller context even though issueOp
-//     also arms member events.
+//     callback handed to raid's Array.issueOp, whose linked branch
+//     fires it inside a Send(0, ...) event, is controller context even
+//     though issueOp also arms member events.
 //   - A named function unions the contexts of its call sites (plus
 //     controller, since exported entry points run on the driver's LP).
 //
 // In every node that can run in member context, two write classes are
 // flagged: a write to any field of an aggregate (a struct with a
-// *par.Engine or *par.LP field — the controller object), and a write
+// *par.Engine or *par.LP field, or holding such a struct, as
+// raid.Array holds its links — the controller object), and a write
 // to a captured variable declared in a scope that never runs in member
 // context (the runPhase/Rebuild closure counters). State a member
 // event owns outright — locals of the member event itself — is
@@ -98,8 +99,9 @@ type confine struct {
 	decl map[types.Object]*callgraph.Node
 
 	// aggField marks fields of aggregate structs — package structs
-	// holding a *par.Engine or *par.LP, i.e. the controller objects
-	// whose state the ownership partition protects.
+	// holding a *par.Engine or *par.LP, directly or through another
+	// aggregate, i.e. the controller objects whose state the ownership
+	// partition protects.
 	aggField map[*types.Var]bool
 
 	// callArg marks literals that appear directly as a call argument or
@@ -154,17 +156,29 @@ func (cf *confine) index(prog *analysis.Program) {
 			return true
 		})
 	}
+	var structs []*types.Struct
 	for _, pkg := range prog.Pkgs {
 		scope := pkg.Types.Scope()
 		for _, name := range scope.Names() {
-			tn, ok := scope.Lookup(name).(*types.TypeName)
-			if !ok {
-				continue
+			if tn, ok := scope.Lookup(name).(*types.TypeName); ok {
+				if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+					structs = append(structs, st)
+				}
 			}
-			st, ok := tn.Type().Underlying().(*types.Struct)
-			if !ok || !hasParField(st) {
-				continue
+		}
+	}
+	agg := make(map[*types.Struct]bool)
+	for changed := true; changed; {
+		changed = false
+		for _, st := range structs {
+			if !agg[st] && holdsEngine(st, agg) {
+				agg[st] = true
+				changed = true
 			}
+		}
+	}
+	for _, st := range structs {
+		if agg[st] {
 			for i := 0; i < st.NumFields(); i++ {
 				cf.aggField[st.Field(i)] = true
 			}
@@ -172,10 +186,21 @@ func (cf *confine) index(prog *analysis.Program) {
 	}
 }
 
-func hasParField(st *types.Struct) bool {
+// holdsEngine reports whether a struct is an aggregate: it holds a
+// *par.Engine or *par.LP, or an aggregate by value or pointer — so
+// raid.Array, whose engine sits in its *links coupling, owns its
+// fields exactly as the coupling does.
+func holdsEngine(st *types.Struct, agg map[*types.Struct]bool) bool {
 	for i := 0; i < st.NumFields(); i++ {
-		switch types.TypeString(st.Field(i).Type(), nil) {
+		t := st.Field(i).Type()
+		switch types.TypeString(t, nil) {
 		case "*" + parPath + ".Engine", "*" + parPath + ".LP":
+			return true
+		}
+		if p, ok := t.(*types.Pointer); ok {
+			t = p.Elem()
+		}
+		if inner, ok := t.Underlying().(*types.Struct); ok && agg[inner] {
 			return true
 		}
 	}

@@ -45,6 +45,14 @@ func BadThroughHelper(c *confix.Ctl) {
 	})
 }
 
+// BadThroughArr reaches a write to an aggregate that holds its engine
+// only through another aggregate.
+func BadThroughArr(a *confix.Arr) {
+	a.C.Eng.LP(0).Send(1, a.C.Eng.LP(0).Now()+1, func() {
+		a.Note()
+	})
+}
+
 // GoodSend routes the completion back to LP 0: the write happens in an
 // event armed on the controller LP, which owns the state. This is the
 // PR-8 degraded-mode pattern — member completion, controller update.

@@ -1,7 +1,7 @@
 // Package confix is the lpconfine fixture library: a controller
-// aggregate in the raid.Partitioned mold — controller state on LP 0,
-// one member device per LP 1+i — plus the helper shapes the analyzer
-// must trace interprocedurally.
+// aggregate in the mold of raid.Array's linked coupling — controller
+// state on LP 0, one member device per LP 1+i — plus the helper shapes
+// the analyzer must trace interprocedurally.
 package confix
 
 import "repro/internal/simkit/par"
@@ -12,6 +12,19 @@ type Ctl struct {
 	Eng  *par.Engine
 	Done int
 	Busy []float64
+}
+
+// Arr holds its engine only through a pointer to Ctl — the raid.Array
+// shape, whose engine sits in its *links coupling — so its fields are
+// controller-owned too.
+type Arr struct {
+	C     *Ctl
+	Count int
+}
+
+// Note is reached from a member-LP event (see conapp.BadThroughArr).
+func (a *Arr) Note() {
+	a.Count++ // want "controller-owned"
 }
 
 // Finish is reached through a call chain from a member-LP event (see

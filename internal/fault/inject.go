@@ -43,11 +43,11 @@ type Targets struct {
 	Monitors []*smart.Monitor
 	// Arms receives arm failures.
 	Arms ArmFailer
-	// Array receives member deaths and rebuild starts. raid.Array and
-	// raid.Partitioned both satisfy Rebuilder; for a partitioned array
-	// the injector's engine must be the controller LP (eng.Runner(0) or
-	// Partitioned.Controller()), which is where fail and rebuild calls
-	// are legal.
+	// Array receives member deaths and rebuild starts. raid.Array
+	// satisfies Rebuilder with either coupling; for an array built by
+	// raid.NewPartitioned the injector's engine must be the controller
+	// LP (eng.LP(0) or eng.Runner(0)), which is where fail and rebuild
+	// calls are legal.
 	Array Rebuilder
 }
 

@@ -11,7 +11,7 @@ import (
 )
 
 // preflightArray is a Rebuilder that also answers the construction-time
-// CanFailMember preflight, like raid.Array and raid.Partitioned do.
+// CanFailMember preflight, like raid.Array does.
 type preflightArray struct {
 	fakeArray
 	preflightErr error

@@ -12,17 +12,33 @@ import (
 // Array is a storage array: a layout over a set of member devices.
 // It implements device.Device, so arrays nest (an array of intra-disk
 // parallel drives is exactly the paper's §7.3 system).
+//
+// The array's coupling decides how an operation reaches its member,
+// and nothing else. NewArray couples by direct calls: the members
+// share the controller's event loop and an operation costs no link
+// time. NewPartitioned places the controller and each member on its
+// own logical process of a partitioned engine and moves every
+// operation over a link with real latency (see links); direct calls
+// are the zero-latency limit of that model. Planning, degraded
+// rewrites, rebuild and snapshots are one code path for both.
 type Array struct {
 	layout  Layout
 	members []device.Device
-	failed  []bool
+	links   *links // nil: direct calls
 
+	// Controller state. Under the linked coupling it lives on the
+	// controller LP: the members never learn they are "failed" — the
+	// controller just stops routing to them and rewrites plans.
+	failed        []bool
 	submitted     uint64
 	completed     uint64
 	reconstructed uint64
 }
 
-var _ device.Device = (*Array)(nil)
+var (
+	_ device.Device       = (*Array)(nil)
+	_ device.Instrumented = (*Array)(nil)
+)
 
 // NewArray binds a layout to its member devices. Every member must be at
 // least as large as the layout expects; the layout's member count must
@@ -43,20 +59,24 @@ func NewArray(layout Layout, members []device.Device) (*Array, error) {
 	return &Array{layout: layout, members: members, failed: make([]bool, len(members))}, nil
 }
 
-// canFailMember is the shared FailMember precondition: the member index
-// exists, is not already failed, the layout carries redundancy, and no
-// other member is down (single-failure model).
-func canFailMember(layout Layout, failed []bool, i int) error {
-	if i < 0 || i >= len(failed) {
-		return fmt.Errorf("raid: member %d out of range [0,%d)", i, len(failed))
+// CanFailMember reports whether FailMember(i) would currently be
+// accepted, without changing any state: the member index exists, is
+// not already failed, the layout carries redundancy, and no other
+// member is down (single-failure model). fault.NewInjector calls it at
+// construction time so a plan aimed at an array that cannot degrade
+// (a redundancy-free layout, an out-of-range member) fails fast with a
+// clear error instead of surfacing as runtime refusal counts.
+func (a *Array) CanFailMember(i int) error {
+	if i < 0 || i >= len(a.failed) {
+		return fmt.Errorf("raid: member %d out of range [0,%d)", i, len(a.failed))
 	}
-	if failed[i] {
+	if a.failed[i] {
 		return fmt.Errorf("raid: member %d already failed", i)
 	}
-	if _, ok := layout.(Reconstructor); !ok {
-		return fmt.Errorf("raid: %s has no redundancy to survive a member failure", layout.Name())
+	if _, ok := a.layout.(Reconstructor); !ok {
+		return fmt.Errorf("raid: %s has no redundancy to survive a member failure", a.layout.Name())
 	}
-	for j, f := range failed {
+	for j, f := range a.failed {
 		if f && j != i {
 			return fmt.Errorf("raid: member %d already failed; only single failures are supported", j)
 		}
@@ -64,28 +84,24 @@ func canFailMember(layout Layout, failed []bool, i int) error {
 	return nil
 }
 
-// CanFailMember reports whether FailMember(i) would currently be
-// accepted, without changing any state. fault.NewInjector calls it at
-// construction time so a plan aimed at an array that cannot degrade
-// (a redundancy-free layout, an out-of-range member) fails fast with a
-// clear error instead of surfacing as runtime refusal counts.
-func (a *Array) CanFailMember(i int) error { return canFailMember(a.layout, a.failed, i) }
-
 // FailMember takes one member disk out of service — the degraded-array
 // mode. Reads that would touch it are reconstructed from the survivors
 // (the layout must implement Reconstructor); writes to it are dropped,
-// with redundancy carried by the plan's surviving writes. Only layouts
-// with redundancy accept failures.
+// with redundancy carried by the plan's surviving writes. Operations
+// already in flight finish normally. Only layouts with redundancy
+// accept failures. On a linked array, call it from a controller-LP
+// event.
 func (a *Array) FailMember(i int) error {
-	if err := canFailMember(a.layout, a.failed, i); err != nil {
+	if err := a.CanFailMember(i); err != nil {
 		return err
 	}
 	a.failed[i] = true
 	return nil
 }
 
-// RepairMember returns a failed member to service. (The simulation does
-// not model the rebuild copy itself; callers can issue it as requests.)
+// RepairMember returns a failed member to service without copying any
+// data; Rebuild streams the contents back and then repairs the member
+// itself.
 func (a *Array) RepairMember(i int) error {
 	if i < 0 || i >= len(a.members) {
 		return fmt.Errorf("raid: member %d out of range [0,%d)", i, len(a.members))
@@ -110,43 +126,27 @@ func (a *Array) Degraded() bool {
 // Reconstructed reports how many reads were served by reconstruction.
 func (a *Array) Reconstructed() uint64 { return a.reconstructed }
 
-// degradedOps rewrites one phase's ops for a failure state: reads aimed
-// at a failed member expand into reconstruction reads, writes aimed at
-// it are dropped (redundancy flows through the plan's surviving
-// writes). It returns the rewritten ops and how many reads were served
-// by reconstruction. Shared by Array and Partitioned so both array
-// forms degrade with byte-identical semantics.
-func degradedOps(layout Layout, failed []bool, ops []Op) ([]Op, uint64, error) {
+// degradedOps rewrites one phase's ops for the current failure state:
+// reads aimed at a failed member expand into reconstruction reads,
+// writes aimed at it are dropped (redundancy flows through the plan's
+// surviving writes).
+func (a *Array) degradedOps(ops []Op) ([]Op, error) {
 	var out []Op
-	var reconstructed uint64
 	for _, op := range ops {
-		if !failed[op.Dev] {
+		if !a.failed[op.Dev] {
 			out = append(out, op)
 			continue
 		}
 		if !op.Read {
 			continue
 		}
-		rec, err := layout.(Reconstructor).Reconstruct(op, op.Dev)
+		rec, err := a.layout.(Reconstructor).Reconstruct(op, op.Dev)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
-		reconstructed++
+		a.reconstructed++
 		out = append(out, rec...)
 	}
-	return out, reconstructed, nil
-}
-
-// effectiveOps rewrites one phase's ops for the current failure state.
-func (a *Array) effectiveOps(ops []Op) ([]Op, error) {
-	if !a.Degraded() {
-		return ops, nil
-	}
-	out, rec, err := degradedOps(a.layout, a.failed, ops)
-	if err != nil {
-		return nil, err
-	}
-	a.reconstructed += rec
 	return out, nil
 }
 
@@ -175,7 +175,9 @@ func (a *Array) Power(elapsedMs float64) power.Breakdown {
 // Submit expands the request through the layout and issues the member
 // operations, phase by phase. The request completes when the last
 // operation of the last phase completes. Requests outside the array's
-// logical space panic, matching the drive models' contract.
+// logical space panic, matching the drive models' contract. On a
+// linked array, call it from a controller-LP event, which is where
+// replay drivers attached to eng.LP(0) run.
 func (a *Array) Submit(r trace.Request, done device.Done) {
 	plan, err := a.layout.Plan(r)
 	if err != nil {
@@ -188,7 +190,8 @@ func (a *Array) Submit(r trace.Request, done device.Done) {
 // runPhase issues one phase and chains to the next on completion.
 // lastDone carries the latest member-completion time seen so far, so the
 // request's completion time is correct even when a later phase's ops are
-// all dropped by failure handling.
+// all dropped by failure handling. All closure state (outstanding,
+// lastDone) is controller state.
 func (a *Array) runPhase(plan Plan, phase int, lastDone float64, done device.Done) {
 	if phase >= len(plan.Phases) {
 		a.completed++
@@ -197,9 +200,12 @@ func (a *Array) runPhase(plan Plan, phase int, lastDone float64, done device.Don
 		}
 		return
 	}
-	ops, err := a.effectiveOps(plan.Phases[phase])
-	if err != nil {
-		panic(err)
+	ops := plan.Phases[phase]
+	if a.Degraded() {
+		var err error
+		if ops, err = a.degradedOps(ops); err != nil {
+			panic(err)
+		}
 	}
 	if len(ops) == 0 {
 		a.runPhase(plan, phase+1, lastDone, done)
@@ -207,12 +213,7 @@ func (a *Array) runPhase(plan Plan, phase int, lastDone float64, done device.Don
 	}
 	outstanding := len(ops)
 	for _, op := range ops {
-		sub := trace.Request{
-			LBA:     op.LBA,
-			Sectors: op.Sectors,
-			Read:    op.Read,
-		}
-		a.members[op.Dev].Submit(sub, func(at float64) {
+		a.issueOp(op, func(at float64) {
 			if at > lastDone {
 				lastDone = at
 			}
@@ -224,8 +225,35 @@ func (a *Array) runPhase(plan Plan, phase int, lastDone float64, done device.Don
 	}
 }
 
+// issueOp submits one operation to its member and runs onBack on the
+// controller when the completion is back; it is the only place the
+// couplings differ. Direct calls hand onBack to the member as is. The
+// linked coupling reserves the outbound link, delivers the command
+// (and a write's payload) to the member's LP, submits there, reserves
+// the return link for the completion (and a read's data), and runs
+// onBack in a controller-LP event at the completion's arrival time.
+// Foreground phases and rebuild traffic both go through issueOp, so
+// they share the member queues and link reservations. It applies no
+// degraded rewrite.
+func (a *Array) issueOp(op Op, onBack device.Done) {
+	sub := trace.Request{LBA: op.LBA, Sectors: op.Sectors, Read: op.Read}
+	if a.links == nil {
+		a.members[op.Dev].Submit(sub, onBack)
+		return
+	}
+	// The closures capture only a, op, sub and onBack: a wider capture
+	// grows every in-flight operation's allocation.
+	a.links.ctrl.Send(1+op.Dev, a.links.reserveOut(op), func() {
+		a.members[op.Dev].Submit(sub, func(at float64) {
+			back := a.links.reserveReturn(op, at)
+			a.links.eng.LP(1+op.Dev).Send(0, back, func() { onBack(back) })
+		})
+	})
+}
+
 // Snapshot reports the array's request counters with every instrumented
-// member rolled up as a child, in member order.
+// member rolled up as a child, in member order. A linked array adds
+// the "-partitioned" suffix and its engine's window counters.
 func (a *Array) Snapshot() obs.Snapshot {
 	s := obs.Snapshot{
 		Device:     a.layout.Name(),
@@ -235,6 +263,11 @@ func (a *Array) Snapshot() obs.Snapshot {
 		Counters:   map[string]uint64{"reconstructed": a.reconstructed},
 		Gauges:     map[string]obs.GaugeValue{},
 		Histograms: map[string]obs.Histogram{},
+	}
+	if a.links != nil {
+		s.Device += "-partitioned"
+		s.Counters["windows"] = a.links.eng.Windows()
+		s.Counters["busy_lps"] = a.links.eng.BusyLPs()
 	}
 	failed := uint64(0)
 	for i, m := range a.members {
@@ -248,8 +281,6 @@ func (a *Array) Snapshot() obs.Snapshot {
 	s.Counters["failed_members"] = failed
 	return s
 }
-
-var _ device.Instrumented = (*Array)(nil)
 
 // RouteByDisk is the MD system of the paper's limit study: requests carry
 // the member-disk number they were traced against, and the "array" simply

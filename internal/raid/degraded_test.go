@@ -3,7 +3,6 @@ package raid
 import (
 	"testing"
 
-	"repro/internal/device"
 	"repro/internal/trace"
 )
 
@@ -11,42 +10,53 @@ import (
 
 func TestFailMemberValidation(t *testing.T) {
 	j, _ := NewJBOD([]int64{100, 100})
-	_, a, _ := fakeArray(t, j, nil)
-	if err := a.FailMember(0); err == nil {
-		t.Fatalf("JBOD (no redundancy) accepted a member failure")
-	}
-
+	r0, _ := NewRAID0(2, 1000, 10)
 	r1, _ := NewRAID1(2, 1000)
-	_, m, _ := fakeArray(t, r1, nil)
-	if err := a.FailMember(-1); err == nil {
-		t.Fatalf("negative member accepted")
-	}
-	if err := m.FailMember(2); err == nil {
-		t.Fatalf("out-of-range member accepted")
-	}
-	if err := m.FailMember(0); err != nil {
-		t.Fatalf("FailMember(0): %v", err)
-	}
-	if err := m.FailMember(0); err == nil {
-		t.Fatalf("double failure accepted")
-	}
-	if err := m.FailMember(1); err == nil {
-		t.Fatalf("second concurrent failure accepted")
-	}
-	if !m.Degraded() {
-		t.Fatalf("array not reported degraded")
-	}
-	if err := m.RepairMember(0); err != nil {
-		t.Fatalf("RepairMember: %v", err)
-	}
-	if m.Degraded() {
-		t.Fatalf("array degraded after repair")
-	}
-	if err := m.RepairMember(0); err == nil {
-		t.Fatalf("repairing healthy member accepted")
-	}
-	if err := m.RepairMember(9); err == nil {
-		t.Fatalf("repairing out-of-range member accepted")
+	for _, c := range couplings {
+		for _, flat := range []Layout{j, r0} {
+			_, a, _ := c.build(t, flat)
+			if err := a.CanFailMember(0); err == nil {
+				t.Fatalf("%s: %s (no redundancy) passed the failure preflight", c.name, flat.Name())
+			}
+			if err := a.FailMember(0); err == nil {
+				t.Fatalf("%s: %s (no redundancy) accepted a member failure", c.name, flat.Name())
+			}
+		}
+
+		_, m, _ := c.build(t, r1)
+		if err := m.FailMember(-1); err == nil {
+			t.Fatalf("%s: negative member accepted", c.name)
+		}
+		if err := m.FailMember(2); err == nil {
+			t.Fatalf("%s: out-of-range member accepted", c.name)
+		}
+		if err := m.RepairMember(1); err == nil {
+			t.Fatalf("%s: repairing healthy member accepted", c.name)
+		}
+		if err := m.FailMember(0); err != nil {
+			t.Fatalf("%s: FailMember(0): %v", c.name, err)
+		}
+		if err := m.FailMember(0); err == nil {
+			t.Fatalf("%s: double failure accepted", c.name)
+		}
+		if err := m.FailMember(1); err == nil {
+			t.Fatalf("%s: second concurrent failure accepted", c.name)
+		}
+		if !m.Degraded() {
+			t.Fatalf("%s: array not reported degraded", c.name)
+		}
+		if err := m.RepairMember(0); err != nil {
+			t.Fatalf("%s: RepairMember: %v", c.name, err)
+		}
+		if m.Degraded() {
+			t.Fatalf("%s: array degraded after repair", c.name)
+		}
+		if err := m.RepairMember(0); err == nil {
+			t.Fatalf("%s: repairing healthy member accepted", c.name)
+		}
+		if err := m.RepairMember(9); err == nil {
+			t.Fatalf("%s: repairing out-of-range member accepted", c.name)
+		}
 	}
 }
 
@@ -102,22 +112,23 @@ func TestRAID1WriteSkipsFailedMirror(t *testing.T) {
 	}
 }
 
+// lbaOn returns a logical address whose data lives on member dev.
+func lbaOn(t *testing.T, r5 *RAID5, dev int) int64 {
+	t.Helper()
+	for probe := int64(0); probe < 300; probe += 10 {
+		if _, d, _ := r5.locate(probe); d == dev {
+			return probe
+		}
+	}
+	t.Fatalf("no address mapping to member %d found", dev)
+	return -1
+}
+
 func TestRAID5ReadReconstructsFromSurvivors(t *testing.T) {
 	r5, _ := NewRAID5(4, 1000, 10)
 	eng, a, disks := fakeArray(t, r5, nil)
 
-	// Find a logical address whose data lives on member 2.
-	var lba int64 = -1
-	for probe := int64(0); probe < 300; probe += 10 {
-		_, dev, _ := r5.locate(probe)
-		if dev == 2 {
-			lba = probe
-			break
-		}
-	}
-	if lba < 0 {
-		t.Fatalf("no address mapping to member 2 found")
-	}
+	lba := lbaOn(t, r5, 2)
 	if err := a.FailMember(2); err != nil {
 		t.Fatal(err)
 	}
@@ -145,14 +156,7 @@ func TestRAID5ReadReconstructsFromSurvivors(t *testing.T) {
 func TestRAID5DegradedWriteStillCompletes(t *testing.T) {
 	r5, _ := NewRAID5(4, 1000, 10)
 	eng, a, _ := fakeArray(t, r5, nil)
-	var lba int64 = -1
-	for probe := int64(0); probe < 300; probe += 10 {
-		_, dev, _ := r5.locate(probe)
-		if dev == 1 {
-			lba = probe
-			break
-		}
-	}
+	lba := lbaOn(t, r5, 1)
 	if err := a.FailMember(1); err != nil {
 		t.Fatal(err)
 	}
@@ -193,14 +197,7 @@ func TestReconstructionCostsMoreTime(t *testing.T) {
 
 	run := func(fail bool) float64 {
 		eng, a, _ := fakeArray(t, r5, []float64{1, 3, 1, 1})
-		var lba int64 = -1
-		for probe := int64(0); probe < 300; probe += 10 {
-			_, dev, _ := r5.locate(probe)
-			if dev == 0 {
-				lba = probe
-				break
-			}
-		}
+		lba := lbaOn(t, r5, 0)
 		if fail {
 			if err := a.FailMember(0); err != nil {
 				t.Fatal(err)
@@ -219,5 +216,4 @@ func TestReconstructionCostsMoreTime(t *testing.T) {
 	if !(healthy < degraded) {
 		t.Fatalf("reconstruction not slower: healthy %v vs degraded %v", healthy, degraded)
 	}
-	_ = device.Done(nil)
 }

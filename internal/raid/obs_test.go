@@ -32,7 +32,7 @@ func instrumentedMembers(eng *simkit.Engine, n int) []device.Device {
 	members := make([]device.Device, n)
 	for i := range members {
 		members[i] = &instrumentedDisk{
-			fakeDisk: &fakeDisk{eng: eng, latencyMs: 1, capacity: 1 << 40},
+			fakeDisk: &fakeDisk{s: eng, latencyMs: 1, capacity: 1 << 40},
 			name:     fmt.Sprintf("m%d", i),
 		}
 	}

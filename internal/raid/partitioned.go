@@ -5,25 +5,19 @@ import (
 
 	"repro/internal/bus"
 	"repro/internal/device"
-	"repro/internal/obs"
-	"repro/internal/power"
 	"repro/internal/simkit"
 	"repro/internal/simkit/par"
-	"repro/internal/trace"
 )
 
 // MemberFunc builds member i of a partitioned array on the given
 // scheduler (one logical process of the partitioned engine).
 type MemberFunc func(s simkit.Scheduler, i int) (device.Device, error)
 
-// Partitioned is an array whose controller and members live on separate
-// logical processes of a partitioned engine: the controller on LP 0,
-// member i on LP 1+i. Unlike Array, which couples members through
-// zero-latency direct calls (and therefore must share one event loop),
-// the partitioned array moves every controller↔member interaction over
-// an explicit point-to-point link with real latency — the physical
-// fact that also supplies the conservative lookahead letting the
-// members simulate concurrently.
+// links is the partitioned coupling of an Array: the controller on
+// LP 0 of a partitioned engine, member i on LP 1+i, and every
+// controller↔member interaction moved over an explicit point-to-point
+// link with real latency — the physical fact that also supplies the
+// conservative lookahead letting the members simulate concurrently.
 //
 // The cost model per member operation:
 //
@@ -35,27 +29,17 @@ type MemberFunc func(s simkit.Scheduler, i int) (device.Device, error)
 //     overhead only.
 //
 // A request completes when the last member completion of its last
-// phase arrives back at the controller — array response times include
-// link latency, which is the honest semantics of a distributed
-// controller (the legacy Array's direct-call coupling is the
-// zero-latency limit of the same model).
-//
-// Degraded-mode operation mirrors Array: FailMember takes a member out
-// of service (reads reconstructed from survivors, writes dropped), and
-// Rebuild streams the dead member's contents back over the links —
-// survivor reads and reconstruction writes are ordinary cross-LP
-// sends, so the conservative windows and the (at, src LP, src seq)
+// phase arrives back at the controller, so array response times
+// include link latency — the honest semantics of a distributed
+// controller. Survivor reads and rebuild writes are ordinary cross-LP
+// sends too, so the conservative windows and the (at, src LP, src seq)
 // merge order make a degraded run exactly as deterministic as a
-// healthy one. All failure state lives on the controller LP; fail and
-// rebuild calls must come from controller-LP events (which is where a
-// fault injector bound to Controller() runs).
-type Partitioned struct {
+// healthy one.
+type links struct {
 	eng         *par.Engine
 	ctrl        *par.LP
-	layout      Layout
-	link        bus.LinkSpec
+	spec        bus.LinkSpec
 	sectorBytes int64
-	members     []device.Device
 
 	// outBusy[i] is the FIFO reservation horizon of the controller→i
 	// link; owned by the controller LP. retBusy[i] is the horizon of
@@ -64,30 +48,17 @@ type Partitioned struct {
 	// execution never races on them.
 	outBusy []float64
 	retBusy []float64
-
-	// failed and reconstructed are controller-LP state, exactly like
-	// Array's: the members never learn they are "failed" — the
-	// controller just stops routing to them and rewrites plans.
-	failed        []bool
-	reconstructed uint64
-
-	submitted uint64
-	completed uint64
 }
 
-var (
-	_ device.Device       = (*Partitioned)(nil)
-	_ device.Instrumented = (*Partitioned)(nil)
-)
-
-// NewPartitioned builds a partitioned array on eng: the controller on
-// LP 0 and one member per further LP, built by mk on its own logical
-// process. The engine must have exactly 1+layout.Members() LPs. The
-// link must have positive MinLatencyMs — that latency is the declared
-// lookahead of every controller↔member channel, and a zero-lookahead
-// channel admits no conservative window (use Array for zero-latency
-// coupling).
-func NewPartitioned(eng *par.Engine, layout Layout, link bus.LinkSpec, sectorBytes int64, mk MemberFunc) (*Partitioned, error) {
+// NewPartitioned builds an array on eng: the controller on LP 0 and
+// one member per further LP, built by mk on its own logical process.
+// The engine must have exactly 1+layout.Members() LPs. The link must
+// have positive MinLatencyMs — that latency is the declared lookahead
+// of every controller↔member channel, and a zero-lookahead channel
+// admits no conservative window (use NewArray for zero-latency
+// coupling). Submit, FailMember and Rebuild must then be called from
+// controller-LP events.
+func NewPartitioned(eng *par.Engine, layout Layout, link bus.LinkSpec, sectorBytes int64, mk MemberFunc) (*Array, error) {
 	if layout == nil {
 		return nil, fmt.Errorf("raid: nil layout")
 	}
@@ -106,230 +77,62 @@ func NewPartitioned(eng *par.Engine, layout Layout, link bus.LinkSpec, sectorByt
 		return nil, fmt.Errorf("raid: partitioned %s wants %d LPs (controller + %d members), engine has %d",
 			layout.Name(), n+1, n, eng.NumLPs())
 	}
-	p := &Partitioned{
-		eng:         eng,
-		ctrl:        eng.LP(0),
-		layout:      layout,
-		link:        link,
-		sectorBytes: sectorBytes,
-		members:     make([]device.Device, n),
-		outBusy:     make([]float64, n),
-		retBusy:     make([]float64, n),
-		failed:      make([]bool, n),
-	}
-	for i := 0; i < n; i++ {
+	members := make([]device.Device, n)
+	for i := range members {
 		eng.Link(0, 1+i, link.MinLatencyMs())
 		eng.Link(1+i, 0, link.MinLatencyMs())
 		m, err := mk(eng.LP(1+i), i)
 		if err != nil {
 			return nil, err
 		}
-		if m == nil {
-			return nil, fmt.Errorf("raid: member %d is nil", i)
-		}
-		p.members[i] = m
+		members[i] = m
 	}
-	return p, nil
-}
-
-// Layout returns the array's layout.
-func (p *Partitioned) Layout() Layout { return p.layout }
-
-// CanFailMember reports whether FailMember(i) would currently be
-// accepted, without changing any state — the construction-time
-// preflight fault.NewInjector uses (see Array.CanFailMember).
-func (p *Partitioned) CanFailMember(i int) error { return canFailMember(p.layout, p.failed, i) }
-
-// FailMember takes one member out of service, with Array's exact
-// semantics: future reads touching it are reconstructed from the
-// survivors, future writes to it are dropped, and operations already
-// in flight (including completions crossing the links) finish
-// normally. Must be called from a controller-LP event.
-func (p *Partitioned) FailMember(i int) error {
-	if err := canFailMember(p.layout, p.failed, i); err != nil {
-		return err
-	}
-	p.failed[i] = true
-	return nil
-}
-
-// RepairMember returns a failed member to service (Rebuild does this
-// itself when its sweep completes).
-func (p *Partitioned) RepairMember(i int) error {
-	if i < 0 || i >= len(p.members) {
-		return fmt.Errorf("raid: member %d out of range [0,%d)", i, len(p.members))
-	}
-	if !p.failed[i] {
-		return fmt.Errorf("raid: member %d is not failed", i)
-	}
-	p.failed[i] = false
-	return nil
-}
-
-// Degraded reports whether any member is out of service.
-func (p *Partitioned) Degraded() bool {
-	for _, f := range p.failed {
-		if f {
-			return true
-		}
-	}
-	return false
-}
-
-// Reconstructed reports how many reads were served by reconstruction.
-func (p *Partitioned) Reconstructed() uint64 { return p.reconstructed }
-
-// Capacity reports the array's logical size in sectors.
-func (p *Partitioned) Capacity() int64 { return p.layout.Capacity() }
-
-// Controller returns the controller's logical process — the scheduler
-// replay drivers should attach to (or equivalently eng.Runner(0)).
-func (p *Partitioned) Controller() *par.LP { return p.ctrl }
-
-// Power sums the members' average-power breakdowns, exactly as Array
-// does.
-func (p *Partitioned) Power(elapsedMs float64) power.Breakdown {
-	var b power.Breakdown
-	for _, m := range p.members {
-		b = b.Add(m.Power(elapsedMs))
-	}
-	return b
-}
-
-// Submit expands the request through the layout and issues the member
-// operations phase by phase, each over its member link. Must be called
-// from controller-LP context (an event on LP 0), which is where replay
-// drivers attached to Controller() run.
-func (p *Partitioned) Submit(r trace.Request, done device.Done) {
-	plan, err := p.layout.Plan(r)
+	a, err := NewArray(layout, members)
 	if err != nil {
-		panic(err)
+		return nil, err
 	}
-	p.submitted++
-	p.runPhase(plan, 0, 0, done)
-}
-
-// runPhase issues one phase's ops across the member links and chains to
-// the next phase when the last completion arrives back at the
-// controller. Under a member failure the phase is first rewritten with
-// Array's degraded semantics (reconstruction reads, dropped writes).
-// All closure state (outstanding, lastDone) is touched only in
-// controller-LP events.
-func (p *Partitioned) runPhase(plan Plan, phase int, lastDone float64, done device.Done) {
-	if phase >= len(plan.Phases) {
-		p.completed++
-		if done != nil {
-			done(lastDone)
-		}
-		return
+	a.links = &links{
+		eng:         eng,
+		ctrl:        eng.LP(0),
+		spec:        link,
+		sectorBytes: sectorBytes,
+		outBusy:     make([]float64, n),
+		retBusy:     make([]float64, n),
 	}
-	ops := plan.Phases[phase]
-	if p.Degraded() {
-		rewritten, rec, err := degradedOps(p.layout, p.failed, ops)
-		if err != nil {
-			panic(err)
-		}
-		p.reconstructed += rec
-		ops = rewritten
-	}
-	if len(ops) == 0 {
-		p.runPhase(plan, phase+1, lastDone, done)
-		return
-	}
-	outstanding := len(ops)
-	for _, op := range ops {
-		op := op
-		p.issueOp(op, func(back float64) {
-			if back > lastDone {
-				lastDone = back
-			}
-			outstanding--
-			if outstanding == 0 {
-				p.runPhase(plan, phase+1, lastDone, done)
-			}
-		})
-	}
-}
-
-// issueOp moves one member operation over the links: it reserves the
-// outbound link, delivers the command (and a write's payload) to the
-// member's LP, submits to the member device, reserves the return link
-// for the completion (and a read's data), and runs onBack in a
-// controller-LP event at the completion's arrival time. Must be called
-// from controller-LP context; both foreground phases and rebuild
-// traffic go through it, so they share the FIFO link reservations.
-func (p *Partitioned) issueOp(op Op, onBack func(back float64)) {
-	sub := trace.Request{LBA: op.LBA, Sectors: op.Sectors, Read: op.Read}
-	arrive := p.reserveOut(op)
-	p.ctrl.Send(1+op.Dev, arrive, func() {
-		p.members[op.Dev].Submit(sub, func(at float64) {
-			back := p.reserveReturn(op, at)
-			p.eng.LP(1+op.Dev).Send(0, back, func() { onBack(back) })
-		})
-	})
+	return a, nil
 }
 
 // reserveOut reserves the controller→member link for the op's outbound
 // message (FIFO behind earlier reservations) and returns its arrival
 // time. A write ships its payload; a read ships only the command.
-func (p *Partitioned) reserveOut(op Op) float64 {
-	start := p.ctrl.Now()
-	if p.outBusy[op.Dev] > start {
-		start = p.outBusy[op.Dev]
+func (l *links) reserveOut(op Op) float64 {
+	start := l.ctrl.Now()
+	if l.outBusy[op.Dev] > start {
+		start = l.outBusy[op.Dev]
 	}
-	cost := p.link.OverheadMs
+	cost := l.spec.OverheadMs
 	if !op.Read {
-		cost += p.link.TransferMs(int64(op.Sectors) * p.sectorBytes)
+		cost += l.spec.TransferMs(int64(op.Sectors) * l.sectorBytes)
 	}
 	arrive := start + cost
-	p.outBusy[op.Dev] = arrive
+	l.outBusy[op.Dev] = arrive
 	return arrive
 }
 
 // reserveReturn reserves the member→controller link for the op's
 // completion message, starting no earlier than the member-completion
 // time at. A read ships its data back; a write ships only the ack.
-func (p *Partitioned) reserveReturn(op Op, at float64) float64 {
+func (l *links) reserveReturn(op Op, at float64) float64 {
 	start := at
-	if p.retBusy[op.Dev] > start {
-		start = p.retBusy[op.Dev]
+	if l.retBusy[op.Dev] > start {
+		start = l.retBusy[op.Dev]
 	}
-	cost := p.link.OverheadMs
+	cost := l.spec.OverheadMs
 	if op.Read {
-		cost += p.link.TransferMs(int64(op.Sectors) * p.sectorBytes)
+		cost += l.spec.TransferMs(int64(op.Sectors) * l.sectorBytes)
 	}
 	back := start + cost
 	//idplint:allow lpconfine retBusy[i] is only ever touched from member i's completion events, so the per-member elements partition the slice and no two LPs share one
-	p.retBusy[op.Dev] = back
+	l.retBusy[op.Dev] = back
 	return back
-}
-
-// Snapshot reports the array's request counters with every instrumented
-// member rolled up as a child, in member order — the same shape Array
-// produces, so rendering and diffing tools treat both alike.
-func (p *Partitioned) Snapshot() obs.Snapshot {
-	s := obs.Snapshot{
-		Device:    p.layout.Name() + "-partitioned",
-		Kind:      "raid",
-		Submitted: p.submitted,
-		Completed: p.completed,
-		Counters: map[string]uint64{
-			"windows":       p.eng.Windows(),
-			"busy_lps":      p.eng.BusyLPs(),
-			"reconstructed": p.reconstructed,
-		},
-		Gauges:     map[string]obs.GaugeValue{},
-		Histograms: map[string]obs.Histogram{},
-	}
-	failed := uint64(0)
-	for i, m := range p.members {
-		if p.failed[i] {
-			failed++
-		}
-		if in, ok := m.(device.Instrumented); ok {
-			s.Children = append(s.Children, in.Snapshot())
-		}
-	}
-	s.Counters["failed_members"] = failed
-	return s
 }

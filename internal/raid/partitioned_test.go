@@ -1,51 +1,15 @@
 package raid
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 
 	"repro/internal/bus"
 	"repro/internal/device"
-	"repro/internal/obs"
-	"repro/internal/power"
 	"repro/internal/simkit"
 	"repro/internal/simkit/par"
 	"repro/internal/trace"
 )
-
-// fakeMember is a deterministic member device built on a Scheduler (one
-// LP of a partitioned engine): service time depends on the op, so the
-// member timelines are irregular enough to exercise window overlap.
-type fakeMember struct {
-	s        simkit.Scheduler
-	capacity int64
-	served   uint64
-}
-
-var _ device.Device = (*fakeMember)(nil)
-
-func (f *fakeMember) Submit(r trace.Request, done device.Done) {
-	if r.End() > f.capacity {
-		panic("fakeMember: out of range")
-	}
-	f.served++
-	lat := 2.0 + float64(r.LBA%17)*0.25 + float64(r.Sectors)*0.05
-	f.s.After(lat, func() {
-		if done != nil {
-			done(f.s.Now())
-		}
-	})
-}
-
-func (f *fakeMember) Power(elapsedMs float64) power.Breakdown {
-	var b power.Breakdown
-	b.Watts[power.Idle] = 5
-	b.Elapsed = elapsedMs
-	return b
-}
-
-func (f *fakeMember) Capacity() int64 { return f.capacity }
 
 // partTrace builds a deterministic random stream of striped requests.
 func partTrace(seed int64, n int, capacity int64) trace.Trace {
@@ -64,34 +28,70 @@ func partTrace(seed int64, n int, capacity int64) trace.Trace {
 	return tr
 }
 
-// buildPartitioned assembles a RAID-0 partitioned array over fake
-// members and returns the engine plus the array.
-func buildPartitioned(t *testing.T, members, workers int) (*par.Engine, *Partitioned) {
+// linkedArray builds layout as a partitioned array over fakeDisks with
+// op-dependent service times, each exactly as large as the layout's
+// member extent when the layout reports one.
+func linkedArray(t *testing.T, layout Layout, workers int) (*par.Engine, *Array, []*fakeDisk) {
 	t.Helper()
-	const memberSectors = 1 << 20
-	layout, err := NewRAID0(members, memberSectors, 128)
-	if err != nil {
-		t.Fatal(err)
+	capacity := int64(1 << 40)
+	if sz, ok := layout.(MemberSizer); ok {
+		capacity = sz.MemberExtent()
 	}
-	pe := par.New(members+1, par.Options{Workers: workers})
-	p, err := NewPartitioned(pe, layout, bus.DefaultLink(), 512, func(s simkit.Scheduler, i int) (device.Device, error) {
-		return &fakeMember{s: s, capacity: memberSectors}, nil
+	pe := par.New(layout.Members()+1, par.Options{Workers: workers})
+	disks := make([]*fakeDisk, layout.Members())
+	a, err := NewPartitioned(pe, layout, bus.DefaultLink(), 512, func(s simkit.Scheduler, i int) (device.Device, error) {
+		disks[i] = &fakeDisk{s: s, capacity: capacity}
+		return disks[i], nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return pe, p
+	return pe, a, disks
+}
+
+// couplings builds a layout into an array with each coupling, returning
+// the runner that drives it and the members.
+var couplings = []struct {
+	name  string
+	build func(t *testing.T, layout Layout) (simkit.Runner, *Array, []*fakeDisk)
+}{
+	{"direct", func(t *testing.T, layout Layout) (simkit.Runner, *Array, []*fakeDisk) {
+		return fakeArray(t, layout, nil)
+	}},
+	{"linked", func(t *testing.T, layout Layout) (simkit.Runner, *Array, []*fakeDisk) {
+		pe, a, disks := linkedArray(t, layout, 1)
+		return pe.Runner(0), a, disks
+	}},
+}
+
+// buildPartitioned assembles a partitioned array over fake members:
+// RAID-5 over 1<<16-sector members when raid5 is set (the degraded and
+// rebuild paths need redundancy), RAID-0 over 1<<20 otherwise.
+func buildPartitioned(t *testing.T, raid5 bool, members, workers int) (*par.Engine, *Array) {
+	t.Helper()
+	var layout Layout
+	var err error
+	if raid5 {
+		layout, err = NewRAID5(members, 1<<16, 128)
+	} else {
+		layout, err = NewRAID0(members, 1<<20, 128)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	pe, a, _ := linkedArray(t, layout, workers)
+	return pe, a
 }
 
 // replayPartitioned submits the trace on the controller LP and returns
 // per-request response times.
-func replayPartitioned(pe *par.Engine, p *Partitioned, tr trace.Trace) []float64 {
+func replayPartitioned(pe *par.Engine, a *Array, tr trace.Trace) []float64 {
 	resp := make([]float64, len(tr))
-	ctrl := p.Controller()
+	ctrl := pe.LP(0)
 	for i, r := range tr {
 		i, r := i, r
 		ctrl.At(r.ArrivalMs, func() {
-			p.Submit(r, func(at float64) { resp[i] = at - r.ArrivalMs })
+			a.Submit(r, func(at float64) { resp[i] = at - r.ArrivalMs })
 		})
 	}
 	pe.Run()
@@ -105,28 +105,14 @@ func replayPartitioned(pe *par.Engine, p *Partitioned, tr trace.Trace) []float64
 // link-reservation state (outBusy by the controller, retBusy by the
 // members).
 func TestPartitionedWorkerIdentity(t *testing.T) {
-	const members = 8
-	run := func(workers int) ([]float64, []byte, uint64) {
-		pe, p := buildPartitioned(t, members, workers)
-		tr := partTrace(41, 600, p.Capacity())
-		resp := replayPartitioned(pe, p, tr)
-		js, err := obs.MarshalSnapshot(p.Snapshot())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp, js, pe.Windows()
+	run := func(workers int) (outcome, uint64) {
+		pe, a := buildPartitioned(t, false, 8, workers)
+		healthy := deathTrial{dead: -1, tr: partTrace(41, 600, a.Capacity())}
+		return healthy.play(t, pe.Runner(0), a), pe.Windows()
 	}
-	refResp, refSnap, refWin := run(1)
-	gotResp, gotSnap, gotWin := run(8)
-
-	for i := range refResp {
-		if refResp[i] != gotResp[i] {
-			t.Fatalf("request %d: response %g with 1 worker, %g with 8", i, refResp[i], gotResp[i])
-		}
-	}
-	if !bytes.Equal(refSnap, gotSnap) {
-		t.Fatalf("snapshots diverge:\n1 worker: %s\n8 workers: %s", refSnap, gotSnap)
-	}
+	want, refWin := run(1)
+	got, gotWin := run(8)
+	got.mustMatch(t, "8 workers vs 1", want)
 	if refWin != gotWin {
 		t.Fatalf("window count %d with 1 worker, %d with 8", refWin, gotWin)
 	}
@@ -138,16 +124,16 @@ func TestPartitionedWorkerIdentity(t *testing.T) {
 // TestPartitionedCompletes checks the request lifecycle bookkeeping and
 // that responses include the link's round-trip floor.
 func TestPartitionedCompletes(t *testing.T) {
-	pe, p := buildPartitioned(t, 4, 1)
-	tr := partTrace(42, 200, p.Capacity())
-	resp := replayPartitioned(pe, p, tr)
+	pe, a := buildPartitioned(t, false, 4, 1)
+	tr := partTrace(42, 200, a.Capacity())
+	resp := replayPartitioned(pe, a, tr)
 
-	s := p.Snapshot()
+	s := a.Snapshot()
 	if s.Submitted != uint64(len(tr)) || s.Completed != uint64(len(tr)) {
 		t.Fatalf("submitted/completed %d/%d, want %d", s.Submitted, s.Completed, len(tr))
 	}
 	if len(s.Children) != 0 {
-		// fakeMember is not Instrumented; only instrumented members roll up.
+		// fakeDisk is not Instrumented; only instrumented members roll up.
 		t.Fatalf("unexpected children %d", len(s.Children))
 	}
 	if s.Counters["windows"] != pe.Windows() {
@@ -168,36 +154,27 @@ func TestPartitionedValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	mk := func(s simkit.Scheduler, i int) (device.Device, error) {
-		return &fakeMember{s: s, capacity: 1 << 20}, nil
+		return &fakeDisk{s: s, capacity: 1 << 20}, nil
 	}
 	ok := bus.DefaultLink()
 
 	cases := []struct {
-		name string
-		fn   func() (*Partitioned, error)
+		name        string
+		lps         int
+		layout      Layout
+		link        bus.LinkSpec
+		sectorBytes int64
+		mk          MemberFunc
 	}{
-		{"nil layout", func() (*Partitioned, error) {
-			return NewPartitioned(par.New(5, par.Options{}), nil, ok, 512, mk)
-		}},
-		{"bad link", func() (*Partitioned, error) {
-			return NewPartitioned(par.New(5, par.Options{}), layout, bus.LinkSpec{BandwidthMBps: -1}, 512, mk)
-		}},
-		{"zero lookahead link", func() (*Partitioned, error) {
-			return NewPartitioned(par.New(5, par.Options{}), layout, bus.LinkSpec{BandwidthMBps: 300}, 512, mk)
-		}},
-		{"bad sector size", func() (*Partitioned, error) {
-			return NewPartitioned(par.New(5, par.Options{}), layout, ok, 0, mk)
-		}},
-		{"wrong LP count", func() (*Partitioned, error) {
-			return NewPartitioned(par.New(4, par.Options{}), layout, ok, 512, mk)
-		}},
-		{"nil member", func() (*Partitioned, error) {
-			return NewPartitioned(par.New(5, par.Options{}), layout, ok, 512,
-				func(simkit.Scheduler, int) (device.Device, error) { return nil, nil })
-		}},
+		{"nil layout", 5, nil, ok, 512, mk},
+		{"bad link", 5, layout, bus.LinkSpec{BandwidthMBps: -1}, 512, mk},
+		{"zero lookahead link", 5, layout, bus.LinkSpec{BandwidthMBps: 300}, 512, mk},
+		{"bad sector size", 5, layout, ok, 0, mk},
+		{"wrong LP count", 4, layout, ok, 512, mk},
+		{"nil member", 5, layout, ok, 512, func(simkit.Scheduler, int) (device.Device, error) { return nil, nil }},
 	}
 	for _, c := range cases {
-		if _, err := c.fn(); err == nil {
+		if _, err := NewPartitioned(par.New(c.lps, par.Options{}), c.layout, c.link, c.sectorBytes, c.mk); err == nil {
 			t.Fatalf("%s: no error", c.name)
 		}
 	}

@@ -11,10 +11,13 @@ import (
 	"repro/internal/trace"
 )
 
-// fakeDisk is a deterministic member device for array tests: every
-// operation takes latencyMs, and all operations are recorded.
+// fakeDisk is a deterministic member device on any scheduler: the one
+// event loop of a direct array, or one LP of a partitioned engine.
+// Every operation is recorded and takes latencyMs, or when that is
+// zero an op-dependent service time, irregular enough to exercise the
+// partitioned engine's window overlap.
 type fakeDisk struct {
-	eng       *simkit.Engine
+	s         simkit.Scheduler
 	latencyMs float64
 	capacity  int64
 	ops       []trace.Request
@@ -27,9 +30,13 @@ func (f *fakeDisk) Submit(r trace.Request, done device.Done) {
 		panic("fakeDisk: out of range")
 	}
 	f.ops = append(f.ops, r)
-	f.eng.After(f.latencyMs, func() {
+	lat := f.latencyMs
+	if lat == 0 {
+		lat = 2.0 + float64(r.LBA%17)*0.25 + float64(r.Sectors)*0.05
+	}
+	f.s.After(lat, func() {
 		if done != nil {
-			done(f.eng.Now())
+			done(f.s.Now())
 		}
 	})
 }
@@ -53,7 +60,7 @@ func fakeArray(t *testing.T, layout Layout, latencies []float64) (*simkit.Engine
 		if latencies != nil {
 			lat = latencies[i]
 		}
-		disks[i] = &fakeDisk{eng: eng, latencyMs: lat, capacity: 1 << 40}
+		disks[i] = &fakeDisk{s: eng, latencyMs: lat, capacity: 1 << 40}
 		members[i] = disks[i]
 	}
 	a, err := NewArray(layout, members)
@@ -368,7 +375,7 @@ func TestArrayValidation(t *testing.T) {
 	if _, err := NewArray(nil, nil); err == nil {
 		t.Fatalf("nil layout accepted")
 	}
-	if _, err := NewArray(j, []device.Device{&fakeDisk{eng: eng, capacity: 100}}); err == nil {
+	if _, err := NewArray(j, []device.Device{&fakeDisk{s: eng, capacity: 100}}); err == nil {
 		t.Fatalf("member-count mismatch accepted")
 	}
 	if _, err := NewArray(j, []device.Device{nil, nil}); err == nil {
@@ -441,8 +448,8 @@ func TestArrayOutOfRangePanics(t *testing.T) {
 
 func TestRouteByDiskForwards(t *testing.T) {
 	eng := simkit.New()
-	d0 := &fakeDisk{eng: eng, latencyMs: 1, capacity: 1000}
-	d1 := &fakeDisk{eng: eng, latencyMs: 1, capacity: 1000}
+	d0 := &fakeDisk{s: eng, latencyMs: 1, capacity: 1000}
+	d1 := &fakeDisk{s: eng, latencyMs: 1, capacity: 1000}
 	rt, err := NewRouteByDisk([]device.Device{d0, d1})
 	if err != nil {
 		t.Fatal(err)
@@ -473,7 +480,7 @@ func TestRouteByDiskValidation(t *testing.T) {
 		t.Fatalf("nil member accepted")
 	}
 	eng := simkit.New()
-	rt, _ := NewRouteByDisk([]device.Device{&fakeDisk{eng: eng, capacity: 10}})
+	rt, _ := NewRouteByDisk([]device.Device{&fakeDisk{s: eng, capacity: 10}})
 	eng.At(0, func() {
 		defer func() {
 			if recover() == nil {

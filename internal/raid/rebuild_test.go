@@ -1,6 +1,7 @@
 package raid
 
 import (
+	"sort"
 	"testing"
 
 	"repro/internal/trace"
@@ -23,93 +24,156 @@ func TestMemberExtents(t *testing.T) {
 
 func TestRebuildValidation(t *testing.T) {
 	r5, _ := NewRAID5(4, 1000, 10)
-	_, a, _ := fakeArray(t, r5, nil)
-	if err := a.Rebuild(0, 100, 1, nil); err == nil {
-		t.Fatalf("rebuild of healthy member accepted")
-	}
-	if err := a.FailMember(0); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Rebuild(-1, 100, 1, nil); err == nil {
-		t.Fatalf("negative member accepted")
-	}
-	if err := a.Rebuild(0, 0, 1, nil); err == nil {
-		t.Fatalf("zero chunk accepted")
-	}
-	if err := a.Rebuild(0, 100, 0, nil); err == nil {
-		t.Fatalf("zero depth accepted")
+	for _, c := range couplings {
+		_, a, _ := c.build(t, r5)
+		if err := a.Rebuild(0, 100, 1, nil); err == nil {
+			t.Fatalf("%s: rebuild of healthy member accepted", c.name)
+		}
+		if err := a.FailMember(0); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.Rebuild(-1, 100, 1, nil); err == nil {
+			t.Fatalf("%s: negative member accepted", c.name)
+		}
+		if err := a.Rebuild(0, 0, 1, nil); err == nil {
+			t.Fatalf("%s: zero chunk accepted", c.name)
+		}
+		if err := a.Rebuild(0, 100, 0, nil); err == nil {
+			t.Fatalf("%s: zero depth accepted", c.name)
+		}
 	}
 }
 
+// TestRebuildCopiesFullExtentAndRestores runs one rebuild on each
+// coupling: both sweep the whole member extent with the same I/O and
+// return the member to service.
 func TestRebuildCopiesFullExtentAndRestores(t *testing.T) {
 	r5, _ := NewRAID5(4, 1000, 10)
-	eng, a, disks := fakeArray(t, r5, nil)
+	for _, c := range couplings {
+		run, a, disks := c.build(t, r5)
+		if err := a.FailMember(1); err != nil {
+			t.Fatal(err)
+		}
+		var copied int64
+		run.At(0, func() {
+			if err := a.Rebuild(1, 100, 2, func(n int64) { copied = n }); err != nil {
+				t.Errorf("%s: Rebuild: %v", c.name, err)
+			}
+		})
+		run.Run()
+		if copied != r5.MemberExtent() {
+			t.Fatalf("%s: copied %d sectors, want the full %d-sector extent", c.name, copied, r5.MemberExtent())
+		}
+		if a.Degraded() {
+			t.Fatalf("%s: array still degraded after rebuild", c.name)
+		}
+		// 10 chunks: each chunk writes once to the replacement and reads
+		// once from each of the three survivors.
+		if w := writesTo(disks[1]); w != 10 {
+			t.Fatalf("%s: replacement received %d writes, want 10", c.name, w)
+		}
+		if r := len(disks[0].ops) + len(disks[2].ops) + len(disks[3].ops); r != 30 {
+			t.Fatalf("%s: survivors serviced %d reads, want 30", c.name, r)
+		}
+	}
+}
+
+// TestPartitionedRebuildMatchesArray checks the cross-LP rebuild sweeps
+// exactly what the direct coupling sweeps for the same layout: the same
+// copied-sector count and, member by member, the same set of chunk
+// reads and writes, with the member back in service on both.
+func TestPartitionedRebuildMatchesArray(t *testing.T) {
+	r5, err := NewRAID5(4, 1000, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, a, arrDisks := fakeArray(t, r5, nil)
 	if err := a.FailMember(1); err != nil {
 		t.Fatal(err)
 	}
-	var copied int64
+	var arrCopied int64
 	eng.At(0, func() {
-		if err := a.Rebuild(1, 100, 2, func(n int64) { copied = n }); err != nil {
-			t.Errorf("Rebuild: %v", err)
+		if err := a.Rebuild(1, 100, 2, func(n int64) { arrCopied = n }); err != nil {
+			t.Errorf("direct Rebuild: %v", err)
 		}
 	})
 	eng.Run()
-	if copied != 1000 {
-		t.Fatalf("copied %d sectors, want the full 1000-sector extent", copied)
+
+	pe, p, partDisks := linkedArray(t, r5, 1)
+	if err := p.FailMember(1); err != nil {
+		t.Fatal(err)
 	}
-	if a.Degraded() {
-		t.Fatalf("array still degraded after rebuild")
-	}
-	// 10 chunks: each chunk writes once to the replacement and reads once
-	// from each of the three survivors.
-	writes := 0
-	for _, op := range disks[1].ops {
-		if !op.Read {
-			writes++
+	var partCopied int64
+	pe.LP(0).At(0, func() {
+		if err := p.Rebuild(1, 100, 2, func(n int64) { partCopied = n }); err != nil {
+			t.Errorf("linked Rebuild: %v", err)
 		}
+	})
+	pe.Run()
+
+	if arrCopied != r5.MemberExtent() || partCopied != arrCopied {
+		t.Fatalf("copied direct=%d linked=%d, want both the %d-sector extent",
+			arrCopied, partCopied, r5.MemberExtent())
 	}
-	if writes != 10 {
-		t.Fatalf("replacement received %d writes, want 10", writes)
+	if a.Degraded() || p.Degraded() {
+		t.Fatalf("degraded after rebuild: direct=%v linked=%v", a.Degraded(), p.Degraded())
 	}
-	survivorReads := len(disks[0].ops) + len(disks[2].ops) + len(disks[3].ops)
-	if survivorReads != 30 {
-		t.Fatalf("survivors serviced %d reads, want 30", survivorReads)
+	for i := range arrDisks {
+		want, got := sortedOps(arrDisks[i].ops), sortedOps(partDisks[i].ops)
+		if len(got) != len(want) {
+			t.Fatalf("member %d: linked rebuild issued %d ops, direct %d", i, len(got), len(want))
+		}
+		for k := range want {
+			if got[k] != want[k] {
+				t.Fatalf("member %d op %d: linked %+v, direct %+v", i, k, got[k], want[k])
+			}
+		}
 	}
 }
 
-func TestRebuildDepthBoundsConcurrency(t *testing.T) {
-	// With depth 1, chunks serialize: total time = chunks × (read+write).
-	r1, _ := NewRAID1(2, 400)
-	eng, a, _ := fakeArray(t, r1, []float64{1, 1})
-	if err := a.FailMember(0); err != nil {
-		t.Fatal(err)
-	}
-	var doneAt float64
-	eng.At(0, func() {
-		if err := a.Rebuild(0, 100, 1, func(int64) { doneAt = eng.Now() }); err != nil {
-			t.Errorf("Rebuild: %v", err)
+// sortedOps returns a member's ops ordered by LBA, then reads first.
+func sortedOps(ops []trace.Request) []trace.Request {
+	s := append([]trace.Request(nil), ops...)
+	sort.Slice(s, func(i, j int) bool {
+		if s[i].LBA != s[j].LBA {
+			return s[i].LBA < s[j].LBA
 		}
+		return s[i].Read && !s[j].Read
 	})
-	eng.Run()
-	// 4 chunks × (1 ms read + 1 ms write) = 8 ms, serialized.
-	if doneAt != 8 {
-		t.Fatalf("depth-1 rebuild finished at %v, want 8", doneAt)
-	}
+	return s
+}
 
-	// With depth 4 everything overlaps on the idle fakes: 2 ms.
-	eng2, a2, _ := fakeArray(t, r1, []float64{1, 1})
-	if err := a2.FailMember(0); err != nil {
-		t.Fatal(err)
-	}
-	var doneAt2 float64
-	eng2.At(0, func() {
-		if err := a2.Rebuild(0, 100, 4, func(int64) { doneAt2 = eng2.Now() }); err != nil {
-			t.Errorf("Rebuild: %v", err)
+// writesTo counts the writes a member received.
+func writesTo(d *fakeDisk) int {
+	n := 0
+	for _, op := range d.ops {
+		if !op.Read {
+			n++
 		}
-	})
-	eng2.Run()
-	if doneAt2 != 2 {
-		t.Fatalf("depth-4 rebuild finished at %v, want 2", doneAt2)
+	}
+	return n
+}
+
+func TestRebuildDepthBoundsConcurrency(t *testing.T) {
+	r1, _ := NewRAID1(2, 400)
+	// With depth 1, chunks serialize: 4 chunks × (1 ms read + 1 ms
+	// write) = 8 ms. With depth 4 everything overlaps on the idle
+	// fakes: 2 ms.
+	for depth, want := range map[int]float64{1: 8, 4: 2} {
+		eng, a, _ := fakeArray(t, r1, []float64{1, 1})
+		if err := a.FailMember(0); err != nil {
+			t.Fatal(err)
+		}
+		var doneAt float64
+		eng.At(0, func() {
+			if err := a.Rebuild(0, 100, depth, func(int64) { doneAt = eng.Now() }); err != nil {
+				t.Errorf("Rebuild: %v", err)
+			}
+		})
+		eng.Run()
+		if doneAt != want {
+			t.Fatalf("depth-%d rebuild finished at %v, want %v", depth, doneAt, want)
+		}
 	}
 }
 
@@ -186,14 +250,8 @@ func TestRebuildCompletesWhenReconstructNeedsNoReads(t *testing.T) {
 	if got := len(disks[0].ops); got != 0 {
 		t.Fatalf("survivor serviced %d reads, want 0 from a derive-only layout", got)
 	}
-	writes := 0
-	for _, op := range disks[1].ops {
-		if !op.Read {
-			writes++
-		}
-	}
-	if writes != 4 {
-		t.Fatalf("replacement received %d writes, want 4 chunks", writes)
+	if w := writesTo(disks[1]); w != 4 {
+		t.Fatalf("replacement received %d writes, want 4 chunks", w)
 	}
 }
 
