@@ -157,34 +157,93 @@ func (r *Run) ResponseCDF() []float64 { return r.Resp.ResponseCDF() }
 // queue holds one pending arrival instead of the whole trace. At paper
 // scale (4-6M requests per workload) this is what keeps a parallel
 // fan-out's memory flat: jobs stream straight from a trace.Generator and
-// never materialize multi-million-entry traces or event queues.
+// never materialize multi-million-entry traces or event queues. Each
+// request in flight holds a pooled completion record, so the replay
+// itself allocates nothing per request.
 //
 // A stream that terminates with an error (an ingestion parse failure,
 // an unroutable remap — see trace.Err) stops chaining arrivals; the
 // simulation drains what was already submitted and the error is
 // returned alongside the partial sample.
 func ReplayStream(eng simkit.Runner, dev device.Device, s trace.Stream) (*stats.Sample, error) {
-	resp := &stats.Sample{}
+	// Background never cancels: the batch only spaces no-op polls.
+	return replayStreamCtx(context.Background(), eng, dev, s, whatIfCancelBatch)
+}
+
+// replayStreamCtx is ReplayStream with a cancellation hook: every
+// batch arrivals it polls ctx and, when canceled, stops chaining new
+// arrivals so the engine drains only the in-flight tail and returns
+// ctx's error with no sample. The successful path schedules exactly
+// the events it would without the hook — the check can only abort a
+// run, never perturb it.
+func replayStreamCtx(ctx context.Context, eng simkit.Runner, dev device.Device, s trace.Stream, batch int) (*stats.Sample, error) {
+	rp := &replay{resp: &stats.Sample{}}
 	cur, ok := s.Next()
 	if !ok {
 		eng.Run()
-		return resp, trace.Err(s)
+		return rp.resp, trace.Err(s)
 	}
+	scheduled := 0
+	var cancelErr error
 	var fire simkit.Event
 	fire = func() {
 		r := cur
+		scheduled++
+		if scheduled%batch == 0 {
+			if err := ctx.Err(); err != nil {
+				cancelErr = err
+				return // stop chaining; the queued tail drains and Run returns
+			}
+		}
 		// Chain the next arrival before submitting, so same-instant
 		// arrivals keep their generation order ahead of service events.
 		if nxt, more := s.Next(); more {
 			cur = nxt
 			eng.At(nxt.ArrivalMs, fire)
 		}
-		arrival := r.ArrivalMs
-		dev.Submit(r, func(at float64) { resp.Add(at - arrival) })
+		c := rp.record()
+		c.arrivalMs = r.ArrivalMs
+		dev.Submit(r, c.complete)
 	}
 	eng.At(cur.ArrivalMs, fire)
 	eng.Run()
-	return resp, trace.Err(s)
+	if cancelErr != nil {
+		return nil, cancelErr
+	}
+	return rp.resp, trace.Err(s)
+}
+
+// replay is one replay's response sample and its free list of
+// completion records, so requests in flight cost no allocation each.
+type replay struct {
+	resp *stats.Sample
+	free []*completion
+}
+
+// completion is one request in flight: its arrival time and the done
+// callback handed to the device, bound once when the record is built.
+type completion struct {
+	rp        *replay
+	arrivalMs float64
+	complete  device.Done // c.finish, bound once
+}
+
+// record takes a completion record off the free list, or builds one.
+func (rp *replay) record() *completion {
+	if n := len(rp.free); n > 0 {
+		c := rp.free[n-1]
+		rp.free = rp.free[:n-1]
+		return c
+	}
+	c := &completion{rp: rp}
+	c.complete = c.finish
+	return c
+}
+
+// finish records the response time and returns c to the free list.
+func (c *completion) finish(at float64) {
+	c.rp.resp.Add(at - c.arrivalMs)
+	c.rp.free = append(c.rp.free, c)
 }
 
 // MDDriveModel returns the member-drive model of a workload's original

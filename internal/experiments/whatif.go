@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/device"
 	"repro/internal/disk"
 	"repro/internal/fault"
 	"repro/internal/fleet"
@@ -268,48 +267,4 @@ func WhatIfJobs(q WhatIfQuery, ob Observe) []fleet.Job[*WhatIfRun] {
 		}
 	}
 	return jobs
-}
-
-// replayStreamCtx is ReplayStream with a cancellation hook: every
-// batch arrivals it polls ctx and, when canceled, stops chaining new
-// arrivals so the engine drains only the in-flight tail. The successful
-// path schedules exactly the events ReplayStream would — the check can
-// only abort a run, never perturb it.
-func replayStreamCtx(ctx context.Context, eng simkit.Runner, dev device.Device, s trace.Stream, batch int) (*stats.Sample, error) {
-	resp := &stats.Sample{}
-	cur, ok := s.Next()
-	if !ok {
-		eng.Run()
-		return resp, trace.Err(s)
-	}
-	scheduled := 0
-	var cancelErr error
-	var fire simkit.Event
-	fire = func() {
-		r := cur
-		scheduled++
-		if scheduled%batch == 0 {
-			if err := ctx.Err(); err != nil {
-				cancelErr = err
-				return // stop chaining; the queued tail drains and Run returns
-			}
-		}
-		// Chain the next arrival before submitting, so same-instant
-		// arrivals keep their generation order ahead of service events.
-		if nxt, more := s.Next(); more {
-			cur = nxt
-			eng.At(nxt.ArrivalMs, fire)
-		}
-		arrival := r.ArrivalMs
-		dev.Submit(r, func(at float64) { resp.Add(at - arrival) })
-	}
-	eng.At(cur.ArrivalMs, fire)
-	eng.Run()
-	if cancelErr != nil {
-		return nil, cancelErr
-	}
-	if err := trace.Err(s); err != nil {
-		return nil, err
-	}
-	return resp, nil
 }

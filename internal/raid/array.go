@@ -33,6 +33,30 @@ type Array struct {
 	submitted     uint64
 	completed     uint64
 	reconstructed uint64
+
+	// free holds finished request records for reuse, so a steady
+	// stream of requests plans and completes without allocating.
+	free []*request
+}
+
+// request is one array request in flight: its plan, the degraded
+// rewrite of the current phase, and the phase loop's state. The
+// member-completion callback is built once, when the record is, and
+// every op of every phase reports through it. Records are controller
+// state and return to the array's free list when the request finishes.
+type request struct {
+	a        *Array
+	plan     Plan
+	degraded []Op // scratch for degradedOps
+	phase    int
+	// outstanding counts the current phase's ops not yet back.
+	outstanding int
+	// lastDone is the latest member-completion time seen so far, so
+	// the request's completion time is correct even when a later
+	// phase's ops are all dropped by failure handling.
+	lastDone float64
+	done     device.Done
+	opDone   device.Done // q.finishOp, bound once
 }
 
 var (
@@ -126,28 +150,26 @@ func (a *Array) Degraded() bool {
 // Reconstructed reports how many reads were served by reconstruction.
 func (a *Array) Reconstructed() uint64 { return a.reconstructed }
 
-// degradedOps rewrites one phase's ops for the current failure state:
-// reads aimed at a failed member expand into reconstruction reads,
-// writes aimed at it are dropped (redundancy flows through the plan's
-// surviving writes).
-func (a *Array) degradedOps(ops []Op) ([]Op, error) {
-	var out []Op
+// degradedOps appends to dst one phase's ops rewritten for the current
+// failure state: reads aimed at a failed member expand into
+// reconstruction reads, writes aimed at it are dropped (redundancy
+// flows through the plan's surviving writes).
+func (a *Array) degradedOps(dst, ops []Op) ([]Op, error) {
 	for _, op := range ops {
 		if !a.failed[op.Dev] {
-			out = append(out, op)
+			dst = append(dst, op)
 			continue
 		}
 		if !op.Read {
 			continue
 		}
-		rec, err := a.layout.(Reconstructor).Reconstruct(op, op.Dev)
-		if err != nil {
-			return nil, err
+		var err error
+		if dst, err = a.layout.(Reconstructor).Reconstruct(dst, op, op.Dev); err != nil {
+			return dst, err
 		}
 		a.reconstructed++
-		out = append(out, rec...)
 	}
-	return out, nil
+	return dst, nil
 }
 
 // Layout returns the array's layout.
@@ -175,53 +197,77 @@ func (a *Array) Power(elapsedMs float64) power.Breakdown {
 // Submit expands the request through the layout and issues the member
 // operations, phase by phase. The request completes when the last
 // operation of the last phase completes. Requests outside the array's
-// logical space panic, matching the drive models' contract. On a
-// linked array, call it from a controller-LP event, which is where
-// replay drivers attached to eng.LP(0) run.
+// logical space, or with no sectors, panic, matching the drive models'
+// contract. On a linked array, call it from a controller-LP event,
+// which is where replay drivers attached to eng.LP(0) run.
 func (a *Array) Submit(r trace.Request, done device.Done) {
-	plan, err := a.layout.Plan(r)
-	if err != nil {
+	q := a.record()
+	if err := a.layout.Plan(&q.plan, r); err != nil {
 		panic(err)
 	}
 	a.submitted++
-	a.runPhase(plan, 0, 0, done)
+	q.phase, q.lastDone, q.done = 0, 0, done
+	q.runPhase()
 }
 
-// runPhase issues one phase and chains to the next on completion.
-// lastDone carries the latest member-completion time seen so far, so the
-// request's completion time is correct even when a later phase's ops are
-// all dropped by failure handling. All closure state (outstanding,
-// lastDone) is controller state.
-func (a *Array) runPhase(plan Plan, phase int, lastDone float64, done device.Done) {
-	if phase >= len(plan.Phases) {
-		a.completed++
-		if done != nil {
-			done(lastDone)
+// record takes a request record off the free list, or builds one.
+func (a *Array) record() *request {
+	if n := len(a.free); n > 0 {
+		q := a.free[n-1]
+		a.free = a.free[:n-1]
+		return q
+	}
+	q := &request{a: a}
+	q.opDone = q.finishOp
+	return q
+}
+
+// runPhase issues the current phase, skipping phases whose ops failure
+// handling dropped entirely; finishOp brings it back for the next one.
+// After the last phase the record returns to the free list before done
+// runs, so a done that submits again can reuse it: nothing reads the
+// record after that point.
+func (q *request) runPhase() {
+	a := q.a
+	for ; q.phase < len(q.plan.Phases); q.phase++ {
+		ops := q.plan.Phases[q.phase]
+		if a.Degraded() {
+			var err error
+			if q.degraded, err = a.degradedOps(q.degraded[:0], ops); err != nil {
+				panic(err)
+			}
+			ops = q.degraded
+		}
+		if len(ops) == 0 {
+			continue
+		}
+		// A member that completes synchronously re-enters runPhase from
+		// the last op's issueOp, which may rewrite q.degraded or reuse
+		// q; the range has read its last op by then.
+		q.outstanding = len(ops)
+		for _, op := range ops {
+			a.issueOp(op, q.opDone)
 		}
 		return
 	}
-	ops := plan.Phases[phase]
-	if a.Degraded() {
-		var err error
-		if ops, err = a.degradedOps(ops); err != nil {
-			panic(err)
-		}
+	a.completed++
+	done, lastDone := q.done, q.lastDone
+	q.done = nil
+	a.free = append(a.free, q)
+	if done != nil {
+		done(lastDone)
 	}
-	if len(ops) == 0 {
-		a.runPhase(plan, phase+1, lastDone, done)
-		return
+}
+
+// finishOp is the member-completion callback of every op of q.
+func (q *request) finishOp(at float64) {
+	if at > q.lastDone {
+		q.lastDone = at
 	}
-	outstanding := len(ops)
-	for _, op := range ops {
-		a.issueOp(op, func(at float64) {
-			if at > lastDone {
-				lastDone = at
-			}
-			outstanding--
-			if outstanding == 0 {
-				a.runPhase(plan, phase+1, lastDone, done)
-			}
-		})
+	q.outstanding--
+	if q.outstanding == 0 {
+		q.phase++
+		q.runPhase()
 	}
 }
 

@@ -20,17 +20,16 @@ import (
 // the runPhase lastDone carry exists for.
 type journaled struct{ Layout }
 
-func (j journaled) Plan(r trace.Request) (Plan, error) {
-	p, err := j.Layout.Plan(r)
-	if err != nil {
-		return p, err
+func (j journaled) Plan(dst *Plan, r trace.Request) error {
+	if err := j.Layout.Plan(dst, r); err != nil {
+		return err
 	}
-	p.Phases = append(p.Phases, []Op{{Dev: 0, Sectors: 1}})
-	return p, nil
+	dst.Phases = append(dst.Phases, []Op{{Dev: 0, Sectors: 1}})
+	return nil
 }
 
-func (j journaled) Reconstruct(op Op, failed int) ([]Op, error) {
-	return j.Layout.(Reconstructor).Reconstruct(op, failed)
+func (j journaled) Reconstruct(dst []Op, op Op, failed int) ([]Op, error) {
+	return j.Layout.(Reconstructor).Reconstruct(dst, op, failed)
 }
 
 func (j journaled) MemberExtent() int64 { return j.Layout.(MemberSizer).MemberExtent() }
@@ -178,6 +177,130 @@ func TestDirectCouplingMatchesReference(t *testing.T) {
 	}
 }
 
+// syncDisk completes every op inside Submit, before returning, at a
+// time that depends on the op, and logs the ops it served.
+type syncDisk struct {
+	s   simkit.Scheduler
+	ops []trace.Request
+}
+
+func (d *syncDisk) Submit(r trace.Request, done device.Done) {
+	d.ops = append(d.ops, r)
+	if done != nil {
+		done(d.s.Now() + 2 + float64(r.LBA%17)*0.25 + float64(r.Sectors)*0.05)
+	}
+}
+
+func (d *syncDisk) Power(float64) (b power.Breakdown) { return b }
+
+func (d *syncDisk) Capacity() int64 { return 1 << 40 }
+
+// TestArraySynchronousCompletion drives arrays whose members complete
+// inside Submit, with each request's done submitting the next one: the
+// whole stream runs re-entrantly on one call stack, so a finished
+// request record is reused while the frames of its phase loop are still
+// live. Over RAID-5 two-phase writes, degraded reads (with and without
+// a journal phase that a dead member 0 empties) and RAID-1/10, Array
+// must match refArray bit for bit on every completion time, and every
+// member must have served the same ops in the same order — which fails
+// if a reused record's new plan overwrote ops a phase loop had yet to
+// issue.
+func TestArraySynchronousCompletion(t *testing.T) {
+	const memberSectors = 1 << 14
+	cases := []struct {
+		name    string
+		dead    int // -1: healthy
+		journal bool
+		layout  func() (Layout, error)
+	}{
+		{"raid5", -1, false, func() (Layout, error) { return NewRAID5(4, memberSectors, 64) }},
+		{"raid5-degraded", 2, false, func() (Layout, error) { return NewRAID5(4, memberSectors, 64) }},
+		{"raid5-journal-dead0", 0, true, func() (Layout, error) { return NewRAID5(5, memberSectors, 64) }},
+		{"raid1-degraded", 1, false, func() (Layout, error) { return NewRAID1(3, memberSectors) }},
+		{"raid10-degraded", 3, false, func() (Layout, error) { return NewRAID10(4, memberSectors, 64) }},
+	}
+	for ci, c := range cases {
+		layout := func() Layout {
+			l, err := c.layout()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.journal {
+				return journaled{l}
+			}
+			return l
+		}
+		tr := partTrace(int64(70+ci), 400, layout().Capacity())
+		type result struct {
+			done []uint64
+			ops  [][]trace.Request
+			snap []byte
+		}
+		run := func(build func(Layout, []device.Device) diffArray) result {
+			eng := simkit.New()
+			disks := make([]*syncDisk, layout().Members())
+			members := make([]device.Device, len(disks))
+			for i := range disks {
+				disks[i] = &syncDisk{s: eng}
+				members[i] = disks[i]
+			}
+			arr := build(layout(), members)
+			if c.dead >= 0 {
+				if err := arr.FailMember(c.dead); err != nil {
+					t.Fatal(err)
+				}
+			}
+			res := result{done: make([]uint64, len(tr))}
+			var submit func(i int)
+			submit = func(i int) {
+				if i == len(tr) {
+					return
+				}
+				arr.Submit(tr[i], func(at float64) {
+					res.done[i] = math.Float64bits(at)
+					submit(i + 1)
+				})
+			}
+			eng.At(0, func() { submit(0) })
+			eng.Run()
+			for _, d := range disks {
+				res.ops = append(res.ops, d.ops)
+			}
+			js, err := obs.MarshalSnapshot(arr.Snapshot())
+			if err != nil {
+				t.Fatal(err)
+			}
+			res.snap = js
+			return res
+		}
+		want := run(func(l Layout, m []device.Device) diffArray {
+			return &refArray{layout: l, members: m, failed: make([]bool, len(m))}
+		})
+		got := run(func(l Layout, m []device.Device) diffArray {
+			a, err := NewArray(l, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return a
+		})
+		for i := range want.done {
+			if got.done[i] != want.done[i] {
+				t.Fatalf("%s: request %d completed at %g, want %g", c.name, i,
+					math.Float64frombits(got.done[i]), math.Float64frombits(want.done[i]))
+			}
+		}
+		for d := range want.ops {
+			if fmt.Sprint(got.ops[d]) != fmt.Sprint(want.ops[d]) {
+				t.Fatalf("%s: member %d served %d ops %v\nwant %d ops %v", c.name, d,
+					len(got.ops[d]), got.ops[d], len(want.ops[d]), want.ops[d])
+			}
+		}
+		if !bytes.Equal(got.snap, want.snap) {
+			t.Fatalf("%s: snapshots diverge:\ngot:  %s\nwant: %s", c.name, got.snap, want.snap)
+		}
+	}
+}
+
 // refArray is a verbatim copy of the direct-call Array's request,
 // degraded and rebuild paths from before the couplings were folded
 // into one type; TestDirectCouplingMatchesReference pins Array to it.
@@ -220,7 +343,7 @@ func refDegradedOps(layout Layout, failed []bool, ops []Op) ([]Op, uint64, error
 		if !op.Read {
 			continue
 		}
-		rec, err := layout.(Reconstructor).Reconstruct(op, op.Dev)
+		rec, err := layout.(Reconstructor).Reconstruct(nil, op, op.Dev)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -243,8 +366,8 @@ func (a *refArray) effectiveOps(ops []Op) ([]Op, error) {
 }
 
 func (a *refArray) Submit(r trace.Request, done device.Done) {
-	plan, err := a.layout.Plan(r)
-	if err != nil {
+	var plan Plan
+	if err := a.layout.Plan(&plan, r); err != nil {
 		panic(err)
 	}
 	a.submitted++
@@ -358,7 +481,7 @@ func (a *refArray) Rebuild(dev int, chunkSectors int64, depth int, onDone func(c
 			cursor += n
 			inflight++
 
-			ops, err := rec.Reconstruct(Op{Dev: dev, LBA: start, Sectors: int(n), Read: true}, dev)
+			ops, err := rec.Reconstruct(nil, Op{Dev: dev, LBA: start, Sectors: int(n), Read: true}, dev)
 			if err != nil {
 				panic(err)
 			}

@@ -21,16 +21,49 @@ type Op struct {
 // Plan is the set of member operations an array request expands to.
 // Phases execute sequentially: every op of phase i completes before any
 // op of phase i+1 starts (RAID-5 read-modify-write needs two phases).
+//
+// A Plan is scratch space: Layout.Plan overwrites it, keeping the
+// storage of earlier plans, so an array that reuses one Plan per
+// in-flight request plans without allocating. The backing arrays of
+// Phases belong to the Plan; a layout must not store in it a slice it
+// keeps elsewhere.
 type Plan struct {
 	Phases [][]Op
+}
+
+// begin empties p and opens n empty phases, reusing p's storage.
+func (p *Plan) begin(n int) {
+	if n > cap(p.Phases) {
+		p.Phases = append(p.Phases[:cap(p.Phases)], make([][]Op, n-cap(p.Phases))...)
+	}
+	p.Phases = p.Phases[:n]
+	for i := range p.Phases {
+		p.Phases[i] = p.Phases[i][:0]
+	}
+}
+
+// add appends op to phase i.
+func (p *Plan) add(i int, op Op) { p.Phases[i] = append(p.Phases[i], op) }
+
+// checkSpan rejects an empty or negative request and one that falls
+// outside a layout of total sectors; kind names the layout.
+func checkSpan(kind string, r trace.Request, total int64) error {
+	if r.Sectors <= 0 {
+		return fmt.Errorf("raid: request Sectors %d must be positive", r.Sectors)
+	}
+	if r.LBA < 0 || r.End() > total {
+		return fmt.Errorf("raid: request [%d,%d) outside %s of %d", r.LBA, r.End(), kind, total)
+	}
+	return nil
 }
 
 // Reconstructor is implemented by layouts with enough redundancy to
 // service reads aimed at a failed member from the surviving disks.
 type Reconstructor interface {
-	// Reconstruct expands a read op that targets the failed member into
-	// the surviving-member reads needed to rebuild its data.
-	Reconstruct(op Op, failed int) ([]Op, error)
+	// Reconstruct appends to dst the surviving-member reads needed to
+	// rebuild the data of a read op that targets the failed member,
+	// and returns the extended slice.
+	Reconstruct(dst []Op, op Op, failed int) ([]Op, error)
 }
 
 // Layout maps array-level requests to member-disk operations.
@@ -41,9 +74,11 @@ type Layout interface {
 	Members() int
 	// Capacity reports the array's logical size in sectors.
 	Capacity() int64
-	// Plan expands one array request. It returns an error when the
-	// request falls outside the array's logical space.
-	Plan(r trace.Request) (Plan, error)
+	// Plan expands one array request into dst, replacing what dst
+	// held and reusing its storage. It returns an error when the
+	// request is empty (Sectors <= 0) or falls outside the array's
+	// logical space.
+	Plan(dst *Plan, r trace.Request) error
 }
 
 // ---------------------------------------------------------------------
@@ -89,11 +124,11 @@ func (j *JBOD) Capacity() int64 { return j.total }
 func (j *JBOD) Offsets() []int64 { return append([]int64(nil), j.offsets...) }
 
 // Plan implements Layout, splitting requests at member boundaries.
-func (j *JBOD) Plan(r trace.Request) (Plan, error) {
-	if r.LBA < 0 || r.End() > j.total {
-		return Plan{}, fmt.Errorf("raid: request [%d,%d) outside JBOD of %d", r.LBA, r.End(), j.total)
+func (j *JBOD) Plan(dst *Plan, r trace.Request) error {
+	if err := checkSpan("JBOD", r, j.total); err != nil {
+		return err
 	}
-	var ops []Op
+	dst.begin(1)
 	lba := r.LBA
 	remaining := r.Sectors
 	for remaining > 0 {
@@ -106,11 +141,11 @@ func (j *JBOD) Plan(r trace.Request) (Plan, error) {
 		if chunk > int64(remaining) {
 			chunk = int64(remaining)
 		}
-		ops = append(ops, Op{Dev: dev, LBA: within, Sectors: int(chunk), Read: r.Read})
+		dst.add(0, Op{Dev: dev, LBA: within, Sectors: int(chunk), Read: r.Read})
 		lba += chunk
 		remaining -= int(chunk)
 	}
-	return Plan{Phases: [][]Op{ops}}, nil
+	return nil
 }
 
 // ---------------------------------------------------------------------
@@ -160,11 +195,11 @@ func (r0 *RAID0) Members() int { return r0.members }
 func (r0 *RAID0) Capacity() int64 { return r0.total }
 
 // Plan implements Layout.
-func (r0 *RAID0) Plan(r trace.Request) (Plan, error) {
-	if r.LBA < 0 || r.End() > r0.total {
-		return Plan{}, fmt.Errorf("raid: request [%d,%d) outside RAID0 of %d", r.LBA, r.End(), r0.total)
+func (r0 *RAID0) Plan(dst *Plan, r trace.Request) error {
+	if err := checkSpan("RAID0", r, r0.total); err != nil {
+		return err
 	}
-	var ops []Op
+	dst.begin(1)
 	lba := r.LBA
 	remaining := r.Sectors
 	for remaining > 0 {
@@ -176,11 +211,11 @@ func (r0 *RAID0) Plan(r trace.Request) (Plan, error) {
 		if chunk > int64(remaining) {
 			chunk = int64(remaining)
 		}
-		ops = append(ops, Op{Dev: dev, LBA: memberLBA, Sectors: int(chunk), Read: r.Read})
+		dst.add(0, Op{Dev: dev, LBA: memberLBA, Sectors: int(chunk), Read: r.Read})
 		lba += chunk
 		remaining -= int(chunk)
 	}
-	return Plan{Phases: [][]Op{ops}}, nil
+	return nil
 }
 
 // ---------------------------------------------------------------------
@@ -215,20 +250,21 @@ func (r1 *RAID1) Members() int { return r1.members }
 func (r1 *RAID1) Capacity() int64 { return r1.memberCap }
 
 // Plan implements Layout.
-func (r1 *RAID1) Plan(r trace.Request) (Plan, error) {
-	if r.LBA < 0 || r.End() > r1.memberCap {
-		return Plan{}, fmt.Errorf("raid: request [%d,%d) outside RAID1 of %d", r.LBA, r.End(), r1.memberCap)
+func (r1 *RAID1) Plan(dst *Plan, r trace.Request) error {
+	if err := checkSpan("RAID1", r, r1.memberCap); err != nil {
+		return err
 	}
+	dst.begin(1)
 	if r.Read {
 		dev := r1.next
 		r1.next = (r1.next + 1) % r1.members
-		return Plan{Phases: [][]Op{{{Dev: dev, LBA: r.LBA, Sectors: r.Sectors, Read: true}}}}, nil
+		dst.add(0, Op{Dev: dev, LBA: r.LBA, Sectors: r.Sectors, Read: true})
+		return nil
 	}
-	ops := make([]Op, r1.members)
-	for i := range ops {
-		ops[i] = Op{Dev: i, LBA: r.LBA, Sectors: r.Sectors, Read: false}
+	for i := 0; i < r1.members; i++ {
+		dst.add(0, Op{Dev: i, LBA: r.LBA, Sectors: r.Sectors, Read: false})
 	}
-	return Plan{Phases: [][]Op{ops}}, nil
+	return nil
 }
 
 // ---------------------------------------------------------------------
@@ -295,18 +331,18 @@ func (r5 *RAID5) locate(lba int64) (row int64, dev int, memberLBA int64) {
 func (r5 *RAID5) ParityDev(row int64) int { return int(row % int64(r5.members)) }
 
 // Plan implements Layout.
-func (r5 *RAID5) Plan(r trace.Request) (Plan, error) {
-	if r.LBA < 0 || r.End() > r5.total {
-		return Plan{}, fmt.Errorf("raid: request [%d,%d) outside RAID5 of %d", r.LBA, r.End(), r5.total)
+func (r5 *RAID5) Plan(dst *Plan, r trace.Request) error {
+	if err := checkSpan("RAID5", r, r5.total); err != nil {
+		return err
 	}
-	// Split into per-stripe-unit chunks first.
-	type chunk struct {
-		row       int64
-		dev       int
-		memberLBA int64
-		sectors   int
+	// A read is one phase of per-stripe-unit reads. A write is
+	// read-modify-write per stripe unit: read old data and old parity,
+	// then write new data and new parity.
+	if r.Read {
+		dst.begin(1)
+	} else {
+		dst.begin(2)
 	}
-	var chunks []chunk
 	lba := r.LBA
 	remaining := r.Sectors
 	for remaining > 0 {
@@ -316,63 +352,49 @@ func (r5 *RAID5) Plan(r trace.Request) (Plan, error) {
 		if n > int64(remaining) {
 			n = int64(remaining)
 		}
-		chunks = append(chunks, chunk{row: row, dev: dev, memberLBA: mlba, sectors: int(n)})
+		if r.Read {
+			dst.add(0, Op{Dev: dev, LBA: mlba, Sectors: int(n), Read: true})
+		} else {
+			p := r5.ParityDev(row)
+			dst.add(0, Op{Dev: dev, LBA: mlba, Sectors: int(n), Read: true})
+			dst.add(0, Op{Dev: p, LBA: mlba, Sectors: int(n), Read: true})
+			dst.add(1, Op{Dev: dev, LBA: mlba, Sectors: int(n), Read: false})
+			dst.add(1, Op{Dev: p, LBA: mlba, Sectors: int(n), Read: false})
+		}
 		lba += n
 		remaining -= int(n)
 	}
-	if r.Read {
-		ops := make([]Op, len(chunks))
-		for i, c := range chunks {
-			ops[i] = Op{Dev: c.dev, LBA: c.memberLBA, Sectors: c.sectors, Read: true}
-		}
-		return Plan{Phases: [][]Op{ops}}, nil
-	}
-	// Write: read-modify-write per chunk — read old data and old parity,
-	// then write new data and new parity.
-	var reads, writes []Op
-	for _, c := range chunks {
-		p := r5.ParityDev(c.row)
-		reads = append(reads,
-			Op{Dev: c.dev, LBA: c.memberLBA, Sectors: c.sectors, Read: true},
-			Op{Dev: p, LBA: c.memberLBA, Sectors: c.sectors, Read: true},
-		)
-		writes = append(writes,
-			Op{Dev: c.dev, LBA: c.memberLBA, Sectors: c.sectors, Read: false},
-			Op{Dev: p, LBA: c.memberLBA, Sectors: c.sectors, Read: false},
-		)
-	}
-	return Plan{Phases: [][]Op{reads, writes}}, nil
+	return nil
 }
 
 // Reconstruct implements Reconstructor for RAID-1: read the same blocks
 // from any surviving mirror.
-func (r1 *RAID1) Reconstruct(op Op, failed int) ([]Op, error) {
+func (r1 *RAID1) Reconstruct(dst []Op, op Op, failed int) ([]Op, error) {
 	if !op.Read {
-		return nil, fmt.Errorf("raid: reconstruct of a write")
+		return dst, fmt.Errorf("raid: reconstruct of a write")
 	}
 	for dev := 0; dev < r1.members; dev++ {
 		if dev != failed {
-			return []Op{{Dev: dev, LBA: op.LBA, Sectors: op.Sectors, Read: true}}, nil
+			return append(dst, Op{Dev: dev, LBA: op.LBA, Sectors: op.Sectors, Read: true}), nil
 		}
 	}
-	return nil, fmt.Errorf("raid: no surviving mirror")
+	return dst, fmt.Errorf("raid: no surviving mirror")
 }
 
 // Reconstruct implements Reconstructor for RAID-5: rebuild the failed
 // member's blocks by reading the same stripe extent from every survivor
 // and XORing (the XOR itself is free in simulation; the I/O is the cost).
-func (r5 *RAID5) Reconstruct(op Op, failed int) ([]Op, error) {
+func (r5 *RAID5) Reconstruct(dst []Op, op Op, failed int) ([]Op, error) {
 	if !op.Read {
-		return nil, fmt.Errorf("raid: reconstruct of a write")
+		return dst, fmt.Errorf("raid: reconstruct of a write")
 	}
-	ops := make([]Op, 0, r5.members-1)
 	for dev := 0; dev < r5.members; dev++ {
 		if dev == failed {
 			continue
 		}
-		ops = append(ops, Op{Dev: dev, LBA: op.LBA, Sectors: op.Sectors, Read: true})
+		dst = append(dst, Op{Dev: dev, LBA: op.LBA, Sectors: op.Sectors, Read: true})
 	}
-	return ops, nil
+	return dst, nil
 }
 
 // ---------------------------------------------------------------------
@@ -427,12 +449,12 @@ func (r *RAID10) Capacity() int64 { return r.total }
 func (r *RAID10) MemberExtent() int64 { return r.stripesPer * r.stripeUnit }
 
 // Plan implements Layout.
-func (r *RAID10) Plan(req trace.Request) (Plan, error) {
-	if req.LBA < 0 || req.End() > r.total {
-		return Plan{}, fmt.Errorf("raid: request [%d,%d) outside RAID10 of %d", req.LBA, req.End(), r.total)
+func (r *RAID10) Plan(dst *Plan, req trace.Request) error {
+	if err := checkSpan("RAID10", req, r.total); err != nil {
+		return err
 	}
 	pairs := r.members / 2
-	var ops []Op
+	dst.begin(1)
 	lba := req.LBA
 	remaining := req.Sectors
 	for remaining > 0 {
@@ -447,24 +469,22 @@ func (r *RAID10) Plan(req trace.Request) (Plan, error) {
 		if req.Read {
 			dev := pair*2 + r.next%2
 			r.next++
-			ops = append(ops, Op{Dev: dev, LBA: memberLBA, Sectors: int(chunk), Read: true})
+			dst.add(0, Op{Dev: dev, LBA: memberLBA, Sectors: int(chunk), Read: true})
 		} else {
-			ops = append(ops,
-				Op{Dev: pair * 2, LBA: memberLBA, Sectors: int(chunk), Read: false},
-				Op{Dev: pair*2 + 1, LBA: memberLBA, Sectors: int(chunk), Read: false},
-			)
+			dst.add(0, Op{Dev: pair * 2, LBA: memberLBA, Sectors: int(chunk), Read: false})
+			dst.add(0, Op{Dev: pair*2 + 1, LBA: memberLBA, Sectors: int(chunk), Read: false})
 		}
 		lba += chunk
 		remaining -= int(chunk)
 	}
-	return Plan{Phases: [][]Op{ops}}, nil
+	return nil
 }
 
 // Reconstruct implements Reconstructor: read from the mirror twin.
-func (r *RAID10) Reconstruct(op Op, failed int) ([]Op, error) {
+func (r *RAID10) Reconstruct(dst []Op, op Op, failed int) ([]Op, error) {
 	if !op.Read {
-		return nil, fmt.Errorf("raid: reconstruct of a write")
+		return dst, fmt.Errorf("raid: reconstruct of a write")
 	}
 	twin := failed ^ 1
-	return []Op{{Dev: twin, LBA: op.LBA, Sectors: op.Sectors, Read: true}}, nil
+	return append(dst, Op{Dev: twin, LBA: op.LBA, Sectors: op.Sectors, Read: true}), nil
 }

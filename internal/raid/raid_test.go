@@ -2,6 +2,7 @@ package raid
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -49,6 +50,13 @@ func (f *fakeDisk) Power(elapsedMs float64) power.Breakdown {
 }
 
 func (f *fakeDisk) Capacity() int64 { return f.capacity }
+
+// plan expands r through l into fresh storage.
+func plan(l Layout, r trace.Request) (Plan, error) {
+	var p Plan
+	err := l.Plan(&p, r)
+	return p, err
+}
 
 func fakeArray(t *testing.T, layout Layout, latencies []float64) (*simkit.Engine, *Array, []*fakeDisk) {
 	t.Helper()
@@ -99,7 +107,7 @@ func TestJBODOffsetsAndCapacity(t *testing.T) {
 
 func TestJBODPlanWithinOneMember(t *testing.T) {
 	j, _ := NewJBOD([]int64{100, 200})
-	p, err := j.Plan(trace.Request{LBA: 150, Sectors: 10, Read: true})
+	p, err := plan(j, trace.Request{LBA: 150, Sectors: 10, Read: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +122,7 @@ func TestJBODPlanWithinOneMember(t *testing.T) {
 
 func TestJBODPlanSpansBoundary(t *testing.T) {
 	j, _ := NewJBOD([]int64{100, 200})
-	p, err := j.Plan(trace.Request{LBA: 95, Sectors: 10, Read: false})
+	p, err := plan(j, trace.Request{LBA: 95, Sectors: 10, Read: false})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +140,7 @@ func TestJBODPlanSpansBoundary(t *testing.T) {
 
 func TestJBODPlanOutOfRange(t *testing.T) {
 	j, _ := NewJBOD([]int64{100})
-	if _, err := j.Plan(trace.Request{LBA: 95, Sectors: 10}); err == nil {
+	if _, err := plan(j, trace.Request{LBA: 95, Sectors: 10}); err == nil {
 		t.Fatalf("out-of-range plan accepted")
 	}
 }
@@ -167,7 +175,7 @@ func TestRAID0RoundRobinStripes(t *testing.T) {
 		dev int
 		lba int64
 	}{{0, 0}, {1, 0}, {2, 0}, {0, 10}} {
-		p, err := r0.Plan(trace.Request{LBA: int64(i) * 10, Sectors: 10, Read: true})
+		p, err := plan(r0, trace.Request{LBA: int64(i) * 10, Sectors: 10, Read: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,7 +196,7 @@ func TestRAID0OneMemberMapsWholeMember(t *testing.T) {
 	if r0.Capacity() != 1005 || r0.MemberExtent() != 1005 {
 		t.Fatalf("Capacity %d, MemberExtent %d; want 1005", r0.Capacity(), r0.MemberExtent())
 	}
-	p, err := r0.Plan(trace.Request{LBA: 995, Sectors: 10, Read: true})
+	p, err := plan(r0, trace.Request{LBA: 995, Sectors: 10, Read: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,14 +205,14 @@ func TestRAID0OneMemberMapsWholeMember(t *testing.T) {
 			t.Fatalf("op %+v not 1:1 within [995,1005)", op)
 		}
 	}
-	if _, err := r0.Plan(trace.Request{LBA: 1000, Sectors: 6, Read: true}); err == nil {
+	if _, err := plan(r0, trace.Request{LBA: 1000, Sectors: 6, Read: true}); err == nil {
 		t.Fatal("request past the member accepted")
 	}
 }
 
 func TestRAID0LargeRequestFansOut(t *testing.T) {
 	r0, _ := NewRAID0(4, 1000, 8)
-	p, err := r0.Plan(trace.Request{LBA: 4, Sectors: 28, Read: true})
+	p, err := plan(r0, trace.Request{LBA: 4, Sectors: 28, Read: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +242,7 @@ func TestPropertyRAID0PlanCoverage(t *testing.T) {
 			Sectors: 1 + rng.Intn(512),
 			Read:    true,
 		}
-		p, err := r0.Plan(req)
+		p, err := plan(r0, req)
 		if err != nil {
 			return false
 		}
@@ -259,12 +267,12 @@ func TestRAID1ReadsAlternateWritesMirror(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p1, _ := r1.Plan(trace.Request{LBA: 0, Sectors: 8, Read: true})
-	p2, _ := r1.Plan(trace.Request{LBA: 0, Sectors: 8, Read: true})
+	p1, _ := plan(r1, trace.Request{LBA: 0, Sectors: 8, Read: true})
+	p2, _ := plan(r1, trace.Request{LBA: 0, Sectors: 8, Read: true})
 	if p1.Phases[0][0].Dev == p2.Phases[0][0].Dev {
 		t.Fatalf("consecutive reads hit the same mirror")
 	}
-	w, _ := r1.Plan(trace.Request{LBA: 10, Sectors: 8, Read: false})
+	w, _ := plan(r1, trace.Request{LBA: 10, Sectors: 8, Read: false})
 	if len(w.Phases[0]) != 2 {
 		t.Fatalf("write fanned to %d mirrors", len(w.Phases[0]))
 	}
@@ -308,7 +316,7 @@ func TestRAID5ParityRotates(t *testing.T) {
 func TestRAID5ReadAvoidsParity(t *testing.T) {
 	r5, _ := NewRAID5(4, 1000, 10)
 	for lba := int64(0); lba < 300; lba += 10 {
-		p, err := r5.Plan(trace.Request{LBA: lba, Sectors: 10, Read: true})
+		p, err := plan(r5, trace.Request{LBA: lba, Sectors: 10, Read: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -322,7 +330,7 @@ func TestRAID5ReadAvoidsParity(t *testing.T) {
 
 func TestRAID5WriteIsReadModifyWrite(t *testing.T) {
 	r5, _ := NewRAID5(4, 1000, 10)
-	p, err := r5.Plan(trace.Request{LBA: 25, Sectors: 5, Read: false})
+	p, err := plan(r5, trace.Request{LBA: 25, Sectors: 5, Read: false})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,6 +452,48 @@ func TestArrayOutOfRangePanics(t *testing.T) {
 	eng.Run()
 }
 
+// TestPlanRejectsNonPositiveSectors: an empty or negative request has
+// no member operations to wait for, so planning it must fail rather
+// than hand the array an empty plan that "completes" at time 0 — a
+// negative response time for a request submitted later.
+func TestPlanRejectsNonPositiveSectors(t *testing.T) {
+	const memberSectors = 1 << 12
+	build := []func() (Layout, error){
+		func() (Layout, error) { return NewJBOD([]int64{memberSectors, memberSectors}) },
+		func() (Layout, error) { return NewRAID0(4, memberSectors, 16) },
+		func() (Layout, error) { return NewRAID1(2, memberSectors) },
+		func() (Layout, error) { return NewRAID5(4, memberSectors, 16) },
+		func() (Layout, error) { return NewRAID10(4, memberSectors, 16) },
+	}
+	for _, mk := range build {
+		l, err := mk()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sectors := range []int{0, -5} {
+			for _, read := range []bool{true, false} {
+				r := trace.Request{LBA: 32, Sectors: sectors, Read: read}
+				_, err := plan(l, r)
+				if err == nil || !strings.Contains(err.Error(), "Sectors") {
+					t.Errorf("%s: Plan(%+v) error %v, want one naming Sectors", l.Name(), r, err)
+				}
+			}
+		}
+		eng, a, _ := fakeArray(t, l, nil)
+		eng.At(50, func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: zero-sector array request did not panic", l.Name())
+				}
+			}()
+			a.Submit(trace.Request{LBA: 32, Sectors: 0, Read: true}, func(at float64) {
+				t.Errorf("%s: zero-sector request completed at %g", l.Name(), at)
+			})
+		})
+		eng.Run()
+	}
+}
+
 // --- RouteByDisk ---
 
 func TestRouteByDiskForwards(t *testing.T) {
@@ -521,7 +571,7 @@ func TestRAID10CapacityAndMapping(t *testing.T) {
 		t.Fatalf("MemberExtent = %d", r.MemberExtent())
 	}
 	// A write lands on both halves of one pair.
-	p, err := r.Plan(trace.Request{LBA: 0, Sectors: 10, Read: false})
+	p, err := plan(r, trace.Request{LBA: 0, Sectors: 10, Read: false})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -530,7 +580,7 @@ func TestRAID10CapacityAndMapping(t *testing.T) {
 		t.Fatalf("write ops %+v", ops)
 	}
 	// Stripe unit 1 maps to the second pair.
-	p2, _ := r.Plan(trace.Request{LBA: 10, Sectors: 10, Read: false})
+	p2, _ := plan(r, trace.Request{LBA: 10, Sectors: 10, Read: false})
 	if p2.Phases[0][0].Dev != 2 || p2.Phases[0][1].Dev != 3 {
 		t.Fatalf("second stripe ops %+v", p2.Phases[0])
 	}
@@ -538,8 +588,8 @@ func TestRAID10CapacityAndMapping(t *testing.T) {
 
 func TestRAID10ReadsAlternateWithinPair(t *testing.T) {
 	r, _ := NewRAID10(2, 1000, 10)
-	a, _ := r.Plan(trace.Request{LBA: 0, Sectors: 10, Read: true})
-	b, _ := r.Plan(trace.Request{LBA: 0, Sectors: 10, Read: true})
+	a, _ := plan(r, trace.Request{LBA: 0, Sectors: 10, Read: true})
+	b, _ := plan(r, trace.Request{LBA: 0, Sectors: 10, Read: true})
 	if a.Phases[0][0].Dev == b.Phases[0][0].Dev {
 		t.Fatalf("consecutive reads hit the same mirror half")
 	}

@@ -82,7 +82,7 @@ func (a *Array) Rebuild(dev int, chunkSectors int64, depth int, onDone func(copi
 			cursor += n
 			inflight++
 
-			ops, err := rec.Reconstruct(Op{Dev: dev, LBA: start, Sectors: int(n), Read: true}, dev)
+			ops, err := rec.Reconstruct(nil, Op{Dev: dev, LBA: start, Sectors: int(n), Read: true}, dev)
 			if err != nil {
 				panic(err) // layout contract violation: a simulator bug
 			}

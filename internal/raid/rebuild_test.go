@@ -185,13 +185,13 @@ type stubLayout struct {
 	extent  int64
 }
 
-func (s *stubLayout) Name() string                     { return "stub" }
-func (s *stubLayout) Members() int                     { return s.members }
-func (s *stubLayout) Capacity() int64                  { return s.extent }
-func (s *stubLayout) Plan(trace.Request) (Plan, error) { return Plan{}, nil }
-func (s *stubLayout) MemberExtent() int64              { return s.extent }
-func (s *stubLayout) Reconstruct(Op, int) ([]Op, error) {
-	return nil, nil
+func (s *stubLayout) Name() string                          { return "stub" }
+func (s *stubLayout) Members() int                          { return s.members }
+func (s *stubLayout) Capacity() int64                       { return s.extent }
+func (s *stubLayout) Plan(dst *Plan, _ trace.Request) error { dst.begin(0); return nil }
+func (s *stubLayout) MemberExtent() int64                   { return s.extent }
+func (s *stubLayout) Reconstruct(dst []Op, _ Op, _ int) ([]Op, error) {
+	return dst, nil
 }
 
 // Regression: a zero-sector member extent used to leave the rebuild
