@@ -172,7 +172,11 @@ func run(wl, replayFile, system string, requests, reorder int, seed int64, rpm f
 		if err != nil {
 			return err
 		}
-		if resp, err = experiments.ReplayStream(eng, md.Router, src); err != nil {
+		s, err := boundToMD(spec, src)
+		if err != nil {
+			return err
+		}
+		if resp, err = experiments.ReplayStream(eng, md.Router, s); err != nil {
 			return err
 		}
 		powerOf = func(e float64) string {
@@ -325,14 +329,35 @@ func run(wl, replayFile, system string, requests, reorder int, seed int64, rpm f
 	return nil
 }
 
+// boundToMD ends the workload stream with an error at the first
+// request that does not fit the workload's MD array — a disk index past
+// its members, or a block past a member's capacity — so a foreign trace
+// fails the run instead of panicking a drive or, after the HC-SD
+// migration, aliasing into the next member's region.
+func boundToMD(spec trace.WorkloadSpec, s trace.Stream) (trace.Stream, error) {
+	model, err := experiments.MDDriveModel(spec)
+	if err != nil {
+		return nil, err
+	}
+	probe, err := disk.New(simkit.New(), model, disk.Options{})
+	if err != nil {
+		return nil, err
+	}
+	return trace.BoundStream(s, spec.Disks, probe.Capacity()), nil
+}
+
 // hcsdRemap layers the MD→HC-SD address migration onto the workload
-// stream.
+// stream, once each request is known to fit its MD member.
 func hcsdRemap(spec trace.WorkloadSpec, s trace.Stream) (trace.Stream, error) {
 	offsets, err := experiments.HCSDOffsets(spec)
 	if err != nil {
 		return nil, err
 	}
-	return trace.RemapStream(s, offsets), nil
+	bounded, err := boundToMD(spec, s)
+	if err != nil {
+		return nil, err
+	}
+	return trace.RemapStream(bounded, offsets), nil
 }
 
 func hcsdModel(rpm float64) disk.Model {

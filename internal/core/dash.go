@@ -1,10 +1,10 @@
 // Package core implements the paper's contribution: intra-disk
 // parallelism. It provides the DASH taxonomy for naming design points in
-// the intra-disk parallelism space, and ParallelDrive, a multi-actuator
-// disk drive model implementing the paper's evaluated HC-SD-SA(n) design
-// (taxonomy point D1·An·S1·H1) along with the two relaxed variants the
-// technical report studies (multiple arms in motion, multiple channels)
-// and the graceful-degradation behavior of §8.
+// the intra-disk parallelism space, and ParallelDrive, the paper's
+// evaluated HC-SD-SA(n) design (taxonomy point D1·An·S1·H1) built on the
+// disk package's drive engine, which also models the two relaxed
+// variants the technical report studies (multiple arms in motion,
+// multiple channels) and the graceful-degradation behavior of §8.
 package core
 
 import (

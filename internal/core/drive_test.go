@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/disk"
+	"repro/internal/geom"
 	"repro/internal/power"
 	"repro/internal/sched"
 	"repro/internal/simkit"
@@ -155,42 +156,27 @@ func TestTaxonomyReported(t *testing.T) {
 	}
 }
 
-// The pivotal consistency test: with one actuator, the parallel drive is
-// behaviorally identical to the conventional drive implementation.
+// The pivotal consistency test: with one actuator, the DASH drive is
+// behaviorally identical to the pre-fold conventional drive (refDrive),
+// to the bit, in every configuration TestDiskDriveMatchesReference
+// covers: completion times, per-mode watts, spans, and the snapshot's
+// request and queue counts (its labels differ by design).
 func TestSA1EquivalentToConventionalDrive(t *testing.T) {
-	m := smallModel()
-
-	engA := simkit.New()
-	conv, err := disk.New(engA, m, disk.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	engB := simkit.New()
-	par, err := NewSA(engB, m, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	tr := randomTrace(11, 400, 10, conv.Capacity())
-	respConv := replay(engA, func(r trace.Request, f func(float64)) { conv.Submit(r, f) }, tr)
-	respPar := replay(engB, func(r trace.Request, f func(float64)) { par.Submit(r, f) }, tr)
-
-	for i := range respConv {
-		if math.Float64bits(respConv[i]) != math.Float64bits(respPar[i]) {
-			t.Fatalf("request %d: conventional %v ms vs SA(1) %v ms",
-				i, respConv[i], respPar[i])
-		}
-	}
-	if conv.Snapshot().CacheHits != par.Snapshot().CacheHits {
-		t.Fatalf("cache hits differ: %d vs %d", conv.Snapshot().CacheHits, par.Snapshot().CacheHits)
-	}
-	// Power accounting must agree too, to the bit: SA(1) carries the
-	// same actuator count and charges the same mode intervals.
-	bc := conv.Power(engA.Now())
-	bp := par.Power(engB.Now())
-	for _, mode := range power.Modes {
-		if math.Float64bits(bc.Watts[mode]) != math.Float64bits(bp.Watts[mode]) {
-			t.Fatalf("mode %v watts differ: %v vs %v", mode, bc.Watts[mode], bp.Watts[mode])
+	for _, v := range diffVariants() {
+		for _, sc := range diffScheds() {
+			sc := sc
+			opts := v.opts(t)
+			opts.Sched = &sc
+			probe, err := newRefDrive(simkit.New(), smallModel(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr := diffTrace(11, 400, 6, probe.Capacity())
+			want := playDiff(t, buildRef, opts, tr)
+			got := playDiff(t, buildSA1, opts, tr)
+			if err := diffCompare(got, want, false); err != nil {
+				t.Fatalf("%s/%v: %v", v.name, sc.Policy, err)
+			}
 		}
 	}
 }
@@ -419,24 +405,59 @@ func TestMultiChannelServesConcurrently(t *testing.T) {
 	}
 }
 
+// TestInitialPlacementUsed checks arm placement through service: with
+// every other arm deconfigured, a request on the remaining arm's
+// starting cylinder is served by that arm without a seek.
 func TestInitialPlacementUsed(t *testing.T) {
-	eng := simkit.New()
 	m := smallModel()
-	d, err := New(eng, m, Config{Actuators: 2, InitialCyls: []int{100, 1900}})
-	if err != nil {
-		t.Fatal(err)
+	firstSeek := func(cfg Config, keep, cyl int) (seekMs float64, byArm []uint64) {
+		t.Helper()
+		seekMs = -1
+		cfg.OnService = func(s, _, _ float64) { seekMs = s }
+		eng := simkit.New()
+		d, err := New(eng, m, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < cfg.Actuators; i++ {
+			if i != keep {
+				if err := d.FailArm(i); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		eng.At(0, func() {
+			d.Submit(trace.Request{LBA: lbaOnCyl(d.Geometry(), cyl), Sectors: 1, Read: true}, nil)
+		})
+		eng.Run()
+		return seekMs, d.ServicedByArm()
 	}
-	if d.arms[0].cyl != 100 || d.arms[1].cyl != 1900 {
-		t.Fatalf("initial placement not applied: %d, %d", d.arms[0].cyl, d.arms[1].cyl)
+	placed := Config{Actuators: 2, InitialCyls: []int{100, 1900}}
+	for arm, cyl := range placed.InitialCyls {
+		if seek, by := firstSeek(placed, arm, cyl); seek != 0 || by[arm] != 1 {
+			t.Fatalf("arm %d placed at cylinder %d: seek %v ms, services %v", arm, cyl, seek, by)
+		}
 	}
 	// Default placement starts every arm at cylinder 0.
-	d2, err := NewSA(eng, m, 4)
-	if err != nil {
-		t.Fatal(err)
+	def := Config{Actuators: 4}
+	for arm := 0; arm < def.Actuators; arm++ {
+		if seek, by := firstSeek(def, arm, 0); seek != 0 || by[arm] != 1 {
+			t.Fatalf("default arm %d: seek %v ms to cylinder 0, services %v", arm, seek, by)
+		}
+		if seek, _ := firstSeek(def, arm, 1000); seek <= 0 {
+			t.Fatalf("default arm %d: seek %v ms to cylinder 1000", arm, seek)
+		}
 	}
-	if d2.arms[0].cyl != 0 || d2.arms[2].cyl != 0 {
-		t.Fatalf("default placement wrong: %v %v", d2.arms[0].cyl, d2.arms[2].cyl)
+}
+
+// lbaOnCyl returns the first LBA of cylinder cyl's first track.
+func lbaOnCyl(g *geom.Geometry, cyl int) int64 {
+	for i, z := range g.Zones() {
+		if cyl >= z.FirstCyl && cyl < z.FirstCyl+z.CylCount {
+			return g.LBAOf(geom.Loc{Zone: i, Cyl: cyl})
+		}
 	}
+	panic("cylinder out of range")
 }
 
 func TestSubmitBeyondCapacityPanics(t *testing.T) {

@@ -2,6 +2,7 @@ package disk
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/cache"
 	"repro/internal/defect"
@@ -15,11 +16,15 @@ import (
 	"repro/internal/trace"
 )
 
-// Options tunes a simulated drive.
+// Options configures a drive. The zero value is a conventional drive
+// (D1·A1·S1·H1 in the paper's DASH taxonomy); the last group of fields
+// adds intra-disk parallelism: the paper's HC-SD-SA(n) design and the
+// relaxed variants of its technical report.
 type Options struct {
 	// Sched configures the dispatch queue. The zero value means the
 	// drive's default: SPTF with a 128-request scan window and a 500 ms
-	// anti-starvation age cap.
+	// anti-starvation age cap. SSTF and C-LOOK cost a request by the
+	// arm's cylinder, so they need a single arm.
 	Sched *sched.Config
 	// SeekScale and RotScale multiply each request's seek time and
 	// rotational latency. They implement the paper's Figure 4 limit
@@ -37,18 +42,102 @@ type Options struct {
 
 	// WriteCache enables write-back caching (an extension beyond the
 	// paper, which models enterprise write-through): writes are
-	// acknowledged at cache latency and destaged to the media in the
-	// background, yielding to foreground reads.
+	// acknowledged at cache latency and destaged to the media as
+	// background-class work, yielding to foreground requests.
 	WriteCache bool
 
 	// Obs is the observability hookup: when Obs.Sink is non-nil every
-	// request emits lifecycle span events to it, labeled Obs.Name
-	// (default: the model name). A nil sink costs nothing.
+	// request emits lifecycle span events (with the servicing arm) to
+	// it, labeled Obs.Name (default: the model name). A nil sink costs
+	// nothing.
 	Obs obs.Options
+
+	// Actuators is the number of independent arm assemblies (n in
+	// HC-SD-SA(n)). Zero means 1. Only one arm moves and one head
+	// transfers at a time, so service stays serialized; the gain is
+	// that SPTF dispatch picks whichever idle arm positions fastest.
+	Actuators int
+	// Channels relaxes the single-transfer-path constraint: up to this
+	// many requests may be in service concurrently, each on its own arm
+	// (the second relaxed design). Zero means 1.
+	Channels int
+	// HeadsPerArm puts h heads on each arm, mounted equidistant from
+	// the actuation axis at spread angular positions (the paper's
+	// Figure 1(b), the H dimension of the taxonomy). All heads ride the
+	// same arm, so seeks are shared; the rotational latency of an access
+	// is the wait until the sector reaches the *nearest* head. Zero
+	// means 1.
+	HeadsPerArm int
+	// MultiArmMotion relaxes the single-arm-in-motion constraint: while
+	// the channel is busy, idle arms pre-seek toward queued requests
+	// (first relaxed design of the paper's §7.2; the paper found little
+	// benefit). Power for overlapped motion is charged as VCM increments.
+	MultiArmMotion bool
+	// IdleReturn lets an idle arm reposition toward the most recently
+	// serviced cylinder once it has drifted far from the action (an
+	// extension: real multi-actuator firmware parks idle heads near the
+	// active band). Repositioning motion overlaps other activity, so it
+	// slightly relaxes the single-arm-in-motion constraint; its energy
+	// is charged as a VCM increment.
+	IdleReturn bool
+	// InitialCyls optionally places each arm at a starting cylinder.
+	// By default every arm starts at cylinder 0 and spreads through use:
+	// dispatch parks each arm where it last serviced, which keeps all
+	// arms inside the workload's active region. (Spreading arms evenly
+	// across the stroke strands the far arms when the footprint is
+	// concentrated: a long seek always loses the dispatch cost race to
+	// simply waiting out the rotation on a nearer arm.)
+	InitialCyls []int
+	// AngularOffsets optionally sets each arm assembly's angular
+	// mounting position around the platter stack, as a fraction of a
+	// revolution in [0,1). The paper's Figure 1 mounts assemblies
+	// diagonally from each other; this placement is what shortens
+	// rotational latency — a sector reaches the nearest arm in a
+	// fraction of a revolution. The default spreads arms evenly
+	// (arm i at i/n of a revolution).
+	AngularOffsets []float64
 }
 
-// Validate reports the first problem with the options, if any.
+func orOne(n int) int {
+	if n <= 0 {
+		return 1
+	}
+	return n
+}
+
+// Validate reports the first problem with the options, if any, naming
+// the offending field.
 func (o Options) Validate() error {
+	arms := orOne(o.Actuators)
+	switch {
+	case o.Actuators < 0:
+		return fmt.Errorf("disk: Actuators %d must be nonnegative", o.Actuators)
+	case o.Channels < 0:
+		return fmt.Errorf("disk: Channels %d must be nonnegative", o.Channels)
+	case o.HeadsPerArm < 0:
+		return fmt.Errorf("disk: HeadsPerArm %d must be nonnegative", o.HeadsPerArm)
+	case orOne(o.Channels) > arms:
+		return fmt.Errorf("disk: %d channels exceed %d actuators", orOne(o.Channels), arms)
+	case o.InitialCyls != nil && len(o.InitialCyls) != arms:
+		return fmt.Errorf("disk: %d initial cylinders for %d actuators", len(o.InitialCyls), arms)
+	case o.AngularOffsets != nil && len(o.AngularOffsets) != arms:
+		return fmt.Errorf("disk: %d angular offsets for %d actuators", len(o.AngularOffsets), arms)
+	}
+	for _, a := range o.AngularOffsets {
+		if !(a >= 0 && a < 1) {
+			return fmt.Errorf("disk: angular offset %v outside [0,1)", a)
+		}
+	}
+	if o.Sched != nil {
+		if err := o.Sched.Validate(); err != nil {
+			return fmt.Errorf("disk: Sched.%w", err)
+		}
+		if p := o.Sched.Policy; arms > 1 && (p == sched.SSTF || p == sched.CLOOK) {
+			// These costs order requests by one arm's cylinder; with
+			// several arms there is no such cylinder.
+			return fmt.Errorf("disk: Sched.Policy %v needs one actuator, not %d (use FCFS or SPTF)", p, arms)
+		}
+	}
 	if err := device.ValidateScale("SeekScale", o.SeekScale); err != nil {
 		return fmt.Errorf("disk: %w", err)
 	}
@@ -70,69 +159,108 @@ func DefaultSchedConfig() sched.Config {
 }
 
 type pending struct {
-	req      trace.Request
-	done     device.Done
-	loc      geom.Loc // physical location of the first block, cached at submit
-	flush    bool     // background destage of a write-back-cached write
-	fragment bool     // extent of a defect-fragmented request (parent completes it)
+	req  trace.Request
+	done device.Done
+	loc  geom.Loc // physical location of the first block, cached at submit
+
+	background bool // a SubmitBackground request (completes in bgCompleted)
+	flush      bool // background destage of a write-back-cached write
+	fragment   bool // extent of a defect-fragmented request (parent completes it)
 
 	obsReq   uint64  // span-trace request id (0 when tracing is off)
 	submitMs float64 // queue-entry time, for queue-wait spans
 }
 
-// Drive is a conventional single-actuator disk drive attached to a
-// simulation engine.
-type Drive struct {
-	model  Model
-	eng    simkit.Scheduler
-	geo    *geom.Geometry
-	curve  *mech.SeekCurve
-	rot    *mech.Rotation
-	buf    *cache.Cache
-	queue  *sched.Queue[pending]
-	flushQ *sched.Queue[pending] // write-back destage queue
-	acct   *power.Accountant
-	pm     *power.Model
-	opts   Options
+type arm struct {
+	cyl    int
+	alpha  float64 // angular mounting position, fraction of a revolution
+	failed bool
+	busy   bool // servicing a request (holds a channel) or returning
 
-	armCyl int
-	busy   bool
+	// Pre-seek assignment state (MultiArmMotion only).
+	assigned   *pending
+	seekDoneAt float64
 
-	// The request on the media while busy, and the completion event
-	// that retires it — a method value bound once in New, so a service
-	// schedules no per-request closure.
+	// The request this arm is servicing (valid while busy; an arm holds
+	// at most one service), and the completion event that retires it,
+	// built once in New so a service schedules no per-request closure.
 	inService pending
 	complete  simkit.Event
 
-	// Dispatch cost function, built once at construction: the policy
-	// never changes, so trySchedule only refreshes costStart (now plus
-	// the controller overhead, when a dispatched seek starts) instead of
-	// closing over `now` on every dispatch. Nil for FCFS.
-	costFn    sched.Cost[pending]
-	costStart float64
+	serviced uint64
+}
+
+// idle reports whether the arm can take a dispatch.
+func (a *arm) idle() bool { return !a.failed && !a.busy && a.assigned == nil }
+
+// Drive is a disk drive attached to a simulation engine: one spindle
+// and platter stack reached by one or more independently positioned arm
+// assemblies. A foreground queue feeds the arms under the configured
+// policy; background-class work (write-back destages and
+// SubmitBackground requests) runs only when no foreground request can.
+type Drive struct {
+	model   Model
+	opts    Options
+	eng     simkit.Scheduler
+	geo     *geom.Geometry
+	curve   *mech.SeekCurve
+	rot     *mech.Rotation
+	buf     *cache.Cache
+	queue   *sched.Queue[pending]
+	bgQueue *sched.Queue[pending]
+	acct    *power.Accountant
+	pm      *power.Model
+
+	arms           []arm
+	activeChannels int
+	channels       int       // opts.Channels, normalized once in New
+	extraHeads     []float64 // head h>0 sits extraHeads[h-1] of a revolution past its arm's head 0
+	idleArms       int       // arms for which idle() holds
+	assignedArms   int       // arms holding a pre-seek assignment
+
+	// Dispatch cost functions, built once at construction so the hot
+	// loop never allocates a closure. Both follow the sched.Cost bound
+	// contract and read costStart (and armCost additionally costArm),
+	// which dispatchOne / preSeekAssign refresh before each queue scan.
+	queueCost sched.Cost[pending] // the policy's cost of a queued request
+	armCost   sched.Cost[pending] // SPTF positioning cost for arm costArm
+	costStart float64             // now + ControllerOverheadMs: when a dispatched seek starts
+	costArm   int
+
+	// plan is the best idle arm for the entry of the last planArm call
+	// that returned below its bound — after an SPTF queue scan, the
+	// picked entry's — with that arm's seek and rotational latency, so
+	// the dispatch starts service without re-costing its winner. Each
+	// dispatch clears it (arm -1) before picking.
+	plan struct {
+		arm           int
+		seekMs, rotMs float64
+	}
 
 	// extents is the defect split's buffer, reused by every Submit.
 	extents []defect.Extent
 
-	submitted uint64
-	completed uint64
-	cacheHits uint64
-	seekScale float64
-	rotScale  float64
+	submitted   uint64
+	completed   uint64
+	bgCompleted uint64
+	cacheHits   uint64
+	defectHops  uint64
+	flushes     uint64
+	seekScale   float64
+	rotScale    float64
 
 	// Observability: the emitter (nil when tracing is off), the metrics
 	// registry, and hot-path handles into it. qDepth tracks the
-	// foreground dispatch queue per the obs.QueueStats contract.
-	name        string
-	em          *obs.Emitter
-	reg         *obs.Registry
-	qDepth      obs.Gauge
-	gDirty      *obs.Gauge
-	cFlushes    *obs.Counter
-	cDefectHops *obs.Counter
-	hSeek       *obs.Histogram
-	hRot        *obs.Histogram
-	hXfer       *obs.Histogram
+	// foreground dispatch queue per the obs.QueueStats contract;
+	// background-class work is tracked separately in bgDepth.
+	name    string
+	em      *obs.Emitter
+	reg     *obs.Registry
+	qDepth  obs.Gauge
+	bgDepth obs.Gauge
+	hSeek   *obs.Histogram
+	hRot    *obs.Histogram
+	hXfer   *obs.Histogram
 }
 
 var _ device.Device = (*Drive)(nil)
@@ -162,7 +290,8 @@ func New(eng simkit.Scheduler, model Model, opts Options) (*Drive, error) {
 	if err != nil {
 		return nil, err
 	}
-	pm, err := power.NewModel(model.PowerCoeff, model.PowerSpec(1))
+	n := orOne(opts.Actuators)
+	pm, err := power.NewModel(model.PowerCoeff, model.PowerSpec(n))
 	if err != nil {
 		return nil, err
 	}
@@ -174,32 +303,86 @@ func New(eng simkit.Scheduler, model Model, opts Options) (*Drive, error) {
 	reg := obs.NewRegistry()
 	d := &Drive{
 		model:     model,
+		opts:      opts,
 		eng:       eng,
 		geo:       geo,
 		curve:     curve,
 		rot:       rot,
 		buf:       buf,
 		queue:     sched.NewQueueSized[pending](cfg, 256),
-		flushQ:    sched.NewQueueSized[pending](cfg, 256),
+		bgQueue:   sched.NewQueue[pending](cfg),
 		acct:      power.NewAccountant(pm),
 		pm:        pm,
-		opts:      opts,
+		arms:      make([]arm, n),
+		channels:  orOne(opts.Channels),
+		idleArms:  n,
 		seekScale: device.NormalizeScale(opts.SeekScale),
 		rotScale:  device.NormalizeScale(opts.RotScale),
 
-		name:        name,
-		em:          simkit.Emitter(eng, opts.Obs.Sink, name),
-		reg:         reg,
-		gDirty:      reg.Gauge("dirty_writes"),
-		cFlushes:    reg.Counter("flushes"),
-		cDefectHops: reg.Counter("defect_hops"),
-		hSeek:       reg.Histogram("seek_ms", obs.PhaseEdgesMs),
-		hRot:        reg.Histogram("rot_ms", obs.PhaseEdgesMs),
-		hXfer:       reg.Histogram("xfer_ms", obs.PhaseEdgesMs),
+		name:  name,
+		em:    simkit.Emitter(eng, opts.Obs.Sink, name),
+		reg:   reg,
+		hSeek: reg.Histogram("seek_ms", obs.PhaseEdgesMs),
+		hRot:  reg.Histogram("rot_ms", obs.PhaseEdgesMs),
+		hXfer: reg.Histogram("xfer_ms", obs.PhaseEdgesMs),
 	}
-	d.costFn = d.buildCostFn()
-	d.complete = d.finishService
+	heads := orOne(opts.HeadsPerArm)
+	for h := 1; h < heads; h++ {
+		d.extraHeads = append(d.extraHeads, float64(h)/float64(heads))
+	}
+	for i := range d.arms {
+		a := &d.arms[i]
+		if opts.InitialCyls != nil {
+			c := opts.InitialCyls[i]
+			if c < 0 || c >= model.Geom.Cylinders {
+				return nil, fmt.Errorf("disk: initial cylinder %d out of range", c)
+			}
+			a.cyl = c
+		}
+		if opts.AngularOffsets != nil {
+			a.alpha = opts.AngularOffsets[i]
+		} else {
+			a.alpha = float64(i) / float64(n)
+		}
+		a.complete = func() { d.finishService(i) }
+	}
+	d.buildCosts(cfg.Policy)
 	return d, nil
+}
+
+// buildCosts builds the dispatch cost functions once, at construction.
+func (d *Drive) buildCosts(policy sched.Policy) {
+	switch policy {
+	case sched.SSTF:
+		d.queueCost = func(p *pending, _ float64) float64 {
+			dist := d.arms[0].cyl - p.loc.Cyl
+			if dist < 0 {
+				dist = -dist
+			}
+			return float64(dist)
+		}
+	case sched.CLOOK:
+		// Circular elevator: requests at or above the arm are served in
+		// ascending order; requests below it sort after a full wrap.
+		span := float64(d.geo.Cylinders())
+		d.queueCost = func(p *pending, _ float64) float64 {
+			delta := float64(p.loc.Cyl - d.arms[0].cyl)
+			if delta < 0 {
+				delta += span
+			}
+			return delta
+		}
+	default: // SPTF, and FCFS, whose scans cost at most the front entry
+		d.queueCost = d.planArm
+	}
+	d.armCost = func(p *pending, bound float64) float64 {
+		a := &d.arms[d.costArm]
+		seekMs := d.curve.Time(a.cyl-p.loc.Cyl) * d.seekScale
+		if seekMs >= bound {
+			return seekMs // its rotation cannot bring it below bound
+		}
+		return seekMs + d.rotLatency(a, &p.loc, d.costStart+seekMs)
+	}
 }
 
 // Model returns the drive's static model.
@@ -219,30 +402,62 @@ func (d *Drive) Capacity() int64 {
 
 // DefectHops reports how many requests needed extra extents because of
 // grown-defect remapping.
-func (d *Drive) DefectHops() uint64 { return d.cDefectHops.Value() }
+func (d *Drive) DefectHops() uint64 { return d.defectHops }
 
 // Busy reports whether the drive is servicing a request.
-func (d *Drive) Busy() bool { return d.busy }
+func (d *Drive) Busy() bool { return d.activeChannels > 0 }
 
 // Flushes reports how many write-back destages have hit the media.
-func (d *Drive) Flushes() uint64 { return d.cFlushes.Value() }
+func (d *Drive) Flushes() uint64 { return d.flushes }
 
-// DirtyWrites reports how many destages are still pending.
-func (d *Drive) DirtyWrites() int { return d.flushQ.Len() }
+// Actuators reports the arm-assembly count.
+func (d *Drive) Actuators() int { return len(d.arms) }
+
+// HealthyArms reports how many arm assemblies remain in service.
+func (d *Drive) HealthyArms() int {
+	n := 0
+	for i := range d.arms {
+		if !d.arms[i].failed {
+			n++
+		}
+	}
+	return n
+}
+
+// ServicedByArm reports per-arm service counts (index = arm number).
+func (d *Drive) ServicedByArm() []uint64 {
+	out := make([]uint64, len(d.arms))
+	for i := range d.arms {
+		out[i] = d.arms[i].serviced
+	}
+	return out
+}
+
+// BackgroundCompleted reports how many background requests finished.
+func (d *Drive) BackgroundCompleted() uint64 { return d.bgCompleted }
+
+// BackgroundPending reports the background queue length: pending
+// destages plus queued SubmitBackground requests.
+func (d *Drive) BackgroundPending() int { return d.bgQueue.Len() }
 
 // Snapshot implements device.Instrumented: the drive's uniform stats
-// surface, carrying everything the legacy getters report plus the
-// per-phase service-time histograms.
+// surface, with the defect-hop and destage counters, the background
+// queue gauge (as "dirty_writes") and the per-phase service-time
+// histograms.
 func (d *Drive) Snapshot() obs.Snapshot {
 	s := obs.Snapshot{
-		Device:    d.name,
-		Kind:      "disk",
-		Submitted: d.submitted,
-		Completed: d.completed,
-		CacheHits: d.cacheHits,
-		Queue:     obs.QueueStats{Len: d.queue.Len(), Max: int(d.qDepth.Max())},
+		Device:              d.name,
+		Kind:                "disk",
+		Submitted:           d.submitted,
+		Completed:           d.completed,
+		BackgroundCompleted: d.bgCompleted,
+		CacheHits:           d.cacheHits,
+		Queue:               obs.QueueStats{Len: d.queue.Len(), Max: int(d.qDepth.Max())},
 	}
 	d.reg.Fill(&s)
+	s.Counters["defect_hops"] = d.defectHops
+	s.Counters["flushes"] = d.flushes
+	s.Gauges["dirty_writes"] = obs.GaugeValue{Value: d.bgDepth.Value(), Max: d.bgDepth.Max()}
 	return s
 }
 
@@ -256,17 +471,84 @@ func (d *Drive) Power(elapsedMs float64) power.Breakdown {
 // PowerModel exposes the drive's power model (for peak-power reporting).
 func (d *Drive) PowerModel() *power.Model { return d.pm }
 
+// FailArm deconfigures one arm assembly at runtime — the §8 graceful
+// degradation path (a SMART-style predicted failure takes the actuator
+// out of service while the drive keeps running on the remaining arms).
+// An in-flight service on the arm completes; the arm just takes no
+// further work. Failing the last healthy arm is refused.
+func (d *Drive) FailArm(i int) error {
+	if i < 0 || i >= len(d.arms) {
+		return fmt.Errorf("disk: arm %d out of range [0,%d)", i, len(d.arms))
+	}
+	if d.arms[i].failed {
+		return fmt.Errorf("disk: arm %d already deconfigured", i)
+	}
+	if d.HealthyArms() == 1 {
+		return fmt.Errorf("disk: refusing to deconfigure the last healthy arm")
+	}
+	a := &d.arms[i]
+	if a.idle() {
+		d.idleArms--
+	}
+	a.failed = true
+	// A pre-seek assignment is abandoned; the request goes back to the
+	// queue so another arm picks it up.
+	if a.assigned != nil {
+		p := *a.assigned
+		a.assigned = nil
+		d.assignedArms--
+		d.queue.Push(p, d.eng.Now())
+		d.qDepth.Set(float64(d.queue.Len()))
+	}
+	return nil
+}
+
+// RepairArm returns a deconfigured arm to service.
+func (d *Drive) RepairArm(i int) error {
+	if i < 0 || i >= len(d.arms) {
+		return fmt.Errorf("disk: arm %d out of range [0,%d)", i, len(d.arms))
+	}
+	a := &d.arms[i]
+	if !a.failed {
+		return fmt.Errorf("disk: arm %d is not deconfigured", i)
+	}
+	a.failed = false
+	if a.idle() {
+		d.idleArms++
+	}
+	d.trySchedule()
+	return nil
+}
+
+// outOfRange panics on a request beyond the addressable capacity:
+// address validation belongs to the layers above, and an out-of-range
+// block here is a simulator bug. With a defect table configured the
+// addressable space is the user area only — the spare pool is the
+// drive's own, and a request reaching into it must fail loudly rather
+// than silently aliasing remapped sectors.
+func (d *Drive) outOfRange(r trace.Request) {
+	panic(fmt.Sprintf("disk: %s: request [%d,%d) beyond capacity %d",
+		d.model.Name, r.LBA, r.End(), d.Capacity()))
+}
+
+// cacheHit completes an accepted request from the buffer after the
+// cache-hit latency, counting it in *completed.
+func (d *Drive) cacheHit(req uint64, now float64, completed *uint64, done device.Done) {
+	d.eng.After(d.model.CacheHitMs, func() {
+		*completed++
+		d.em.CacheHit(req, d.model.CacheHitMs)
+		d.em.Complete(req, -1, now)
+		if done != nil {
+			done(d.eng.Now())
+		}
+	})
+}
+
 // Submit presents a request at the current simulated time. Requests
-// beyond the drive's addressable capacity panic: address validation
-// belongs to the layers above, and an out-of-range block here is a
-// simulator bug. With a defect table configured the addressable space
-// is the user area only — the spare pool is the drive's own, and a
-// request reaching into it must fail loudly rather than silently
-// aliasing remapped sectors.
+// beyond the drive's addressable capacity panic (see outOfRange).
 func (d *Drive) Submit(r trace.Request, done device.Done) {
 	if r.End() > d.Capacity() {
-		panic(fmt.Sprintf("disk: %s: request [%d,%d) beyond capacity %d",
-			d.model.Name, r.LBA, r.End(), d.Capacity()))
+		d.outOfRange(r)
 	}
 	now := d.eng.Now()
 	d.submitted++
@@ -274,14 +556,7 @@ func (d *Drive) Submit(r trace.Request, done device.Done) {
 	d.em.Submit(req, r.LBA, r.Sectors, r.Read)
 	if r.Read && d.buf.Lookup(r.LBA, r.Sectors) {
 		d.cacheHits++
-		d.eng.After(d.model.CacheHitMs, func() {
-			d.completed++
-			d.em.CacheHit(req, d.model.CacheHitMs)
-			d.em.Complete(req, -1, now)
-			if done != nil {
-				done(d.eng.Now())
-			}
-		})
+		d.cacheHit(req, now, &d.completed, done)
 		return
 	}
 	if d.opts.Defects != nil {
@@ -296,7 +571,7 @@ func (d *Drive) Submit(r trace.Request, done device.Done) {
 			// (Firmware caches logically; this model skips cache insertion
 			// for fragmented requests — a read of the exact range will
 			// fragment again, which is the behavior defects actually cost.)
-			d.cDefectHops.Inc()
+			d.defectHops++
 			outstanding := len(exts)
 			var last float64
 			for _, e := range exts {
@@ -329,17 +604,8 @@ func (d *Drive) Submit(r trace.Request, done device.Done) {
 	if !r.Read && d.opts.WriteCache {
 		// Write-back: acknowledge at cache latency, destage later.
 		d.buf.InsertWrite(r.LBA, r.Sectors)
-		d.eng.After(d.model.CacheHitMs, func() {
-			d.completed++
-			d.em.CacheHit(req, d.model.CacheHitMs)
-			d.em.Complete(req, -1, now)
-			if done != nil {
-				done(d.eng.Now())
-			}
-		})
-		d.flushQ.Push(pending{req: r, loc: d.geo.Locate(r.LBA), flush: true, submitMs: now}, now)
-		d.gDirty.Set(float64(d.flushQ.Len()))
-		d.trySchedule()
+		d.cacheHit(req, now, &d.completed, done)
+		d.pushBackground(pending{req: r, loc: d.geo.Locate(r.LBA), flush: true, submitMs: now})
 		return
 	}
 	d.queue.Push(pending{req: r, done: done, loc: d.geo.Locate(r.LBA), obsReq: req, submitMs: now}, now)
@@ -347,121 +613,326 @@ func (d *Drive) Submit(r trace.Request, done device.Done) {
 	d.trySchedule()
 }
 
-// positioning computes the mechanical positioning cost of starting
-// service at the given location at time `at` from the current arm
-// position.
-func (d *Drive) positioning(loc geom.Loc, at float64) (seekMs, rotMs float64) {
-	dist := d.armCyl - loc.Cyl
-	seekMs = d.curve.Time(dist) * d.seekScale
-	atTrack := at + d.model.ControllerOverheadMs + seekMs
-	rotMs = d.rot.LatencyTo(loc.Angle, atTrack) * d.rotScale
-	return seekMs, rotMs
+// SubmitBackground presents a background-class request: it is serviced
+// only when no foreground request is pending, using whatever actuator is
+// free. This provides the functionality of freeblock scheduling (§5 of
+// the paper) with dedicated hardware instead of rotational-gap stealing:
+// background work never delays a queued foreground request, and unlike
+// freeblock scheduling it is not constrained to finish within a
+// foreground request's rotational latency window.
+func (d *Drive) SubmitBackground(r trace.Request, done device.Done) {
+	if r.End() > d.Capacity() {
+		d.outOfRange(r)
+	}
+	now := d.eng.Now()
+	d.submitted++
+	req := d.em.NextReq()
+	d.em.Submit(req, r.LBA, r.Sectors, r.Read)
+	if r.Read && d.buf.Lookup(r.LBA, r.Sectors) {
+		d.cacheHits++
+		d.cacheHit(req, now, &d.bgCompleted, done)
+		return
+	}
+	d.pushBackground(pending{req: r, done: done, loc: d.geo.Locate(r.LBA), background: true,
+		obsReq: req, submitMs: now})
 }
 
-// trySchedule dispatches the next queued request if the drive is free.
+func (d *Drive) pushBackground(p pending) {
+	d.bgQueue.Push(p, p.submitMs)
+	d.bgDepth.Set(float64(d.bgQueue.Len()))
+	d.trySchedule()
+}
+
+// rotLatency is the scaled rotational latency for arm a, on track at
+// time atTrack, to begin service at loc: the wait until the sector
+// reaches the nearest of the arm's heads.
+func (d *Drive) rotLatency(a *arm, loc *geom.Loc, atTrack float64) float64 {
+	base := loc.Angle - a.alpha
+	rotMs := d.rot.LatencyTo(wrapAngle(base), atTrack)
+	for _, h := range d.extraHeads {
+		if r := d.rot.LatencyTo(wrapAngle(base-h), atTrack); r < rotMs {
+			rotMs = r
+		}
+	}
+	return rotMs * d.rotScale
+}
+
+// wrapAngle brings a platter angle difference back into [0,1).
+func wrapAngle(t float64) float64 {
+	for t < 0 {
+		t += 1
+	}
+	return t
+}
+
+// planArm is the SPTF cost of dispatching p at costStart: the lowest
+// positioning time (seek + rotational latency) over the idle arms, ties
+// going to the lowest arm. It is branch-and-bound under the sched.Cost
+// contract: an arm whose scaled seek alone already reaches bound, or the
+// best arm so far, is skipped without computing its rotation, since a
+// non-negative rotation cannot bring it back below. A result below bound
+// is exact and makes p the scan's new best, so planArm records its
+// arm, seek and rotation in d.plan; otherwise it returns bound and
+// leaves d.plan alone. With bound +Inf it is the exhaustive choice.
+func (d *Drive) planArm(p *pending, bound float64) float64 {
+	loc := &p.loc
+	for i := range d.arms {
+		a := &d.arms[i]
+		if !a.idle() {
+			continue
+		}
+		seekMs := d.curve.Time(a.cyl-loc.Cyl) * d.seekScale
+		if seekMs >= bound {
+			continue
+		}
+		rotMs := d.rotLatency(a, loc, d.costStart+seekMs)
+		if c := seekMs + rotMs; c < bound {
+			bound = c
+			d.plan.arm, d.plan.seekMs, d.plan.rotMs = i, seekMs, rotMs
+		}
+	}
+	return bound
+}
+
+// trySchedule starts as many services as free channels allow, then (in
+// the multi-arm-motion variant) assigns idle arms to pre-seek.
 func (d *Drive) trySchedule() {
-	if d.busy || (d.queue.Len() == 0 && d.flushQ.Len() == 0) {
-		return
+	for d.activeChannels < d.channels && d.dispatchOne() {
+	}
+	if d.opts.MultiArmMotion && d.idleArms > 0 && d.queue.Len() > 0 {
+		d.preSeekAssign()
+	}
+}
+
+// dispatchOne starts one service if work and an arm are available:
+// the best queued foreground request on its best idle arm, or a
+// pre-seeked arm's request if that is cheaper, or else background work.
+func (d *Drive) dispatchOne() bool {
+	idleWork := d.idleArms > 0 && (d.queue.Len() > 0 || d.bgQueue.Len() > 0)
+	if !idleWork && d.assignedArms == 0 {
+		return false
 	}
 	now := d.eng.Now()
 	d.costStart = now + d.model.ControllerOverheadMs
-	p, ok := d.queue.Pop(now, d.costFn)
-	if ok {
-		d.qDepth.Set(float64(d.queue.Len()))
-	} else {
-		// Foreground queue empty: destage dirty writes in the background.
-		if p, ok = d.flushQ.Pop(now, d.costFn); !ok {
-			return
-		}
-		d.gDirty.Set(float64(d.flushQ.Len()))
-	}
-	d.busy = true
-	seekMs, rotMs := d.positioning(p.loc, now)
-	xferMs := d.model.TransferTime(d.geo, d.rot, p.req.LBA, p.req.Sectors)
-	serviceEnd := now + d.model.ControllerOverheadMs + seekMs + rotMs + xferMs
+	d.plan.arm = -1
 
-	d.acct.AddSeek(seekMs, 1)
-	d.acct.Add(power.RotLatency, rotMs)
-	d.acct.Add(power.Transfer, xferMs)
+	// Candidate 1: a pre-positioned arm holding an assignment.
+	bestAssigned := -1
+	var bestAssignedCost, bestAssignedSeek, bestAssignedRot float64
+	for i := 0; d.assignedArms > 0 && i < len(d.arms); i++ {
+		a := &d.arms[i]
+		if a.assigned == nil || a.busy || a.failed {
+			continue
+		}
+		rem := a.seekDoneAt - now
+		if rem < 0 {
+			rem = 0
+		}
+		rot := d.rotLatency(a, &a.assigned.loc, now+rem)
+		if c := rem + rot; bestAssigned == -1 || c < bestAssignedCost {
+			bestAssigned, bestAssignedCost = i, c
+			bestAssignedSeek, bestAssignedRot = rem, rot
+		}
+	}
+
+	// Candidate 2: the best (request, idle arm) pair from the queue. One
+	// cost scan serves both the comparison against a pre-seeked
+	// candidate and the dispatch itself: Take removes what Pick chose.
+	if d.idleArms > 0 && d.queue.Len() > 0 {
+		if bestAssigned == -1 {
+			p, _ := d.queue.Pop(now, d.queueCost)
+			d.qDepth.Set(float64(d.queue.Len()))
+			d.startPlanned(&p, now)
+			return true
+		}
+		if pk, _ := d.queue.Pick(now, d.queueCost); pk.Cost <= bestAssignedCost {
+			p := d.queue.Take(pk)
+			d.qDepth.Set(float64(d.queue.Len()))
+			d.startPlanned(&p, now)
+			return true
+		}
+	}
+	if bestAssigned != -1 {
+		a := &d.arms[bestAssigned]
+		p := *a.assigned
+		a.assigned = nil
+		d.assignedArms--
+		// The seek was overlapped: pay the residual plus rotation from
+		// there; the command overhead was paid at assignment time.
+		d.startService(bestAssigned, &p, now, 0, bestAssignedSeek, bestAssignedRot)
+		return true
+	}
+	// Background work runs only when no foreground work is dispatchable.
+	if idleWork {
+		p, _ := d.bgQueue.Pop(now, d.queueCost)
+		d.bgDepth.Set(float64(d.bgQueue.Len()))
+		d.startPlanned(&p, now)
+		return true
+	}
+	return false
+}
+
+// startPlanned starts p, just taken from a queue, on the idle arm the
+// dispatch planned for it. A pick no SPTF scan costed (FCFS, an
+// age-forced front, or the distance-ordered SSTF and C-LOOK) left no
+// plan, so it is planned here.
+func (d *Drive) startPlanned(p *pending, now float64) {
+	if d.plan.arm < 0 {
+		d.planArm(p, math.Inf(1))
+	}
+	d.idleArms--
+	d.startService(d.plan.arm, p, now, d.model.ControllerOverheadMs, d.plan.seekMs, d.plan.rotMs)
+}
+
+// startService begins media access for p on the given arm at now, whose
+// positioning the dispatch already costed: overheadMs of controller
+// time, then seekMs and rotMs.
+func (d *Drive) startService(armIdx int, p *pending, now, overheadMs, seekMs, rotMs float64) {
+	a := &d.arms[armIdx]
+	a.busy = true
+	primary := d.activeChannels == 0
+	d.activeChannels++
+
+	xferMs := d.model.TransferTime(d.geo, d.rot, p.req.LBA, p.req.Sectors)
+	serviceEnd := now + overheadMs + seekMs + rotMs + xferMs
+
 	d.hSeek.Observe(seekMs)
 	d.hRot.Observe(rotMs)
 	d.hXfer.Observe(xferMs)
-	if d.opts.OnService != nil {
-		d.opts.OnService(seekMs, rotMs, xferMs)
-	}
-	d.armCyl = p.loc.Cyl
-
 	if p.flush {
 		// Destages complete no request; they trace under their own id.
 		p.obsReq = d.em.NextReq()
 	}
-	d.em.Service(p.obsReq, 0, p.submitMs, d.model.ControllerOverheadMs, seekMs, rotMs, xferMs)
+	d.em.Service(p.obsReq, armIdx, p.submitMs, overheadMs, seekMs, rotMs, xferMs)
 
-	d.inService = p
-	d.eng.At(serviceEnd, d.complete)
+	if primary {
+		d.acct.AddSeek(seekMs, 1)
+		d.acct.Add(power.RotLatency, rotMs)
+		d.acct.Add(power.Transfer, xferMs)
+	} else {
+		// Concurrent channel: the drive's baseline power for this wall
+		// time is already charged by the primary timeline; charge only
+		// the incremental VCM and channel power.
+		d.acct.AddSeekIncrement(seekMs)
+		d.acct.AddTransferIncrement(xferMs)
+	}
+	if d.opts.OnService != nil {
+		d.opts.OnService(seekMs, rotMs, xferMs)
+	}
+	a.cyl = p.loc.Cyl
+
+	a.inService = *p
+	d.eng.At(serviceEnd, a.complete)
 }
 
-// finishService retires the in-service request at its service end.
-func (d *Drive) finishService() {
-	p := d.inService
-	d.inService = pending{} // release the done callback
-	d.busy = false
+// finishService retires arm armIdx's in-service request at its service
+// end and frees the arm and its channel.
+func (d *Drive) finishService(armIdx int) {
+	a := &d.arms[armIdx]
+	p := a.inService
+	a.inService = pending{} // release the done callback
+	a.busy = false
+	if a.idle() {
+		d.idleArms++
+	}
+	a.serviced++
+	d.activeChannels--
 	switch {
 	case p.flush:
 		// Destage: the logical write already completed at ack time
 		// and the data is already in the cache.
-		d.cFlushes.Inc()
-		d.em.Span(p.obsReq, obs.PhaseFlush, 0, d.eng.Now(), 0)
-	case p.req.Read:
-		d.completed++
-		d.buf.InsertRead(p.req.LBA, p.req.Sectors)
+		d.flushes++
+		d.em.Span(p.obsReq, obs.PhaseFlush, armIdx, d.eng.Now(), 0)
+	case p.background:
+		d.bgCompleted++
 	default:
 		d.completed++
-		d.buf.InsertWrite(p.req.LBA, p.req.Sectors)
 	}
-	if !p.flush && !p.fragment {
-		d.em.Complete(p.obsReq, 0, p.submitMs)
+	if !p.flush {
+		if p.req.Read {
+			d.buf.InsertRead(p.req.LBA, p.req.Sectors)
+		} else {
+			d.buf.InsertWrite(p.req.LBA, p.req.Sectors)
+		}
+		if !p.fragment {
+			d.em.Complete(p.obsReq, armIdx, p.submitMs)
+		}
 	}
 	if p.done != nil {
 		p.done(d.eng.Now())
 	}
+	if d.opts.IdleReturn {
+		d.returnIdleArms(armIdx, p.loc.Cyl)
+	}
 	d.trySchedule()
 }
 
-// buildCostFn builds the scheduler cost function once, at construction.
-// Time-dependent policies read d.costStart, which trySchedule refreshes
-// before every dispatch, so the hot loop never allocates a closure.
-func (d *Drive) buildCostFn() sched.Cost[pending] {
-	switch d.queue.Config().Policy {
-	case sched.FCFS:
-		return nil
-	case sched.SSTF:
-		return func(p *pending, _ float64) float64 {
-			dist := d.armCyl - p.loc.Cyl
-			if dist < 0 {
-				dist = -dist
-			}
-			return float64(dist)
+// returnIdleArms repositions idle arms that have drifted far from the
+// active band back toward the just-serviced cylinder. Each returning arm
+// is unavailable while it moves and pays VCM energy for the trip.
+func (d *Drive) returnIdleArms(servicedArm, cyl int) {
+	threshold := d.model.Geom.Cylinders / 8
+	for i := range d.arms {
+		a := &d.arms[i]
+		if i == servicedArm || !a.idle() {
+			continue
 		}
-	case sched.CLOOK:
-		// Circular elevator: requests at or above the arm are served in
-		// ascending order; requests below it sort after a full wrap.
-		span := float64(d.geo.Cylinders())
-		return func(p *pending, _ float64) float64 {
-			delta := float64(p.loc.Cyl - d.armCyl)
-			if delta < 0 {
-				delta += span
-			}
-			return delta
+		dist := a.cyl - cyl
+		if dist < 0 {
+			dist = -dist
 		}
-	default: // SPTF, branch-and-bound on the seek (see sched.Cost)
-		return func(p *pending, bound float64) float64 {
-			seekMs := d.curve.Time(d.armCyl-p.loc.Cyl) * d.seekScale
-			if seekMs >= bound {
-				return seekMs // its rotation cannot bring it below bound
-			}
-			return seekMs + d.rot.LatencyTo(p.loc.Angle, d.costStart+seekMs)*d.rotScale
+		if dist <= threshold {
+			continue
 		}
+		// Park a little off the target, staggered per arm, so returning
+		// arms do not stack on one cylinder.
+		target := cyl + (i+1)*64
+		if target >= d.model.Geom.Cylinders {
+			target = d.model.Geom.Cylinders - 1
+		}
+		seekMs := d.curve.Time(a.cyl-target) * d.seekScale
+		a.busy = true
+		d.idleArms--
+		d.acct.AddSeekIncrement(seekMs)
+		d.eng.After(seekMs, func() {
+			a.busy = false
+			if a.idle() {
+				d.idleArms++
+			}
+			a.cyl = target
+			d.trySchedule()
+		})
+	}
+}
+
+// preSeekAssign lets idle arms begin seeking toward queued requests
+// while the channel is busy (the relaxed multi-arm-motion design).
+func (d *Drive) preSeekAssign() {
+	now := d.eng.Now()
+	d.costStart = now + d.model.ControllerOverheadMs
+	for i := range d.arms {
+		a := &d.arms[i]
+		if !a.idle() {
+			continue
+		}
+		if d.queue.Len() == 0 {
+			return
+		}
+		d.costArm = i
+		p, ok := d.queue.Pop(now, d.armCost)
+		if !ok {
+			return
+		}
+		d.qDepth.Set(float64(d.queue.Len()))
+		seekMs := d.curve.Time(a.cyl-p.loc.Cyl) * d.seekScale
+		held := p
+		a.assigned = &held
+		d.idleArms--
+		d.assignedArms++
+		a.seekDoneAt = d.costStart + seekMs
+		a.cyl = held.loc.Cyl
+		// Overlapped motion: charge the VCM increment only.
+		d.acct.AddSeekIncrement(seekMs)
 	}
 }
 

@@ -367,6 +367,34 @@ func TestInvalidScaleRejected(t *testing.T) {
 	}
 }
 
+// TestInvalidSchedRejected checks that New refuses a dispatch config
+// naming an unknown policy, a negative window or a bad age cap, and a
+// distance-ordered policy on several arms, with an error naming the
+// field, instead of running some other policy.
+func TestInvalidSchedRejected(t *testing.T) {
+	for _, c := range []struct {
+		opts  Options
+		field string
+	}{
+		{Options{Sched: &sched.Config{Policy: 9}}, "Sched.Policy"},
+		{Options{Sched: &sched.Config{Policy: sched.SPTF, Window: -1}}, "Sched.Window"},
+		{Options{Sched: &sched.Config{Policy: sched.SPTF, MaxAgeMs: -5}}, "Sched.MaxAgeMs"},
+		{Options{Sched: &sched.Config{Policy: sched.SPTF, MaxAgeMs: math.NaN()}}, "Sched.MaxAgeMs"},
+		{Options{Sched: &sched.Config{Policy: sched.SSTF}, Actuators: 2}, "Sched.Policy"},
+		{Options{Sched: &sched.Config{Policy: sched.CLOOK}, Actuators: 4}, "Sched.Policy"},
+	} {
+		_, err := New(simkit.New(), smallModel(), c.opts)
+		if err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%+v: New error %v, want one naming %s", *c.opts.Sched, err, c.field)
+		}
+	}
+	for _, p := range []sched.Policy{sched.FCFS, sched.SSTF, sched.SPTF, sched.CLOOK} {
+		if _, err := New(simkit.New(), smallModel(), Options{Sched: &sched.Config{Policy: p}}); err != nil {
+			t.Errorf("%v rejected on one arm: %v", p, err)
+		}
+	}
+}
+
 // TestBoundedSPTFMatchesExhaustive checks the drive's branch-and-bound
 // SPTF cost against the full positioning cost: on random arm positions,
 // scales (ZeroedScale included) and queues with duplicate LBAs, the
@@ -385,7 +413,7 @@ func TestBoundedSPTFMatchesExhaustive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d.armCyl = rng.Intn(d.geo.Cylinders())
+		d.arms[0].cyl = rng.Intn(d.geo.Cylinders())
 		pool := make([]int64, 1+rng.Intn(10))
 		for i := range pool {
 			pool[i] = rng.Int63n(d.Capacity())
@@ -398,10 +426,11 @@ func TestBoundedSPTFMatchesExhaustive(t *testing.T) {
 			d.queue.Push(pending{loc: d.geo.Locate(lba), obsReq: uint64(i)}, now)
 		}
 		d.costStart = now + d.model.ControllerOverheadMs
-		got, _ := d.queue.Pick(now, d.costFn)
+		got, _ := d.queue.Pick(now, d.queueCost)
 		want, _ := d.queue.Pick(now, func(p *pending, _ float64) float64 {
-			seekMs, rotMs := d.positioning(p.loc, now)
-			return seekMs + rotMs
+			seekMs := d.curve.Time(d.arms[0].cyl-p.loc.Cyl) * d.seekScale
+			atTrack := now + d.model.ControllerOverheadMs + seekMs
+			return seekMs + d.rot.LatencyTo(p.loc.Angle, atTrack)*d.rotScale
 		})
 		if got.Item.obsReq != want.Item.obsReq || math.Float64bits(got.Cost) != math.Float64bits(want.Cost) {
 			t.Fatalf("case %d: bounded pick %d at %v, exhaustive %d at %v",

@@ -1,8 +1,10 @@
-// Package disk implements a conventional (single-actuator) hard disk
-// drive at DiskSim's level of detail: zoned geometry, a fitted seek
-// curve, a continuously rotating spindle, an on-board segmented cache,
-// queue scheduling, and per-mode power accounting. It also carries the
-// named drive models the paper's experiments use.
+// Package disk implements the hard disk drive engine at DiskSim's level
+// of detail: zoned geometry, a fitted seek curve, a continuously
+// rotating spindle, an on-board segmented cache, queue scheduling, and
+// per-mode power accounting, over one arm assembly (a conventional
+// drive) or several (the paper's intra-disk parallel designs, which
+// package core names). It also carries the named drive models the
+// paper's experiments use.
 package disk
 
 import (

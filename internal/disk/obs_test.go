@@ -114,12 +114,12 @@ func TestSnapshotConsistency(t *testing.T) {
 	if d.Flushes() == 0 {
 		t.Fatalf("write-back run destaged nothing")
 	}
-	if g := s.Gauges["dirty_writes"]; int(g.Value) != d.DirtyWrites() {
-		t.Fatalf("dirty_writes gauge %+v vs getter %d", g, d.DirtyWrites())
+	if g := s.Gauges["dirty_writes"]; int(g.Value) != d.BackgroundPending() {
+		t.Fatalf("dirty_writes gauge %+v vs getter %d", g, d.BackgroundPending())
 	}
 	// The per-phase histograms saw every media service: read misses plus
 	// destaged writes (acked writes split into flushes + still-dirty).
-	media := s.Completed - s.CacheHits - uint64(d.DirtyWrites())
+	media := s.Completed - s.CacheHits - uint64(d.BackgroundPending())
 	if h := s.Histograms["seek_ms"]; h.N != media || h.N == 0 {
 		t.Fatalf("seek histogram N=%d, want %d media services", h.N, media)
 	}

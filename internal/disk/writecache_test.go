@@ -26,8 +26,8 @@ func TestWriteBackAcknowledgesFast(t *testing.T) {
 	if d.Flushes() != 1 {
 		t.Fatalf("Flushes = %d, want 1 (destage must still hit media)", d.Flushes())
 	}
-	if d.DirtyWrites() != 0 {
-		t.Fatalf("DirtyWrites = %d after drain", d.DirtyWrites())
+	if d.BackgroundPending() != 0 {
+		t.Fatalf("BackgroundPending = %d after drain", d.BackgroundPending())
 	}
 }
 

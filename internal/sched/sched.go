@@ -34,7 +34,7 @@ const (
 	// CLOOK dispatches in circular elevator order: ascending cylinders,
 	// wrapping from the highest pending cylinder back to the lowest.
 	// Like SSTF/SPTF it is cost-driven; the device supplies a cost that
-	// encodes scan order (see disk.Drive's dispatchCost).
+	// encodes scan order (see disk.Drive's queue cost).
 	CLOOK
 )
 
@@ -79,6 +79,21 @@ type Config struct {
 	// MaxAgeMs forces the oldest request to dispatch once it has waited
 	// this long, preventing starvation. Zero disables the cap.
 	MaxAgeMs float64
+}
+
+// Validate reports the first problem with the configuration, if any.
+// The error starts with the offending field's name, so a caller holding
+// the config in a field of its own can prefix its path ("Sched.").
+func (c Config) Validate() error {
+	switch {
+	case c.Policy < FCFS || c.Policy > CLOOK:
+		return fmt.Errorf("Policy %v is not FCFS, SSTF, SPTF or C-LOOK", c.Policy)
+	case c.Window < 0:
+		return fmt.Errorf("Window %d must be nonnegative", c.Window)
+	case !(c.MaxAgeMs >= 0) || math.IsInf(c.MaxAgeMs, 1):
+		return fmt.Errorf("MaxAgeMs %v must be finite and nonnegative", c.MaxAgeMs)
+	}
+	return nil
 }
 
 // Cost maps a queued item to its dispatch cost at the scan's `now`. The

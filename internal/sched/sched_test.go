@@ -1,7 +1,9 @@
 package sched
 
 import (
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -90,6 +92,37 @@ func TestNegativeWindowNormalized(t *testing.T) {
 	q := NewQueue[int](Config{Policy: SPTF, Window: -5})
 	if q.Config().Window != 0 {
 		t.Fatalf("negative window not normalized to 0")
+	}
+}
+
+// TestConfigValidate pins that a config naming an unknown policy, a
+// negative window, or a negative or non-finite age cap is rejected with
+// an error that starts with the offending field's name.
+func TestConfigValidate(t *testing.T) {
+	for _, c := range []Config{
+		{Policy: FCFS},
+		{Policy: SSTF, Window: 1},
+		{Policy: SPTF, Window: 128, MaxAgeMs: 500},
+		{Policy: CLOOK, MaxAgeMs: 0.5},
+	} {
+		if err := c.Validate(); err != nil {
+			t.Errorf("%+v rejected: %v", c, err)
+		}
+	}
+	for _, c := range []struct {
+		cfg   Config
+		field string
+	}{
+		{Config{Policy: Policy(9)}, "Policy"},
+		{Config{Policy: Policy(-1)}, "Policy"},
+		{Config{Policy: SPTF, Window: -1}, "Window"},
+		{Config{Policy: SPTF, MaxAgeMs: -1}, "MaxAgeMs"},
+		{Config{Policy: SPTF, MaxAgeMs: math.NaN()}, "MaxAgeMs"},
+		{Config{Policy: SPTF, MaxAgeMs: math.Inf(1)}, "MaxAgeMs"},
+	} {
+		if err := c.cfg.Validate(); err == nil || !strings.HasPrefix(err.Error(), c.field+" ") {
+			t.Errorf("%+v: Validate() = %v, want an error naming %s", c.cfg, err, c.field)
+		}
 	}
 }
 

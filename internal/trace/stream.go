@@ -93,3 +93,54 @@ func (s *remapStream) Err() error {
 func RemapStream(s Stream, offsets []int64) Stream {
 	return &remapStream{s: s, offsets: offsets}
 }
+
+// boundStream checks every request against the system it will replay on.
+type boundStream struct {
+	s        Stream
+	disks    int
+	capacity int64
+	n        int
+	err      error
+}
+
+func (s *boundStream) Next() (Request, bool) {
+	if s.err != nil {
+		return Request{}, false
+	}
+	r, ok := s.s.Next()
+	if !ok {
+		return Request{}, false
+	}
+	switch {
+	case r.Disk >= s.disks:
+		s.err = fmt.Errorf("trace: request %d: Disk %d outside the %d-disk array", s.n, r.Disk, s.disks)
+	case r.End() > s.capacity:
+		s.err = fmt.Errorf("trace: request %d: LBA %d + Sectors %d ends past the %d sectors of disk %d",
+			s.n, r.LBA, r.Sectors, s.capacity, r.Disk)
+	}
+	if s.err != nil {
+		return Request{}, false
+	}
+	s.n++
+	return r, true
+}
+
+// Err reports the first request that did not fit, or the inner
+// stream's own failure.
+func (s *boundStream) Err() error {
+	if s.err != nil {
+		return s.err
+	}
+	return Err(s.s)
+}
+
+// BoundStream passes s through unchanged until a request targets a disk
+// at or past disks, or reaches past capacity sectors on its disk; that
+// request ends the stream with an error naming its index (0-based) and
+// the offending field (see Err). Foreign traces replay through this
+// boundary, so a request that does not fit the target system fails the
+// run instead of panicking a device or aliasing into a neighbor's
+// address range.
+func BoundStream(s Stream, disks int, capacity int64) Stream {
+	return &boundStream{s: s, disks: disks, capacity: capacity}
+}

@@ -128,6 +128,43 @@ func TestRemapStreamPropagatesInnerError(t *testing.T) {
 	}
 }
 
+// TestBoundStream checks that BoundStream passes fitting requests
+// through and ends the stream at the first request whose disk or
+// extent does not fit, with an error naming the request and field.
+func TestBoundStream(t *testing.T) {
+	for _, c := range []struct {
+		bad   Request
+		wants []string
+	}{
+		{Request{Disk: 2, LBA: 0, Sectors: 1}, []string{"request 2", "Disk 2", "2-disk"}},
+		{Request{Disk: 1, LBA: 99, Sectors: 2}, []string{"request 2", "LBA 99", "Sectors 2", "100 sectors"}},
+	} {
+		s := BoundStream(Trace{
+			{Disk: 0, LBA: 0, Sectors: 100},
+			{Disk: 1, LBA: 99, Sectors: 1},
+			c.bad,
+			{Disk: 0, LBA: 0, Sectors: 1},
+		}.Stream(), 2, 100)
+		for i := 0; i < 2; i++ {
+			if _, ok := s.Next(); !ok {
+				t.Fatalf("fitting request %d rejected: %v", i, Err(s))
+			}
+		}
+		if r, ok := s.Next(); ok {
+			t.Fatalf("BoundStream accepted %+v", r)
+		}
+		err := Err(s)
+		for _, w := range c.wants {
+			if err == nil || !strings.Contains(err.Error(), w) {
+				t.Fatalf("Err = %v; want it to name %q", err, w)
+			}
+		}
+		if _, ok := s.Next(); ok {
+			t.Fatal("stream yielded requests after its terminal error")
+		}
+	}
+}
+
 // BenchmarkGeneratorStream measures per-request streaming synthesis —
 // the steady-state cost a streaming replay pays instead of holding a
 // materialized trace.

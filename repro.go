@@ -165,10 +165,11 @@ var (
 	Drive7200x36GB = disk.Drive7200x36GB
 )
 
-// Drive is a conventional single-actuator disk drive.
+// Drive is the drive engine; NewDrive builds it as a conventional
+// single-actuator drive.
 type Drive = disk.Drive
 
-// DriveOptions tunes a conventional drive.
+// DriveOptions tunes a drive. Its zero value is a conventional drive.
 type DriveOptions = disk.Options
 
 // ZeroedScale marks a seek/rotation scale of exactly zero (Figure 4's
@@ -197,7 +198,8 @@ func SATaxonomy(n int) DASH { return core.SA(n) }
 type ParallelDrive = core.ParallelDrive
 
 // ParallelConfig configures a parallel drive, including the relaxed
-// multi-arm-motion and multi-channel variants and arm placement.
+// multi-arm-motion and multi-channel variants and arm placement: the
+// drive options, with Actuators required.
 type ParallelConfig = core.Config
 
 // NewParallelDrive attaches a configured parallel drive to the engine.
