@@ -210,6 +210,7 @@ type Drive struct {
 	bgQueue *sched.Queue[pending]
 	acct    *power.Accountant
 	pm      *power.Model
+	spin    *spindle // the dynamic-RPM policy; nil at fixed speed
 
 	arms           []arm
 	activeChannels int
@@ -458,6 +459,9 @@ func (d *Drive) Snapshot() obs.Snapshot {
 	s.Counters["defect_hops"] = d.defectHops
 	s.Counters["flushes"] = d.flushes
 	s.Gauges["dirty_writes"] = obs.GaugeValue{Value: d.bgDepth.Value(), Max: d.bgDepth.Max()}
+	if d.spin != nil {
+		d.spin.snapshot(&s)
+	}
 	return s
 }
 
@@ -465,6 +469,9 @@ var _ device.Instrumented = (*Drive)(nil)
 
 // Power reports the drive's average-power breakdown over elapsed ms.
 func (d *Drive) Power(elapsedMs float64) power.Breakdown {
+	if d.spin != nil {
+		return d.spin.power(elapsedMs)
+	}
 	return d.acct.Breakdown(elapsedMs)
 }
 
@@ -610,6 +617,9 @@ func (d *Drive) Submit(r trace.Request, done device.Done) {
 	}
 	d.queue.Push(pending{req: r, done: done, loc: d.geo.Locate(r.LBA), obsReq: req, submitMs: now}, now)
 	d.qDepth.Set(float64(d.queue.Len()))
+	if d.spin != nil {
+		d.spin.submitted()
+	}
 	d.trySchedule()
 }
 
@@ -704,12 +714,13 @@ func (d *Drive) trySchedule() {
 	}
 }
 
-// dispatchOne starts one service if work and an arm are available:
-// the best queued foreground request on its best idle arm, or a
-// pre-seeked arm's request if that is cheaper, or else background work.
+// dispatchOne starts one service if work and an arm are available and
+// the spindle is not changing speed: the best queued foreground request
+// on its best idle arm, or a pre-seeked arm's request if that is
+// cheaper, or else background work.
 func (d *Drive) dispatchOne() bool {
 	idleWork := d.idleArms > 0 && (d.queue.Len() > 0 || d.bgQueue.Len() > 0)
-	if !idleWork && d.assignedArms == 0 {
+	if !idleWork && d.assignedArms == 0 || d.spin != nil && d.spin.transitioning {
 		return false
 	}
 	now := d.eng.Now()
@@ -860,6 +871,9 @@ func (d *Drive) finishService(armIdx int) {
 	}
 	if p.done != nil {
 		p.done(d.eng.Now())
+	}
+	if d.spin != nil && d.queue.Len() == 0 {
+		d.spin.armIdle() // idle from here unless a request arrives
 	}
 	if d.opts.IdleReturn {
 		d.returnIdleArms(armIdx, p.loc.Cyl)

@@ -1,8 +1,8 @@
 package experiments
 
 import (
+	"repro/internal/device"
 	"repro/internal/disk"
-	"repro/internal/drpm"
 	"repro/internal/simkit"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -42,7 +42,7 @@ func AltPower(spec trace.WorkloadSpec, cfg Config) (*AltPowerResult, error) {
 
 	// DRPM drive with the classic ladder.
 	eng := simkit.New()
-	dd, err := drpm.New(eng, disk.BarracudaES(), drpm.Config{
+	dd, err := disk.NewDRPM(eng, disk.BarracudaES(), disk.DRPMConfig{
 		Levels: []float64{7200, 6200, 5200, 4200},
 	})
 	if err != nil {
@@ -52,7 +52,10 @@ func AltPower(spec trace.WorkloadSpec, cfg Config) (*AltPowerResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	resp, err := ReplayStream(eng, dd, ds)
+	// The run ends at the last completion, as the other rows' runs do;
+	// the engine's clock runs on through the ladder walk that follows.
+	last := &lastCompletion{Device: dd}
+	resp, err := ReplayStream(eng, last, ds)
 	if err != nil {
 		return nil, err
 	}
@@ -60,8 +63,8 @@ func AltPower(spec trace.WorkloadSpec, cfg Config) (*AltPowerResult, error) {
 		Label:     "DRPM",
 		Resp:      resp,
 		RotLat:    &stats.Sample{},
-		Power:     dd.Power(eng.Now()),
-		ElapsedMs: eng.Now(),
+		Power:     dd.Power(last.at),
+		ElapsedMs: last.at,
 		Completed: uint64(resp.Count()),
 	}
 
@@ -76,4 +79,17 @@ func AltPower(spec trace.WorkloadSpec, cfg Config) (*AltPowerResult, error) {
 	}
 	out.SA4Low = *sa
 	return out, nil
+}
+
+// lastCompletion wraps a device to note when its last request completed.
+type lastCompletion struct {
+	device.Device
+	at float64
+}
+
+func (l *lastCompletion) Submit(r trace.Request, done device.Done) {
+	l.Device.Submit(r, func(at float64) {
+		l.at = at
+		done(at)
+	})
 }

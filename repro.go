@@ -30,7 +30,6 @@ import (
 	"repro/internal/cost"
 	"repro/internal/device"
 	"repro/internal/disk"
-	"repro/internal/drpm"
 	"repro/internal/experiments"
 	"repro/internal/fault"
 	"repro/internal/fleet"
@@ -414,16 +413,16 @@ func DefaultThermalEnvelope() ThermalEnvelope { return thermal.Default() }
 // Baselines and substrates beyond the paper's core evaluation.
 
 // DRPMDrive is the dynamic-RPM drive — the related-work power-management
-// baseline (internal/drpm).
-type DRPMDrive = drpm.Drive
+// baseline: the one drive engine with a spindle-speed ladder.
+type DRPMDrive = disk.Drive
 
 // DRPMConfig tunes the DRPM policy (RPM ladder, idle threshold,
 // spin-up trigger, transition time).
-type DRPMConfig = drpm.Config
+type DRPMConfig = disk.DRPMConfig
 
 // NewDRPMDrive attaches a DRPM drive built from the base model.
 func NewDRPMDrive(eng *Engine, model DriveModel, cfg DRPMConfig) (*DRPMDrive, error) {
-	return drpm.New(eng, model, cfg)
+	return disk.NewDRPM(eng, model, cfg)
 }
 
 // Bus is a shared storage interconnect with finite bandwidth.
