@@ -27,7 +27,6 @@ import (
 	"repro/internal/cost"
 	"repro/internal/experiments"
 	"repro/internal/fleet"
-	"repro/internal/stats"
 	"repro/internal/thermal"
 	"repro/internal/trace"
 )
@@ -80,10 +79,6 @@ func parseIntList(name, s string, min int) ([]int, error) {
 // is a typo, not a drive.
 const minRPM = 1000
 
-type row struct {
-	actuators, rpm int
-}
-
 func run(out *os.File, wl string, requests int, seed int64, armsFlag, rpmsFlag string, parallel, reps int, quiet bool) error {
 	spec, err := trace.WorkloadByName(wl)
 	if err != nil {
@@ -97,6 +92,9 @@ func run(out *os.File, wl string, requests int, seed int64, armsFlag, rpmsFlag s
 	if err != nil {
 		return err
 	}
+	if requests < 1 {
+		return fmt.Errorf("idpsweep: -requests must be >= 1")
+	}
 	if reps < 1 {
 		return fmt.Errorf("idpsweep: -reps must be >= 1")
 	}
@@ -105,19 +103,25 @@ func run(out *os.File, wl string, requests int, seed int64, armsFlag, rpmsFlag s
 	}
 	env := thermal.Default()
 
-	var points []row
+	var points []experiments.WhatIfQuery
 	for _, a := range arms {
 		for _, rpm := range rpms {
-			points = append(points, row{a, rpm})
+			points = append(points, experiments.WhatIfQuery{
+				Workload:  spec.Name,
+				Actuators: a,
+				RPM:       float64(rpm),
+				Requests:  requests,
+				Seed:      seed,
+				Reps:      reps,
+			})
 		}
 	}
 	jobs := make([]fleet.Job[string], len(points))
-	for i, pt := range points {
-		pt := pt
+	for i, q := range points {
 		jobs[i] = fleet.Job[string]{
-			Name: fmt.Sprintf("SA(%d)/%d", pt.actuators, pt.rpm),
+			Name: fmt.Sprintf("SA(%d)/%d", q.Actuators, int(q.RPM)),
 			Run: func(context.Context, int64) (string, error) {
-				return evalPoint(spec, requests, seed, reps, pt, env)
+				return evalPoint(q, env)
 			},
 		}
 	}
@@ -140,55 +144,45 @@ func run(out *os.File, wl string, requests int, seed int64, armsFlag, rpmsFlag s
 	return nil
 }
 
-// evalPoint measures one design point: reps replicated simulations (run
-// serially inside the already-parallel point fan-out), pooled response
-// statistics with a CI over per-replicate means, plus the analytic
-// power, thermal and cost figures.
-func evalPoint(spec trace.WorkloadSpec, requests int, seed int64, reps int, pt row, env thermal.Envelope) (string, error) {
-	var (
-		resp   *stats.Sample
-		lo, hi float64
-		powerW float64
-	)
-	if reps == 1 {
-		r, err := experiments.SARun(spec, experiments.Config{Requests: requests, Seed: seed}, pt.actuators, float64(pt.rpm))
+// evalPoint measures one design point: the query's replicates (run
+// serially inside the already-parallel point fan-out) pooled into
+// response statistics with a CI over per-replicate means, plus the
+// analytic power, thermal and cost figures. A single replicate runs at
+// the query's seed itself; more run at seeds derived from it, the same
+// at every design point, so points compare under identical randomness.
+func evalPoint(q experiments.WhatIfQuery, env thermal.Envelope) (string, error) {
+	var runs []*experiments.WhatIfRun
+	if q.Reps == 1 {
+		r, err := experiments.RunWhatIf(context.Background(), q, q.Seed, experiments.Observe{})
 		if err != nil {
 			return "", err
 		}
-		resp = r.Resp
-		lo, hi = r.Resp.Mean(), r.Resp.Mean()
-		powerW = r.Power.Total()
+		runs = []*experiments.WhatIfRun{r}
 	} else {
-		var powerSum float64 // replicates run serially: deterministic order
-		agg, err := fleet.Replicate(fmt.Sprintf("SA(%d)/%d", pt.actuators, pt.rpm), reps,
-			fleet.Options{Parallelism: 1, BaseSeed: seed},
-			func(_ context.Context, repSeed int64) (*stats.Sample, error) {
-				r, err := experiments.SARun(spec, experiments.Config{Requests: requests, Seed: repSeed}, pt.actuators, float64(pt.rpm))
-				if err != nil {
-					return nil, err
-				}
-				powerSum += r.Power.Total()
-				return r.Resp, nil
-			})
+		var err error
+		runs, err = fleet.Run(experiments.WhatIfJobs(q, experiments.Observe{}),
+			fleet.Options{Parallelism: 1, BaseSeed: q.Seed})
 		if err != nil {
 			return "", err
 		}
-		resp = agg.Merged
-		lo, hi = agg.CI95()
-		powerW = powerSum / float64(reps)
 	}
+	p, err := experiments.PoolWhatIf(runs)
+	if err != nil {
+		return "", err
+	}
+	lo, hi := p.Means.CI95()
 
-	pm, err := experiments.SAPowerModel(pt.actuators, float64(pt.rpm))
+	pm, err := experiments.SAPowerModel(q.Actuators, q.RPM)
 	if err != nil {
 		return "", err
 	}
 	temp, ok := env.CheckModel(pm)
-	c, err := cost.DriveCost(4, pt.actuators)
+	c, err := cost.DriveCost(4, q.Actuators)
 	if err != nil {
 		return "", err
 	}
 	return fmt.Sprintf("%d,%d,%d,%.2f,%.2f,%.2f,%.2f,%.2f,%.2f,%.2f,%.1f,%v,%.1f,%.1f\n",
-		pt.actuators, pt.rpm, reps,
-		resp.Mean(), lo, hi, resp.Percentile(90), resp.Percentile(99),
-		powerW, pm.PeakPower(), temp, ok, c.Low, c.High), nil
+		q.Actuators, int(q.RPM), q.Reps,
+		p.MeanMs, lo, hi, p.Merged.Percentile(90), p.Merged.Percentile(99),
+		p.TotalW, pm.PeakPower(), temp, ok, c.Low, c.High), nil
 }

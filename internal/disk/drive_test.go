@@ -66,20 +66,31 @@ func TestNamedModelCapacities(t *testing.T) {
 }
 
 func TestModelValidation(t *testing.T) {
-	m := smallModel()
-	m.RPM = 0
-	if err := m.Validate(); err == nil {
-		t.Fatalf("accepted zero RPM")
-	}
-	m = smallModel()
-	m.AvgSeekMs = m.SingleCylMs // breaks seek spec
-	if err := m.Validate(); err == nil {
-		t.Fatalf("accepted degenerate seek curve")
-	}
-	m = smallModel()
-	m.ControllerOverheadMs = -1
-	if err := m.Validate(); err == nil {
-		t.Fatalf("accepted negative overhead")
+	for name, c := range map[string]struct {
+		edit func(*Model)
+		want string // substring of the error; "" means valid
+	}{
+		"rpm 1":        {func(m *Model) { m.RPM = 1 }, ""},
+		"rpm 1e6":      {func(m *Model) { m.RPM = 1e6 }, ""},
+		"rpm 0":        {func(m *Model) { m.RPM = 0 }, "RPM 0 outside [1, 1e+06]"},
+		"rpm NaN":      {func(m *Model) { m.RPM = math.NaN() }, "RPM NaN outside"},
+		"rpm +Inf":     {func(m *Model) { m.RPM = math.Inf(1) }, "RPM +Inf outside"},
+		"rpm -Inf":     {func(m *Model) { m.RPM = math.Inf(-1) }, "RPM -Inf outside"},
+		"rpm 1e6+1":    {func(m *Model) { m.RPM = 1e6 + 1 }, "RPM 1.000001e+06 outside"},
+		"seek curve":   {func(m *Model) { m.AvgSeekMs = m.SingleCylMs }, "AvgMs"},
+		"neg overhead": {func(m *Model) { m.ControllerOverheadMs = -1 }, "overheads"},
+	} {
+		m := smallModel()
+		c.edit(&m)
+		err := m.Validate()
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: rejected: %v", name, err)
+		case c.want != "" && err == nil:
+			t.Errorf("%s: accepted", name)
+		case c.want != "" && !strings.Contains(err.Error(), c.want):
+			t.Errorf("%s: error %q does not mention %q", name, err, c.want)
+		}
 	}
 }
 

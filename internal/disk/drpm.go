@@ -45,22 +45,18 @@ func (c *DRPMConfig) fill(modelRPM float64) {
 	}
 }
 
-// The policy's bounds lie far past any real drive (a delay of 1e12 ms
-// is 32 years) and keep every clock reading and platter angle of a run
-// finite: below 1 RPM the spindle is stopped, and past the bounds a
-// revolution or a delay can overflow them.
-const (
-	maxDRPMRPM     = 1e6
-	maxDRPMDelayMs = 1e12
-)
+// maxDRPMDelayMs bounds the policy's delays far past any real drive
+// (1e12 ms is 32 years), so every clock reading of a run stays finite.
+// Each level obeys the model's spindle-speed bound, maxRPM.
+const maxDRPMDelayMs = 1e12
 
 // validate reports the first problem with the filled config, naming the
 // field. Each test fails on NaN, which would otherwise run silently at
 // NaN times.
 func (c DRPMConfig) validate() error {
 	for i, l := range c.Levels {
-		if !(l >= 1 && l <= maxDRPMRPM) || i > 0 && l >= c.Levels[i-1] {
-			return fmt.Errorf("disk: DRPM.Levels[%d] %v must be in [1, %g] RPM and below the level before", i, l, maxDRPMRPM)
+		if !(l >= 1 && l <= maxRPM) || i > 0 && l >= c.Levels[i-1] {
+			return fmt.Errorf("disk: DRPM.Levels[%d] %v must be in [1, %g] RPM and below the level before", i, l, maxRPM)
 		}
 	}
 	if v := c.IdleThresholdMs; !(v >= 0 && v <= maxDRPMDelayMs) {
@@ -91,10 +87,11 @@ type spindle struct {
 	// The idle step-down timer. Every armIdle schedules one idleEvent,
 	// and all of them share the one IdleThresholdMs delay, so they fire
 	// in the order they were armed: a firing timer is the latest one
-	// exactly when it is the last outstanding (idlePending reaches 0),
-	// and idleLive says no request arrived since it was armed.
+	// exactly when it is the last outstanding (idlePending reaches 0).
+	// A media request arriving after that arm keeps the drive busy or
+	// queued until its completion arms a newer timer, so the latest
+	// timer alone decides.
 	idlePending int
-	idleLive    bool
 	idleEvent   simkit.Event
 	endEvent    simkit.Event // ends the running transition
 }
@@ -224,10 +221,9 @@ func (s *spindle) snapshot(snap *obs.Snapshot) {
 	}
 }
 
-// submitted cancels any pending step-down when a media request arrives,
-// and spins back up to full speed under queue pressure.
+// submitted spins the spindle back up to full speed when a media
+// request arrives under queue pressure.
 func (s *spindle) submitted() {
-	s.idleLive = false
 	if s.d.queue.Len() >= s.cfg.UpQueueLen && s.level != 0 && !s.transitioning {
 		s.stepTo(0)
 	}
@@ -237,15 +233,14 @@ func (s *spindle) submitted() {
 // any timer already outstanding.
 func (s *spindle) armIdle() {
 	s.idlePending++
-	s.idleLive = true
 	s.d.eng.After(s.cfg.IdleThresholdMs, s.idleEvent)
 }
 
 // idleTimer fires an idle step-down timer: only the most recently armed
-// one acts, and only if no request arrived since it was armed.
+// one acts.
 func (s *spindle) idleTimer() {
 	s.idlePending--
-	if s.idlePending == 0 && s.idleLive && !s.d.Busy() && !s.transitioning &&
+	if s.idlePending == 0 && !s.d.Busy() && !s.transitioning &&
 		s.d.queue.Len() == 0 && s.level < len(s.cfg.Levels)-1 {
 		s.stepTo(s.level + 1)
 	}

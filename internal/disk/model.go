@@ -43,6 +43,12 @@ type Model struct {
 	PowerCoeff power.Coefficients
 }
 
+// maxRPM bounds a spindle speed far past any real drive (they stop near
+// 15000 RPM) and keeps every platter angle of a run finite: below 1 RPM
+// the spindle is stopped, and at 1e305 RPM the angle turns NaN within
+// ~30 simulated hours.
+const maxRPM = 1e6
+
 // Validate reports the first problem with the model, if any.
 func (m Model) Validate() error {
 	if err := m.Geom.Validate(); err != nil {
@@ -52,8 +58,8 @@ func (m Model) Validate() error {
 		return err
 	}
 	switch {
-	case m.RPM <= 0:
-		return fmt.Errorf("disk: %s: RPM must be positive", m.Name)
+	case !(m.RPM >= 1 && m.RPM <= maxRPM): // also rejects NaN
+		return fmt.Errorf("disk: %s: RPM %g outside [1, %g]", m.Name, m.RPM, maxRPM)
 	case m.DiameterIn <= 0:
 		return fmt.Errorf("disk: %s: DiameterIn must be positive", m.Name)
 	case m.CacheBytes < 0:

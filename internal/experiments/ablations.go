@@ -3,11 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/disk"
 	"repro/internal/sched"
-	"repro/internal/simkit"
-	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -18,36 +15,17 @@ import (
 // assemblies (which this implementation found to be the load-bearing
 // mechanism behind the rotational-latency reduction).
 
-// prepHCSDStream validates the config and synthesizes the workload's
-// HC-SD request stream. Each run of an ablation calls it afresh: the
+// unobservedRun validates the config and runs one unobserved drive on
+// the workload's HC-SD stream (see hcsdRun), as every ablation case and
+// AltPower's baseline do. Each run synthesizes the stream afresh: the
 // same (spec, cfg) always yields the identical stream, so every case
 // replays the same requests without any case holding a full trace.
-func prepHCSDStream(spec trace.WorkloadSpec, cfg Config) (trace.Stream, error) {
+func unobservedRun(spec trace.WorkloadSpec, cfg Config, model disk.Model, opts disk.Options, label string) (Run, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return Run{}, err
 	}
-	return hcsdStream(spec, cfg)
-}
-
-// runHCSD replays a prepared stream on an HC-SD built with opts.
-func runHCSD(label string, s trace.Stream, model disk.Model, opts disk.Options) (*Run, error) {
-	eng := simkit.New()
-	d, err := disk.New(eng, model, opts)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := ReplayStream(eng, d, s)
-	if err != nil {
-		return nil, err
-	}
-	return &Run{
-		Label:     label,
-		Resp:      resp,
-		RotLat:    &stats.Sample{},
-		Power:     d.Power(eng.Now()),
-		ElapsedMs: eng.Now(),
-		Completed: uint64(resp.Count()),
-	}, nil
+	cfg.Observe = Observe{}
+	return hcsdRun(spec, cfg, model, opts, label)
 }
 
 // SchedulerAblation runs the HC-SD under FCFS, SSTF, C-LOOK and SPTF.
@@ -55,17 +33,13 @@ func runHCSD(label string, s trace.Stream, model disk.Model, opts disk.Options) 
 func SchedulerAblation(spec trace.WorkloadSpec, cfg Config) ([]Run, error) {
 	var out []Run
 	for _, p := range []sched.Policy{sched.FCFS, sched.SSTF, sched.CLOOK, sched.SPTF} {
-		s, err := prepHCSDStream(spec, cfg)
-		if err != nil {
-			return nil, err
-		}
 		scfg := disk.DefaultSchedConfig()
 		scfg.Policy = p
-		r, err := runHCSD(p.String(), s, disk.BarracudaES(), disk.Options{Sched: &scfg})
+		r, err := unobservedRun(spec, cfg, disk.BarracudaES(), disk.Options{Sched: &scfg}, p.String())
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, *r)
+		out = append(out, r)
 	}
 	return out, nil
 }
@@ -76,17 +50,13 @@ func SchedulerAblation(spec trace.WorkloadSpec, cfg Config) ([]Run, error) {
 func CacheAblation(spec trace.WorkloadSpec, cfg Config) ([]Run, error) {
 	var out []Run
 	for _, mb := range []int64{8, 64} {
-		s, err := prepHCSDStream(spec, cfg)
-		if err != nil {
-			return nil, err
-		}
 		model := disk.BarracudaES()
 		model.CacheBytes = mb << 20
-		r, err := runHCSD(fmt.Sprintf("%dMB cache", mb), s, model, disk.Options{})
+		r, err := unobservedRun(spec, cfg, model, disk.Options{}, fmt.Sprintf("%dMB cache", mb))
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, *r)
+		out = append(out, r)
 	}
 	return out, nil
 }
@@ -97,23 +67,19 @@ func CacheAblation(spec trace.WorkloadSpec, cfg Config) ([]Run, error) {
 func RelaxedDesignAblation(spec trace.WorkloadSpec, cfg Config, actuators int) ([]Run, error) {
 	cases := []struct {
 		label string
-		ccfg  core.Config
+		opts  disk.Options
 	}{
-		{fmt.Sprintf("SA(%d) base", actuators), core.Config{Actuators: actuators}},
-		{fmt.Sprintf("SA(%d)+multi-arm", actuators), core.Config{Actuators: actuators, MultiArmMotion: true}},
-		{fmt.Sprintf("SA(%d)+%d-channel", actuators, actuators), core.Config{Actuators: actuators, Channels: actuators}},
+		{fmt.Sprintf("SA(%d) base", actuators), disk.Options{Actuators: actuators}},
+		{fmt.Sprintf("SA(%d)+multi-arm", actuators), disk.Options{Actuators: actuators, MultiArmMotion: true}},
+		{fmt.Sprintf("SA(%d)+%d-channel", actuators, actuators), disk.Options{Actuators: actuators, Channels: actuators}},
 	}
 	var out []Run
 	for _, c := range cases {
-		s, err := prepHCSDStream(spec, cfg)
+		r, err := unobservedRun(spec, cfg, disk.BarracudaES(), c.opts, c.label)
 		if err != nil {
 			return nil, err
 		}
-		r, err := runSA(c.label, s, c.ccfg)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, *r)
+		out = append(out, r)
 	}
 	return out, nil
 }
@@ -125,54 +91,17 @@ func RelaxedDesignAblation(spec trace.WorkloadSpec, cfg Config, actuators int) (
 // almost nothing — the spread mounting is what shortens rotational
 // latency (the paper's Figure 1 draws the assemblies diagonally).
 func PlacementAblation(spec trace.WorkloadSpec, cfg Config, actuators int) (spread, colocated Run, err error) {
-	ds, err := prepHCSDStream(spec, cfg)
+	spread, err = unobservedRun(spec, cfg, disk.BarracudaES(), disk.Options{Actuators: actuators},
+		fmt.Sprintf("SA(%d) diagonal", actuators))
 	if err != nil {
 		return Run{}, Run{}, err
 	}
-	s, err := runSA(fmt.Sprintf("SA(%d) diagonal", actuators), ds, core.Config{Actuators: actuators})
-	if err != nil {
-		return Run{}, Run{}, err
-	}
-	cs, err := prepHCSDStream(spec, cfg)
-	if err != nil {
-		return Run{}, Run{}, err
-	}
-	zero := make([]float64, actuators)
-	c, err := runSA(fmt.Sprintf("SA(%d) co-located", actuators), cs, core.Config{
+	colocated, err = unobservedRun(spec, cfg, disk.BarracudaES(), disk.Options{
 		Actuators:      actuators,
-		AngularOffsets: zero,
-	})
+		AngularOffsets: make([]float64, actuators),
+	}, fmt.Sprintf("SA(%d) co-located", actuators))
 	if err != nil {
 		return Run{}, Run{}, err
 	}
-	return *s, *c, nil
-}
-
-// runSA replays a prepared stream on a parallel drive built with ccfg.
-func runSA(label string, in trace.Stream, ccfg core.Config) (*Run, error) {
-	eng := simkit.New()
-	rot := &stats.Sample{}
-	prev := ccfg.OnService
-	ccfg.OnService = func(s, r, x float64) {
-		rot.Add(r)
-		if prev != nil {
-			prev(s, r, x)
-		}
-	}
-	d, err := core.New(eng, disk.BarracudaES(), ccfg)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := ReplayStream(eng, d, in)
-	if err != nil {
-		return nil, err
-	}
-	return &Run{
-		Label:     label,
-		Resp:      resp,
-		RotLat:    rot,
-		Power:     d.Power(eng.Now()),
-		ElapsedMs: eng.Now(),
-		Completed: uint64(resp.Count()),
-	}, nil
+	return spread, colocated, nil
 }

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+
 	"repro/internal/device"
 	"repro/internal/disk"
 	"repro/internal/simkit"
@@ -24,21 +26,12 @@ type AltPowerResult struct {
 // while DRPM must pick between latency (staying slow) and power (spinning
 // back up) under sustained server load.
 func AltPower(spec trace.WorkloadSpec, cfg Config) (*AltPowerResult, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	out := &AltPowerResult{Workload: spec.Name}
-
-	// Baseline: the plain HC-SD.
-	bs, err := hcsdStream(spec, cfg)
+	// Baseline: the plain HC-SD (validating cfg).
+	base, err := unobservedRun(spec, cfg, disk.BarracudaES(), disk.Options{}, "HC-SD")
 	if err != nil {
 		return nil, err
 	}
-	base, err := runHCSD("HC-SD", bs, disk.BarracudaES(), disk.Options{})
-	if err != nil {
-		return nil, err
-	}
-	out.HCSD = *base
+	out := &AltPowerResult{Workload: spec.Name, HCSD: base}
 
 	// DRPM drive with the classic ladder.
 	eng := simkit.New()
@@ -69,15 +62,11 @@ func AltPower(spec trace.WorkloadSpec, cfg Config) (*AltPowerResult, error) {
 	}
 
 	// The paper's answer: SA(4) at a permanently reduced RPM.
-	ss, err := hcsdStream(spec, cfg)
+	sa, err := saJob(spec, cfg, 4, 5200).Run(context.Background(), 0)
 	if err != nil {
 		return nil, err
 	}
-	sa, err := saRunOnStream(ss, 4, 5200, cfg)
-	if err != nil {
-		return nil, err
-	}
-	out.SA4Low = *sa
+	out.SA4Low = sa
 	return out, nil
 }
 

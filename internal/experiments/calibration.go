@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/disk"
 	"repro/internal/fleet"
+	"repro/internal/obs"
 	"repro/internal/simkit"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -107,28 +108,13 @@ func CalibrationStudy(path string, cfg Config) (*CalibrationResult, error) {
 			if done != nil {
 				defer done()
 			}
-			eng := simkit.New()
-			sink := cfg.Observe.sink()
-			d, err := disk.New(eng, disk.BarracudaES(), disk.Options{
-				Obs: sinkOptions(sink, "calibration/"+label),
-			})
+			r, err := runDrive(context.Background(), disk.BarracudaES(),
+				disk.Options{Obs: obs.Options{Name: "calibration/" + label}},
+				label, trace.RemapStream(s, offsets), cfg.Observe, nil)
 			if err != nil {
 				return Run{}, err
 			}
-			resp, err := ReplayStream(eng, d, trace.RemapStream(s, offsets))
-			if err != nil {
-				return Run{}, err
-			}
-			return Run{
-				Label:     label,
-				Resp:      resp,
-				RotLat:    &stats.Sample{},
-				Power:     d.Power(eng.Now()),
-				ElapsedMs: eng.Now(),
-				Completed: uint64(resp.Count()),
-				Events:    cfg.Observe.events(sink),
-				Snap:      cfg.Observe.snap(d),
-			}, nil
+			return *r, nil
 		}}
 	}
 	jobs := []fleet.Job[Run]{

@@ -393,36 +393,8 @@ func LimitStudy(spec trace.WorkloadSpec, cfg Config) (*LimitStudyResult, error) 
 				Snap:      cfg.Observe.snap(md.Router),
 			}, nil
 		}},
-		{Name: spec.Name + "/HC-SD", Run: func(context.Context, int64) (Run, error) {
-			eng := simkit.New()
-			rot := &stats.Sample{}
-			sink := cfg.Observe.sink()
-			hc, err := disk.New(eng, disk.BarracudaES(), disk.Options{
-				OnService: func(s, r, x float64) { rot.Add(r) },
-				Obs:       sinkOptions(sink, "hcsd"),
-			})
-			if err != nil {
-				return Run{}, err
-			}
-			s, err := hcsdStream(spec, cfg)
-			if err != nil {
-				return Run{}, err
-			}
-			resp, err := ReplayStream(eng, hc, s)
-			if err != nil {
-				return Run{}, err
-			}
-			return Run{
-				Label:     "HC-SD",
-				Resp:      resp,
-				RotLat:    rot,
-				Power:     hc.Power(eng.Now()),
-				ElapsedMs: eng.Now(),
-				Completed: uint64(resp.Count()),
-				Events:    cfg.Observe.events(sink),
-				Snap:      cfg.Observe.snap(hc),
-			}, nil
-		}},
+		hcsdJob(spec.Name+"/HC-SD", spec, cfg, disk.BarracudaES(),
+			disk.Options{Obs: obs.Options{Name: "hcsd"}}, "HC-SD"),
 	}
 	runs, err := fleet.Run(jobs, cfg.fleetOptions())
 	if err != nil {
@@ -469,40 +441,11 @@ func Bottleneck(spec trace.WorkloadSpec, cfg Config) (*BottleneckResult, error) 
 	cases := Figure4Cases()
 	jobs := make([]fleet.Job[Run], len(cases))
 	for i, sc := range cases {
-		sc := sc
-		jobs[i] = fleet.Job[Run]{
-			Name: spec.Name + "/" + sc.Label,
-			Run: func(context.Context, int64) (Run, error) {
-				eng := simkit.New()
-				sink := cfg.Observe.sink()
-				d, err := disk.New(eng, disk.BarracudaES(), disk.Options{
-					SeekScale: sc.SeekScale,
-					RotScale:  sc.RotScale,
-					Obs:       sinkOptions(sink, "hcsd/"+sc.Label),
-				})
-				if err != nil {
-					return Run{}, err
-				}
-				s, err := hcsdStream(spec, cfg)
-				if err != nil {
-					return Run{}, err
-				}
-				resp, err := ReplayStream(eng, d, s)
-				if err != nil {
-					return Run{}, err
-				}
-				return Run{
-					Label:     sc.Label,
-					Resp:      resp,
-					RotLat:    &stats.Sample{},
-					Power:     d.Power(eng.Now()),
-					ElapsedMs: eng.Now(),
-					Completed: uint64(resp.Count()),
-					Events:    cfg.Observe.events(sink),
-					Snap:      cfg.Observe.snap(d),
-				}, nil
-			},
-		}
+		jobs[i] = hcsdJob(spec.Name+"/"+sc.Label, spec, cfg, disk.BarracudaES(), disk.Options{
+			SeekScale: sc.SeekScale,
+			RotScale:  sc.RotScale,
+			Obs:       obs.Options{Name: "hcsd/" + sc.Label},
+		}, sc.Label)
 	}
 	runs, err := fleet.Run(jobs, cfg.fleetOptions())
 	if err != nil {
@@ -511,40 +454,46 @@ func Bottleneck(spec trace.WorkloadSpec, cfg Config) (*BottleneckResult, error) 
 	return &BottleneckResult{Workload: spec.Name, Cases: runs}, nil
 }
 
-// SARun runs one HC-SD-SA(n) design point (optionally at a reduced RPM)
-// on a workload's HC-SD request stream.
-func SARun(spec trace.WorkloadSpec, cfg Config, actuators int, rpm float64) (*Run, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	s, err := hcsdStream(spec, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return saRunOnStream(s, actuators, rpm, cfg)
-}
-
-// saRunOnStream builds the SA(n) drive and replays a prepared stream.
-func saRunOnStream(s trace.Stream, actuators int, rpm float64, cfg Config) (*Run, error) {
-	model := disk.BarracudaES()
-	label := fmt.Sprintf("HC-SD-SA(%d)", actuators)
-	if rpm > 0 && rpm != model.RPM {
-		model = model.WithRPM(rpm)
-		label = fmt.Sprintf("SA(%d)/%d", actuators, int(rpm))
-	}
+// runDrive is the one single-drive run every design point goes
+// through: it builds a drive from model and opts on a fresh engine — an
+// SA(n) parallel drive (core.New) when opts.Actuators > 0, a
+// conventional drive (disk.New) otherwise — replays s on it, and
+// measures the run under label. ob decides whether the drive traces
+// (into a sink named opts.Obs.Name) and whether its snapshot is taken.
+// Rotational latency is recorded on SA(n) drives only: no table reads
+// it for any other run. attach, when non-nil, runs between the build
+// and the replay (RunWhatIf arms its fault injector there); ctx only
+// aborts the replay (see replayStreamCtx).
+func runDrive(ctx context.Context, model disk.Model, opts disk.Options, label string, s trace.Stream, ob Observe,
+	attach func(eng simkit.Scheduler, d *disk.Drive, sink *obs.MemorySink) error) (*Run, error) {
 	eng := simkit.New()
-	rot := &stats.Sample{}
-	ob := cfg.Observe
 	sink := ob.sink()
-	d, err := core.New(eng, model, core.Config{
-		Actuators: actuators,
-		OnService: func(s, r, x float64) { rot.Add(r) },
-		Obs:       sinkOptions(sink, label),
-	})
-	if err != nil {
-		return nil, err
+	if sink != nil {
+		opts.Obs.Sink = sink
 	}
-	resp, err := ReplayStream(eng, d, s)
+	rot := &stats.Sample{}
+	var d *disk.Drive
+	var dev device.Instrumented // the SA(n) snapshot carries the parallel-drive labels
+	if opts.Actuators > 0 {
+		opts.OnService = func(_, r, _ float64) { rot.Add(r) }
+		pd, err := core.New(eng, model, opts)
+		if err != nil {
+			return nil, err
+		}
+		d, dev = pd.Drive, pd
+	} else {
+		var err error
+		if d, err = disk.New(eng, model, opts); err != nil {
+			return nil, err
+		}
+		dev = d
+	}
+	if attach != nil {
+		if err := attach(eng, d, sink); err != nil {
+			return nil, err
+		}
+	}
+	resp, err := replayStreamCtx(ctx, eng, d, s, whatIfCancelBatch)
 	if err != nil {
 		return nil, err
 	}
@@ -556,8 +505,55 @@ func saRunOnStream(s trace.Stream, actuators int, rpm float64, cfg Config) (*Run
 		ElapsedMs: eng.Now(),
 		Completed: uint64(resp.Count()),
 		Events:    ob.events(sink),
-		Snap:      ob.snap(d),
+		Snap:      ob.snap(dev),
 	}, nil
+}
+
+// hcsdRun runs one drive (see runDrive) on the workload's HC-SD
+// request stream, synthesized privately for the run.
+func hcsdRun(spec trace.WorkloadSpec, cfg Config, model disk.Model, opts disk.Options, label string) (Run, error) {
+	s, err := hcsdStream(spec, cfg)
+	if err != nil {
+		return Run{}, err
+	}
+	r, err := runDrive(context.Background(), model, opts, label, s, cfg.Observe, nil)
+	if err != nil {
+		return Run{}, err
+	}
+	return *r, nil
+}
+
+// hcsdJob is hcsdRun as a fleet job.
+func hcsdJob(name string, spec trace.WorkloadSpec, cfg Config, model disk.Model, opts disk.Options, label string) fleet.Job[Run] {
+	return fleet.Job[Run]{Name: name, Run: func(context.Context, int64) (Run, error) {
+		return hcsdRun(spec, cfg, model, opts, label)
+	}}
+}
+
+// saModel is the HC-SD's drive model at the given spindle speed (0
+// keeps the stock 7200 RPM).
+func saModel(rpm float64) disk.Model {
+	model := disk.BarracudaES()
+	if rpm != 0 && rpm != model.RPM {
+		model = model.WithRPM(rpm)
+	}
+	return model
+}
+
+// saJob is the fleet job of one HC-SD-SA(n) design point at the given
+// spindle speed, labeled HC-SD-SA(n) at the stock speed and SA(n)/rpm
+// below it.
+func saJob(spec trace.WorkloadSpec, cfg Config, actuators int, rpm float64) fleet.Job[Run] {
+	label := fmt.Sprintf("HC-SD-SA(%d)", actuators)
+	name := fmt.Sprintf("%s/SA(%d)", spec.Name, actuators)
+	if rpm != 0 {
+		name += fmt.Sprintf("/%d", int(rpm))
+		if rpm != disk.BarracudaES().RPM {
+			label = fmt.Sprintf("SA(%d)/%d", actuators, int(rpm))
+		}
+	}
+	return hcsdJob(name, spec, cfg, saModel(rpm),
+		disk.Options{Actuators: actuators, Obs: obs.Options{Name: label}}, label)
 }
 
 // MultiActuatorResult is one workload's Figure 5 measurement: response
@@ -580,21 +576,7 @@ func MultiActuator(spec trace.WorkloadSpec, cfg Config, maxActuators int) (*Mult
 	out := &MultiActuatorResult{Workload: spec.Name, MD: ls.MD}
 	jobs := make([]fleet.Job[Run], maxActuators)
 	for n := 1; n <= maxActuators; n++ {
-		n := n
-		jobs[n-1] = fleet.Job[Run]{
-			Name: fmt.Sprintf("%s/SA(%d)", spec.Name, n),
-			Run: func(context.Context, int64) (Run, error) {
-				s, err := hcsdStream(spec, cfg)
-				if err != nil {
-					return Run{}, err
-				}
-				r, err := saRunOnStream(s, n, 0, cfg)
-				if err != nil {
-					return Run{}, err
-				}
-				return *r, nil
-			},
-		}
+		jobs[n-1] = saJob(spec, cfg, n, 0)
 	}
 	runs, err := fleet.Run(jobs, cfg.fleetOptions())
 	if err != nil {
@@ -630,21 +612,7 @@ func ReducedRPM(spec trace.WorkloadSpec, cfg Config) (*ReducedRPMResult, error) 
 	var jobs []fleet.Job[Run]
 	for _, rpm := range rpms {
 		for _, a := range arms {
-			rpm, a := rpm, a
-			jobs = append(jobs, fleet.Job[Run]{
-				Name: fmt.Sprintf("%s/SA(%d)/%d", spec.Name, a, int(rpm)),
-				Run: func(context.Context, int64) (Run, error) {
-					s, err := hcsdStream(spec, cfg)
-					if err != nil {
-						return Run{}, err
-					}
-					r, err := saRunOnStream(s, a, rpm, cfg)
-					if err != nil {
-						return Run{}, err
-					}
-					return *r, nil
-				},
-			})
+			jobs = append(jobs, saJob(spec, cfg, a, rpm))
 		}
 	}
 	runs, err := fleet.Run(jobs, cfg.fleetOptions())
@@ -659,9 +627,6 @@ func ReducedRPM(spec trace.WorkloadSpec, cfg Config) (*ReducedRPMResult, error) 
 // the given spindle speed (0 = the base model's RPM) — used by design
 // sweeps that need peak power and thermal figures without a simulation.
 func SAPowerModel(actuators int, rpm float64) (*power.Model, error) {
-	model := disk.BarracudaES()
-	if rpm > 0 {
-		model = model.WithRPM(rpm)
-	}
+	model := saModel(rpm)
 	return power.NewModel(model.PowerCoeff, model.PowerSpec(actuators))
 }

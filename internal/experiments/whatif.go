@@ -3,11 +3,13 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math"
 
-	"repro/internal/core"
 	"repro/internal/disk"
 	"repro/internal/fault"
 	"repro/internal/fleet"
+	"repro/internal/obs"
+	"repro/internal/power"
 	"repro/internal/simkit"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -54,15 +56,6 @@ type WhatIfArmFault struct {
 	Arm int `json:"arm"`
 }
 
-// whatIfMaxActuators bounds the design space a query may ask about; it
-// matches the largest SA(n) the paper evaluates (Figure 5 stops at 4,
-// the ablations go to 8).
-const whatIfMaxActuators = 8
-
-// whatIfRPMs are the spindle speeds a query may select, the paper's
-// Figure 6 grid plus the stock 7200 (0 keeps the model default).
-var whatIfRPMs = map[float64]bool{7200: true, 6200: true, 5200: true, 4200: true}
-
 // Normalize fills the query's defaulted fields with their effective
 // values. Serving normalizes before hashing, so "reps omitted" and
 // "reps: 1" are the same cache entry.
@@ -85,23 +78,23 @@ func (q WhatIfQuery) Normalize() WhatIfQuery {
 	return q
 }
 
-// Validate reports the first problem with the (normalized) query.
+// Validate reports the first problem with the (normalized) query that
+// the model cannot run. The spindle speed is the drive model's to check
+// (disk.Model.Validate); serving adds its own, tighter limits on top.
 func (q WhatIfQuery) Validate() error {
 	q = q.Normalize()
 	if _, err := trace.WorkloadByName(q.Workload); err != nil {
 		return fmt.Errorf("what-if: %w", err)
 	}
 	switch {
-	case q.Actuators < 1 || q.Actuators > whatIfMaxActuators:
-		return fmt.Errorf("what-if: actuators %d outside [1,%d]", q.Actuators, whatIfMaxActuators)
-	case q.RPM != 0 && !whatIfRPMs[q.RPM]:
-		return fmt.Errorf("what-if: rpm %g not in the evaluated grid (7200, 6200, 5200, 4200)", q.RPM)
-	case q.ArrivalScale < 0.1 || q.ArrivalScale > 16:
-		return fmt.Errorf("what-if: arrival_scale %g outside [0.1,16]", q.ArrivalScale)
-	case q.Requests < 1 || q.Requests > 8_000_000:
-		return fmt.Errorf("what-if: requests %d outside [1,8000000]", q.Requests)
-	case q.Reps < 1 || q.Reps > 64:
-		return fmt.Errorf("what-if: reps %d outside [1,64]", q.Reps)
+	case q.Actuators < 1:
+		return fmt.Errorf("what-if: actuators %d must be >= 1", q.Actuators)
+	case !(q.ArrivalScale > 0) || math.IsInf(q.ArrivalScale, 1):
+		return fmt.Errorf("what-if: arrival_scale %g must be positive and finite", q.ArrivalScale)
+	case q.Requests < 1:
+		return fmt.Errorf("what-if: requests %d must be >= 1", q.Requests)
+	case q.Reps < 1:
+		return fmt.Errorf("what-if: reps %d must be >= 1", q.Reps)
 	}
 	for i, af := range q.ArmFaults {
 		switch {
@@ -174,24 +167,24 @@ func RunWhatIf(ctx context.Context, q WhatIfQuery, seed int64, ob Observe) (*Wha
 		return nil, err
 	}
 
-	model := disk.BarracudaES()
-	if q.RPM != 0 && q.RPM != model.RPM {
-		model = model.WithRPM(q.RPM)
-	}
-	eng := simkit.New()
-	rot := &stats.Sample{}
-	sink := ob.sink()
-	d, err := core.New(eng, model, core.Config{
-		Actuators: q.Actuators,
-		OnService: func(s, r, x float64) { rot.Add(r) },
-		Obs:       sinkOptions(sink, q.Label()),
-	})
+	offsets, err := HCSDOffsets(spec)
 	if err != nil {
 		return nil, err
 	}
-
-	var inj *fault.Injector
-	if len(q.ArmFaults) > 0 {
+	g, err := trace.NewGenerator(spec, seed)
+	if err != nil {
+		return nil, err
+	}
+	label := q.Label()
+	var (
+		drive *disk.Drive
+		inj   *fault.Injector
+	)
+	arm := func(eng simkit.Scheduler, d *disk.Drive, sink *obs.MemorySink) error {
+		drive = d
+		if len(q.ArmFaults) == 0 {
+			return nil
+		}
 		// The fault timeline is expressed in fractions of the nominal
 		// duration so it scales with Requests, like the degradation study.
 		nominal := spec.MeanInterArrivalMs * float64(q.Requests)
@@ -201,49 +194,27 @@ func RunWhatIf(ctx context.Context, q WhatIfQuery, seed int64, ob Observe) (*Wha
 		}
 		plan, err := fault.Compile(fs, seed)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		inj, err = fault.NewInjector(eng, plan, fault.Targets{Arms: d},
-			sinkOptions(sink, q.Label()+"/fault"))
+		inj, err = fault.NewInjector(eng, plan, fault.Targets{Arms: d}, sinkOptions(sink, label+"/fault"))
 		if err != nil {
-			return nil, err
+			return err
 		}
 		inj.Schedule()
+		return nil
 	}
-
-	offsets, err := HCSDOffsets(spec)
-	if err != nil {
-		return nil, err
-	}
-	g, err := trace.NewGenerator(spec, seed)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := replayStreamCtx(ctx, eng, d, trace.RemapStream(g, offsets), whatIfCancelBatch)
+	run, err := runDrive(ctx, saModel(q.RPM), disk.Options{Actuators: q.Actuators, Obs: obs.Options{Name: label}},
+		label, trace.RemapStream(g, offsets), ob, arm)
 	if err != nil {
 		return nil, err
 	}
 
-	r := &WhatIfRun{
-		Run: Run{
-			Label:     q.Label(),
-			Resp:      resp,
-			RotLat:    rot,
-			Power:     d.Power(eng.Now()),
-			ElapsedMs: eng.Now(),
-			Completed: uint64(resp.Count()),
-			Events:    ob.events(sink),
-			Snap:      ob.snap(d),
-		},
-		HealthyArms: d.HealthyArms(),
-		TotalArms:   q.Actuators,
-	}
+	r := &WhatIfRun{Run: *run, HealthyArms: drive.HealthyArms(), TotalArms: q.Actuators}
 	if inj != nil {
 		r.FaultsInjected = inj.Injected()
 		r.FaultsRefused = inj.Refused()
 		if r.Snap != nil {
-			child := inj.Snapshot()
-			r.Snap.Children = append(r.Snap.Children, child)
+			r.Snap.Children = append(r.Snap.Children, inj.Snapshot())
 		}
 	}
 	return r, nil
@@ -267,4 +238,49 @@ func WhatIfJobs(q WhatIfQuery, ob Observe) []fleet.Job[*WhatIfRun] {
 		}
 	}
 	return jobs
+}
+
+// WhatIfPool is a query's replicate runs pooled into one answer.
+type WhatIfPool struct {
+	// Merged holds every replicate's response times, in replicate order.
+	Merged *stats.Sample
+	// MeanMs is Merged's mean, taken before anything sorts Merged:
+	// percentiles sort the sample in place, and the summation order sets
+	// the mean's low bits.
+	MeanMs float64
+	// Means holds one mean per replicate; its CI95 brackets MeanMs with
+	// the spread of independent draws.
+	Means *stats.Sample
+	// Power is the mean power per mode (Power.Watts) over the mean
+	// simulated duration of one replicate (Power.Elapsed). TotalW is the
+	// mean of the replicates' totals, which can differ from
+	// Power.Total() in the last bits.
+	Power  power.Breakdown
+	TotalW float64
+}
+
+// PoolWhatIf pools replicate runs, in the order given (replicate order,
+// as fleet returns them — independent of scheduling).
+func PoolWhatIf(runs []*WhatIfRun) (*WhatIfPool, error) {
+	if len(runs) == 0 {
+		return nil, fmt.Errorf("what-if: no replicate runs to pool")
+	}
+	p := &WhatIfPool{Merged: &stats.Sample{}, Means: &stats.Sample{}}
+	for _, r := range runs {
+		p.Merged.Merge(r.Resp)
+		p.Means.Add(r.Resp.Mean())
+		p.TotalW += r.Power.Total()
+		for m, w := range r.Power.Watts {
+			p.Power.Watts[m] += w
+		}
+		p.Power.Elapsed += r.ElapsedMs
+	}
+	n := float64(len(runs))
+	p.MeanMs = p.Merged.Mean()
+	p.TotalW /= n
+	for m := range p.Power.Watts {
+		p.Power.Watts[m] /= n
+	}
+	p.Power.Elapsed /= n
+	return p, nil
 }

@@ -3,6 +3,8 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/fleet"
@@ -83,15 +85,18 @@ func TestWhatIfArmFaultApplied(t *testing.T) {
 	}
 }
 
-// TestWhatIfValidate covers the rejection paths a serving layer relies
-// on to 400 malformed queries instead of running them.
+// TestWhatIfValidate covers the rejection paths of a query the model
+// cannot run. The serving limits (RPM grid, at most 8 actuators, ...)
+// are serve.Query's; the model accepts what lies past them.
 func TestWhatIfValidate(t *testing.T) {
 	bad := []WhatIfQuery{
 		{Workload: "nope"},
-		{Workload: "Financial", Actuators: 9},
-		{Workload: "Financial", RPM: 9999},
-		{Workload: "Financial", ArrivalScale: 100},
-		{Workload: "Financial", Reps: 65},
+		{Workload: "Financial", Actuators: -1},
+		{Workload: "Financial", ArrivalScale: -1},
+		{Workload: "Financial", ArrivalScale: math.Inf(1)},
+		{Workload: "Financial", ArrivalScale: math.NaN()},
+		{Workload: "Financial", Requests: -1},
+		{Workload: "Financial", Reps: -1},
 		{Workload: "Financial", ArmFaults: []WhatIfArmFault{{AtFrac: 2, Arm: 0}}},
 		{Workload: "Financial", ArmFaults: []WhatIfArmFault{{AtFrac: 0.5, Arm: 3}}},
 	}
@@ -100,8 +105,99 @@ func TestWhatIfValidate(t *testing.T) {
 			t.Errorf("Validate(%+v) = nil, want error", q)
 		}
 	}
-	if err := whatIfTestQuery().Validate(); err != nil {
-		t.Errorf("valid query rejected: %v", err)
+	good := []WhatIfQuery{
+		whatIfTestQuery(),
+		{Workload: "Financial", Actuators: 12, RPM: 10000, ArrivalScale: 100, Reps: 65},
+	}
+	for _, q := range good {
+		if err := q.Validate(); err != nil {
+			t.Errorf("Validate(%+v) = %v, want nil", q, err)
+		}
+	}
+}
+
+// TestWhatIfRunsPastServingLimits runs a design point outside the
+// service grid — 10000 RPM, 12 actuators — as idpsweep does, and a
+// spindle speed past the drive model's bound, which the model refuses.
+func TestWhatIfRunsPastServingLimits(t *testing.T) {
+	q := WhatIfQuery{Workload: "Websearch", Actuators: 12, RPM: 10000, Requests: 500, Seed: 3}
+	r, err := RunWhatIf(context.Background(), q, q.Seed, Observe{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Completed != 500 || r.TotalArms != 12 || r.Label != "Websearch/SA(12)/10000" {
+		t.Errorf("run %q completed %d on %d arms", r.Label, r.Completed, r.TotalArms)
+	}
+	q.RPM = 2e6
+	if _, err := RunWhatIf(context.Background(), q, q.Seed, Observe{}); err == nil || !strings.Contains(err.Error(), "RPM") {
+		t.Errorf("RPM 2e6: err = %v, want the model's RPM bound", err)
+	}
+}
+
+// TestPoolWhatIfAggregates: the pool holds every replicate's
+// observations and one mean per replicate, and the CI95 of those means
+// brackets the pooled mean.
+func TestPoolWhatIfAggregates(t *testing.T) {
+	q := whatIfTestQuery()
+	q.Reps = 4
+	p, err := PoolWhatIf(runWhatIfJobs(t, q, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := p.Merged.Count(); got != q.Reps*q.Requests {
+		t.Errorf("merged count %d, want %d", got, q.Reps*q.Requests)
+	}
+	if got := p.Means.Count(); got != q.Reps {
+		t.Errorf("means count %d, want %d", got, q.Reps)
+	}
+	if lo, hi := p.Means.CI95(); !(lo < p.MeanMs && p.MeanMs < hi) {
+		t.Errorf("CI95 [%v, %v] excludes the pooled mean %v", lo, hi, p.MeanMs)
+	}
+}
+
+// TestPoolWhatIfDeterministic: the pooled answer is a function of the
+// replicates alone, whatever the fleet parallelism that ran them.
+func TestPoolWhatIfDeterministic(t *testing.T) {
+	q := whatIfTestQuery()
+	q.Reps = 4
+	pool := func(par int) string {
+		p, err := PoolWhatIf(runWhatIfJobs(t, q, par))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lo, hi := p.Means.CI95()
+		return fmt.Sprintf("%d %v %v %v %v %v %v %v %v", p.Merged.Count(), p.MeanMs, lo, hi,
+			p.Merged.Percentile(50), p.Merged.Percentile(99), p.TotalW, p.Power.Watts, p.Power.Elapsed)
+	}
+	if a, b := pool(1), pool(4); a != b {
+		t.Errorf("pooled answer depends on parallelism:\n%s\nvs\n%s", a, b)
+	}
+}
+
+// TestPoolWhatIfOneReplicate: one replicate pools to itself — its
+// sample, its mean as both CI95 bounds bit for bit, its power.
+func TestPoolWhatIfOneReplicate(t *testing.T) {
+	r, err := RunWhatIf(context.Background(), whatIfTestQuery(), 7, Observe{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mean := r.Resp.Mean()
+	p, err := PoolWhatIf([]*WhatIfRun{r})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lo, hi := p.Means.CI95(); lo != mean || hi != mean || p.MeanMs != mean {
+		t.Errorf("CI95 [%v, %v], pooled mean %v; want all %v", lo, hi, p.MeanMs, mean)
+	}
+	if p.Merged.Count() != r.Resp.Count() || p.TotalW != r.Power.Total() ||
+		p.Power.Watts != r.Power.Watts || p.Power.Elapsed != r.ElapsedMs {
+		t.Errorf("pool of one differs from its run: %+v vs %+v", p.Power, r.Power)
+	}
+}
+
+func TestPoolWhatIfRejectsNone(t *testing.T) {
+	if _, err := PoolWhatIf(nil); err == nil {
+		t.Fatal("pooling zero runs: want error")
 	}
 }
 

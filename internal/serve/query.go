@@ -10,6 +10,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/power"
 	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 // Query is the wire form of one what-if question: the simulation
@@ -39,12 +40,42 @@ func (q Query) Normalize() Query {
 	return q
 }
 
-// Validate extends the simulation-side validation with serving limits.
+// maxActuators bounds the design space a query may ask about; it
+// matches the largest SA(n) the paper evaluates (Figure 5 stops at 4,
+// the ablations go to 8).
+const maxActuators = 8
+
+// servedRPMs are the spindle speeds a query may select, the paper's
+// Figure 6 grid plus the stock 7200 (0 keeps the model default).
+var servedRPMs = map[float64]bool{7200: true, 6200: true, 5200: true, 4200: true}
+
+// Validate extends the simulation-side validation with serving limits:
+// the evaluated RPM grid, at most maxActuators arms, an arrival scale in
+// [0.1, 16], at most 8M requests and 64 reps, and a bounded traced
+// replay. Checks run in field order — the workload, the limits, then
+// the simulation side's own checks — so a query breaking several rules
+// is rejected for its first field.
 func (q Query) Validate() error {
-	if err := q.WhatIfQuery.Validate(); err != nil {
+	w := q.WhatIfQuery.Normalize()
+	if _, err := trace.WorkloadByName(w.Workload); err != nil {
+		return fmt.Errorf("what-if: %w", err)
+	}
+	switch {
+	case w.Actuators < 1 || w.Actuators > maxActuators:
+		return fmt.Errorf("what-if: actuators %d outside [1,%d]", w.Actuators, maxActuators)
+	case w.RPM != 0 && !servedRPMs[w.RPM]:
+		return fmt.Errorf("what-if: rpm %g not in the evaluated grid (7200, 6200, 5200, 4200)", w.RPM)
+	case w.ArrivalScale < 0.1 || w.ArrivalScale > 16:
+		return fmt.Errorf("what-if: arrival_scale %g outside [0.1,16]", w.ArrivalScale)
+	case w.Requests < 1 || w.Requests > 8_000_000:
+		return fmt.Errorf("what-if: requests %d outside [1,8000000]", w.Requests)
+	case w.Reps < 1 || w.Reps > 64:
+		return fmt.Errorf("what-if: reps %d outside [1,64]", w.Reps)
+	}
+	if err := w.Validate(); err != nil {
 		return err
 	}
-	if q.IncludeTrace && q.Normalize().Requests > MaxTraceRequests {
+	if q.IncludeTrace && w.Requests > MaxTraceRequests {
 		return fmt.Errorf("serve: include_trace allows at most %d requests", MaxTraceRequests)
 	}
 	return nil
@@ -138,53 +169,39 @@ type Result struct {
 // fleet returns them, independent of scheduling) into the canonical
 // answer body.
 func buildResult(q Query, key, codeVersion string, runs []*experiments.WhatIfRun) ([]byte, error) {
-	if len(runs) == 0 {
-		return nil, fmt.Errorf("serve: no replicate runs")
+	p, err := experiments.PoolWhatIf(runs)
+	if err != nil {
+		return nil, err
 	}
-	merged := &stats.Sample{}
-	means := &stats.Sample{}
-	var pw Power
-	var elapsed float64
-	for _, r := range runs {
-		merged.Merge(r.Resp)
-		means.Add(r.Resp.Mean())
-		pw.TotalW += r.Power.Total()
-		pw.IdleW += r.Power.Watts[power.Idle]
-		pw.SeekW += r.Power.Watts[power.Seek]
-		pw.RotLatencyW += r.Power.Watts[power.RotLatency]
-		pw.TransferW += r.Power.Watts[power.Transfer]
-		elapsed += r.ElapsedMs
-	}
-	n := float64(len(runs))
-	pw.TotalW /= n
-	pw.IdleW /= n
-	pw.SeekW /= n
-	pw.RotLatencyW /= n
-	pw.TransferW /= n
-
+	lo, hi := p.Means.CI95()
 	res := &Result{
 		Query:       q.Normalize(),
 		Key:         key,
 		CodeVersion: codeVersion,
 		Reps:        len(runs),
 		Summary: Summary{
-			Count:  merged.Count(),
-			MeanMs: merged.Mean(),
-			P50Ms:  merged.Percentile(50),
-			P90Ms:  merged.Percentile(90),
-			P99Ms:  merged.Percentile(99),
-			MaxMs:  merged.Max(),
+			Count:  p.Merged.Count(),
+			MeanMs: p.MeanMs,
+			P50Ms:  p.Merged.Percentile(50),
+			P90Ms:  p.Merged.Percentile(90),
+			P99Ms:  p.Merged.Percentile(99),
+			MaxMs:  p.Merged.Max(),
 		},
+		CI95MeanMs: [2]float64{lo, hi},
 		CDF: CDF{
 			EdgesMs: stats.ResponseBucketEdgesMs,
-			Frac:    merged.ResponseCDF(),
+			Frac:    p.Merged.ResponseCDF(),
 		},
-		Power:        pw,
-		SimElapsedMs: elapsed / n,
+		Power: Power{
+			TotalW:      p.TotalW,
+			IdleW:       p.Power.Watts[power.Idle],
+			SeekW:       p.Power.Watts[power.Seek],
+			RotLatencyW: p.Power.Watts[power.RotLatency],
+			TransferW:   p.Power.Watts[power.Transfer],
+		},
+		SimElapsedMs: p.Power.Elapsed,
 		Arms:         Arms{Healthy: runs[0].HealthyArms, Total: runs[0].TotalArms},
 	}
-	lo, hi := means.CI95()
-	res.CI95MeanMs = [2]float64{lo, hi}
 	if len(q.ArmFaults) > 0 {
 		res.Faults = &Faults{Injected: runs[0].FaultsInjected, Refused: runs[0].FaultsRefused}
 	}

@@ -496,6 +496,12 @@ func TestQueryValidation400(t *testing.T) {
 		"bad workload":    {body: `{"workload":"nope"}`},
 		"bad actuators":   {body: `{"workload":"Financial","actuators":99}`},
 		"trace too large": {body: fmt.Sprintf(`{"workload":"Financial","requests":%d,"include_trace":true}`, MaxTraceRequests+1)},
+		// The serving limits, beyond what the model itself accepts.
+		"rpm off grid":  {body: `{"workload":"Financial","rpm":3000}`, want: "what-if: rpm 3000 not in the evaluated grid (7200, 6200, 5200, 4200)"},
+		"actuators 9":   {body: `{"workload":"Financial","actuators":9}`, want: "what-if: actuators 9 outside [1,8]"},
+		"arrival scale": {body: `{"workload":"Financial","arrival_scale":20}`, want: "what-if: arrival_scale 20 outside [0.1,16]"},
+		"requests 9M":   {body: `{"workload":"Financial","requests":9000000}`, want: "what-if: requests 9000000 outside [1,8000000]"},
+		"reps 65":       {body: `{"workload":"Financial","reps":65}`, want: "what-if: reps 65 outside [1,64]"},
 	} {
 		resp, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(c.body))
 		if err != nil {
