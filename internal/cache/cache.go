@@ -111,39 +111,52 @@ func (c *Cache) InsertRead(lba int64, sectors int) {
 // InsertWrite retains just-written sectors for future reads. Overlapping
 // stale segments are invalidated so a later read cannot observe evicted
 // contents as a hit.
+//
+// It makes one pass over the segments. A write entirely inside an
+// existing segment refreshes the first such segment in place: firmware
+// updates the buffered copy rather than reallocating. Every *other*
+// segment overlapping the written range (read-ahead inserts can leave
+// overlapping runs, so a second segment may hold the whole write too)
+// still holds the pre-write data and is trimmed, or a later read could
+// hit it. The same pass tracks insert's LRU victim over the trimmed
+// segments, which the write replaces when no segment held it.
 func (c *Cache) InsertWrite(lba int64, sectors int) {
 	if c.segSectors == 0 || sectors <= 0 {
 		return
 	}
 	end := lba + int64(sectors)
-	// A write entirely inside one existing segment refreshes it in place:
-	// firmware updates the buffered copy rather than reallocating. Any
-	// *other* segment overlapping the written range (read-ahead inserts
-	// can leave overlapping runs) still holds the pre-write data, so it
-	// must be invalidated before the return or a later read could hit it.
+	keep, v, free := -1, 0, false
 	for i := range c.segs {
 		s := &c.segs[i]
-		if s.count > 0 && lba >= s.start && end <= s.start+s.count {
-			c.invalidateOverlapsExcept(lba, end, i)
-			c.clock++
-			s.used = c.clock
-			c.writeHits++
-			return
+		if sEnd := s.start + s.count; s.count > 0 && end > s.start && lba < sEnd {
+			if keep < 0 && lba >= s.start && end <= sEnd {
+				keep = i
+				continue
+			}
+			trim(s, lba, end, sEnd)
+		}
+		// insert's victim rule, applied to the trimmed segment.
+		if i > 0 && !free {
+			if s.count == 0 {
+				v, free = i, true
+			} else if s.used < c.segs[v].used && c.segs[v].count != 0 {
+				v = i
+			}
 		}
 	}
-	c.invalidateOverlaps(lba, end)
-	c.insert(lba, int64(sectors))
+	if keep >= 0 {
+		c.clock++
+		c.segs[keep].used = c.clock
+		c.writeHits++
+		return
+	}
+	c.place(v, lba, int64(sectors))
 }
 
 // insert places a run starting at lba into the LRU victim segment.
 func (c *Cache) insert(lba, run int64) {
 	if c.segSectors == 0 || run <= 0 {
 		return
-	}
-	if run > c.segSectors {
-		// Keep the tail of the run.
-		lba += run - c.segSectors
-		run = c.segSectors
 	}
 	v := 0
 	for i := 1; i < len(c.segs); i++ {
@@ -155,42 +168,34 @@ func (c *Cache) insert(lba, run int64) {
 			v = i
 		}
 	}
+	c.place(v, lba, run)
+}
+
+// place overwrites segment v with a run starting at lba, keeping the
+// tail of a run longer than a segment.
+func (c *Cache) place(v int, lba, run int64) {
+	if run > c.segSectors {
+		lba += run - c.segSectors
+		run = c.segSectors
+	}
 	c.clock++
 	c.segs[v] = segment{start: lba, count: run, used: c.clock}
 }
 
-// invalidateOverlaps drops or trims segments overlapping [lba, end).
-func (c *Cache) invalidateOverlaps(lba, end int64) {
-	c.invalidateOverlapsExcept(lba, end, -1)
-}
-
-// invalidateOverlapsExcept drops or trims segments overlapping
-// [lba, end), leaving segment `keep` (-1 keeps none) untouched.
-func (c *Cache) invalidateOverlapsExcept(lba, end int64, keep int) {
-	for i := range c.segs {
-		s := &c.segs[i]
-		if i == keep || s.count == 0 {
-			continue
-		}
-		sEnd := s.start + s.count
-		if end <= s.start || lba >= sEnd {
-			continue // no overlap
-		}
-		switch {
-		case lba <= s.start && end >= sEnd:
-			s.count = 0 // fully covered: drop
-		case lba <= s.start:
-			// Overlap at the front: keep the tail.
-			s.count = sEnd - end
-			s.start = end
-		case end >= sEnd:
-			// Overlap at the back: keep the head.
-			s.count = lba - s.start
-		default:
-			// Write strictly inside: keep the head (a single-run segment
-			// cannot represent a hole).
-			s.count = lba - s.start
-		}
+// trim drops or trims segment s, which ends at sEnd, to exclude the
+// overlapping range [lba, end).
+func trim(s *segment, lba, end, sEnd int64) {
+	switch {
+	case lba <= s.start && end >= sEnd:
+		s.count = 0 // fully covered: drop
+	case lba <= s.start:
+		// Overlap at the front: keep the tail.
+		s.count = sEnd - end
+		s.start = end
+	default:
+		// Overlap at the back, or a write strictly inside: keep the
+		// head (a single-run segment cannot represent a hole).
+		s.count = lba - s.start
 	}
 }
 

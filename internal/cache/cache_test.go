@@ -270,3 +270,43 @@ func BenchmarkLookup(b *testing.B) {
 		c.Lookup(int64(i%16)*10000, 64)
 	}
 }
+
+// BenchmarkInsertWrite times writes into a drive-sized cache (16
+// segments, 8 MB, 256 sectors of read-ahead) kept in a realistic state
+// by a 2:1 read/write mix. One op is one InsertWrite plus the two reads
+// the mix puts before it, each a Lookup and, on a miss, an InsertRead.
+// Half the reads continue a sequential stream, whose read-ahead runs
+// overlap the writes that land near it.
+func BenchmarkInsertWrite(b *testing.B) {
+	c := mustNew(b, Config{
+		SizeBytes: 8 << 20, SectorBytes: 512, Segments: 16, ReadAheadSectors: 256,
+	})
+	rng := rand.New(rand.NewSource(1))
+	type op struct {
+		lba     int64
+		sectors int
+	}
+	ops := make([]op, 3*4096)
+	seq := int64(0)
+	for i := range ops {
+		n := 8 * (1 + rng.Intn(16))
+		lba := rng.Int63n(1 << 16)
+		if i%3 != 2 && rng.Intn(2) == 0 {
+			lba, seq = seq, (seq+int64(n))%(1<<16)
+		}
+		ops[i] = op{lba, n}
+	}
+	read := func(o op) {
+		if !c.Lookup(o.lba, o.sectors) {
+			c.InsertRead(o.lba, o.sectors)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := 3 * (i % 4096)
+		read(ops[k])
+		read(ops[k+1])
+		c.InsertWrite(ops[k+2].lba, ops[k+2].sectors)
+	}
+}

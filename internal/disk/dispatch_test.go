@@ -52,7 +52,7 @@ func refBestArmFor(d *Drive, loc geom.Loc, now float64) (armIdx int, cost float6
 	armIdx = -1
 	for i := range d.arms {
 		a := &d.arms[i]
-		if a.failed || a.busy || a.assigned != nil {
+		if a.failed || a.busy || a.assigned != noSlot {
 			continue
 		}
 		seekMs, rotMs := refPosCost(d, i, loc, now)
@@ -61,6 +61,15 @@ func refBestArmFor(d *Drive, loc geom.Loc, now float64) (armIdx int, cost float6
 		}
 	}
 	return armIdx, cost
+}
+
+// exhaustiveCost is the reference SPTF cost of a queued slab slot: the
+// best arm's full positioning time, ignoring the scan's bound.
+func exhaustiveCost(d *Drive, now float64) func(*int32, float64) float64 {
+	return func(i *int32, _ float64) float64 {
+		_, c := refBestArmFor(d, d.slab[*i].loc, now)
+		return c
+	}
 }
 
 // refDispatch is what the reference dispatchOne would start: the entry
@@ -78,16 +87,17 @@ func refDecide(d *Drive, now float64) refDispatch {
 	var bestAssignedCost, bestAssignedRem, bestAssignedRot float64
 	for i := range d.arms {
 		a := &d.arms[i]
-		if a.assigned == nil || a.busy || a.failed {
+		if a.assigned == noSlot || a.busy || a.failed {
 			continue
 		}
 		rem := a.seekDoneAt - now
 		if rem < 0 {
 			rem = 0
 		}
-		rot := d.rot.LatencyTo(refArmTarget(d, i, 0, a.assigned.loc), now+rem)
+		loc := d.slab[a.assigned].loc
+		rot := d.rot.LatencyTo(refArmTarget(d, i, 0, loc), now+rem)
 		for h := 1; h < len(d.extraHeads)+1; h++ {
-			if r := d.rot.LatencyTo(refArmTarget(d, i, h, a.assigned.loc), now+rem); r < rot {
+			if r := d.rot.LatencyTo(refArmTarget(d, i, h, loc), now+rem); r < rot {
 				rot = r
 			}
 		}
@@ -99,15 +109,13 @@ func refDecide(d *Drive, now float64) refDispatch {
 	}
 	haveIdleArm := false
 	for i := range d.arms {
-		if !d.arms[i].failed && !d.arms[i].busy && d.arms[i].assigned == nil {
+		if !d.arms[i].failed && !d.arms[i].busy && d.arms[i].assigned == noSlot {
 			haveIdleArm = true
 		}
 	}
-	exhaustive := func(p *pending, _ float64) float64 {
-		_, c := refBestArmFor(d, p.loc, now)
-		return c
-	}
-	fromQueue := func(p pending) refDispatch {
+	exhaustive := exhaustiveCost(d, now)
+	fromQueue := func(i int32) refDispatch {
+		p := d.slab[i]
 		arm, _ := refBestArmFor(d, p.loc, now)
 		seekMs, rotMs := refPosCost(d, arm, p.loc, now)
 		return refDispatch{ok: true, obsReq: p.obsReq, arm: arm, seekMs: seekMs, rotMs: rotMs}
@@ -119,7 +127,7 @@ func refDecide(d *Drive, now float64) refDispatch {
 		}
 	}
 	if bestAssigned != -1 {
-		return refDispatch{ok: true, obsReq: d.arms[bestAssigned].assigned.obsReq,
+		return refDispatch{ok: true, obsReq: d.slab[d.arms[bestAssigned].assigned].obsReq,
 			arm: bestAssigned, seekMs: bestAssignedRem, rotMs: bestAssignedRot}
 	}
 	if haveIdleArm && d.bgQueue.Len() > 0 {
@@ -171,13 +179,17 @@ func TestBoundedDispatchMatchesExhaustiveScan(t *testing.T) {
 			pool[i] = rng.Int63n(capacity)
 		}
 		obsReq := uint64(0)
-		newPending := func() pending {
+		// newPending fills a fresh slab slot, as a submit does.
+		newPending := func(background bool) int32 {
 			lba := rng.Int63n(capacity)
 			if rng.Intn(2) == 0 {
 				lba = pool[rng.Intn(len(pool))]
 			}
 			obsReq++
-			return pending{req: trace.Request{LBA: lba, Sectors: 8}, loc: d.geo.Locate(lba), obsReq: obsReq}
+			i := d.alloc()
+			d.slab[i] = pending{req: trace.Request{LBA: lba, Sectors: 8}, loc: d.geo.Locate(lba),
+				obsReq: obsReq, background: background}
+			return i
 		}
 		for i := range d.arms {
 			a := &d.arms[i]
@@ -191,8 +203,7 @@ func TestBoundedDispatchMatchesExhaustiveScan(t *testing.T) {
 			case k == 1:
 				a.busy = true
 			case k < 4 && cfg.MultiArmMotion:
-				p := newPending()
-				a.assigned = &p
+				a.assigned = newPending(false)
 				a.seekDoneAt = now + (rng.Float64()*7 - 2)
 			}
 		}
@@ -203,7 +214,7 @@ func TestBoundedDispatchMatchesExhaustiveScan(t *testing.T) {
 			if d.arms[i].idle() {
 				d.idleArms++
 			}
-			if d.arms[i].assigned != nil {
+			if d.arms[i].assigned != noSlot {
 				d.assignedArms++
 			}
 		}
@@ -213,13 +224,11 @@ func TestBoundedDispatchMatchesExhaustiveScan(t *testing.T) {
 		at := now - rng.Float64()*700
 		for i := 0; i < depth; i++ {
 			at += rng.Float64() * (now - at) / float64(depth-i)
-			d.queue.Push(newPending(), at)
+			d.queue.Push(newPending(false), at)
 		}
 		if rng.Intn(4) == 0 {
 			for i := rng.Intn(20); i >= 0; i-- {
-				p := newPending()
-				p.background = true
-				d.bgQueue.Push(p, now-rng.Float64()*700)
+				d.bgQueue.Push(newPending(true), now-rng.Float64()*700)
 			}
 		}
 
@@ -228,7 +237,7 @@ func TestBoundedDispatchMatchesExhaustiveScan(t *testing.T) {
 		// The bounded scan alone: same entry, same cost, same plan.
 		haveIdleArm := false
 		for i := range d.arms {
-			if !d.arms[i].failed && !d.arms[i].busy && d.arms[i].assigned == nil {
+			if !d.arms[i].failed && !d.arms[i].busy && d.arms[i].assigned == noSlot {
 				haveIdleArm = true
 			}
 		}
@@ -236,21 +245,19 @@ func TestBoundedDispatchMatchesExhaustiveScan(t *testing.T) {
 			d.costStart = now + d.model.ControllerOverheadMs
 			d.plan.arm = -1
 			got, _ := d.queue.Pick(now, d.queueCost)
-			ref, _ := d.queue.Pick(now, func(p *pending, _ float64) float64 {
-				_, c := refBestArmFor(d, p.loc, now)
-				return c
-			})
-			arm, _ := refBestArmFor(d, ref.Item.loc, now)
-			seekMs, rotMs := refPosCost(d, arm, ref.Item.loc, now)
-			if got.Item.obsReq != ref.Item.obsReq ||
+			ref, _ := d.queue.Pick(now, exhaustiveCost(d, now))
+			gotP, refP := d.slab[got.Item], d.slab[ref.Item]
+			arm, _ := refBestArmFor(d, refP.loc, now)
+			seekMs, rotMs := refPosCost(d, arm, refP.loc, now)
+			if gotP.obsReq != refP.obsReq ||
 				math.Float64bits(got.Cost) != math.Float64bits(ref.Cost) ||
 				d.plan.arm != arm ||
 				math.Float64bits(d.plan.seekMs) != math.Float64bits(seekMs) ||
 				math.Float64bits(d.plan.rotMs) != math.Float64bits(rotMs) {
 				t.Fatalf("case %d (%+v, depth %d): bounded pick entry %d cost %v plan %+v; "+
 					"exhaustive entry %d cost %v arm %d seek %v rot %v",
-					c, cfg, depth, got.Item.obsReq, got.Cost, d.plan,
-					ref.Item.obsReq, ref.Cost, arm, seekMs, rotMs)
+					c, cfg, depth, gotP.obsReq, got.Cost, d.plan,
+					refP.obsReq, ref.Cost, arm, seekMs, rotMs)
 			}
 		}
 

@@ -177,8 +177,9 @@ type arm struct {
 	failed bool
 	busy   bool // servicing a request (holds a channel) or returning
 
-	// Pre-seek assignment state (MultiArmMotion only).
-	assigned   *pending
+	// Pre-seek assignment state (MultiArmMotion only): the slab slot of
+	// the request the arm is seeking toward, or noSlot.
+	assigned   int32
 	seekDoneAt float64
 
 	// The request this arm is servicing (valid while busy; an arm holds
@@ -191,7 +192,10 @@ type arm struct {
 }
 
 // idle reports whether the arm can take a dispatch.
-func (a *arm) idle() bool { return !a.failed && !a.busy && a.assigned == nil }
+func (a *arm) idle() bool { return !a.failed && !a.busy && a.assigned == noSlot }
+
+// noSlot marks an arm without a pre-seek assignment.
+const noSlot int32 = -1
 
 // Drive is a disk drive attached to a simulation engine: one spindle
 // and platter stack reached by one or more independently positioned arm
@@ -199,18 +203,28 @@ func (a *arm) idle() bool { return !a.failed && !a.busy && a.assigned == nil }
 // policy; background-class work (write-back destages and
 // SubmitBackground requests) runs only when no foreground request can.
 type Drive struct {
-	model   Model
-	opts    Options
-	eng     simkit.Scheduler
-	geo     *geom.Geometry
-	curve   *mech.SeekCurve
-	rot     *mech.Rotation
-	buf     *cache.Cache
-	queue   *sched.Queue[pending]
-	bgQueue *sched.Queue[pending]
-	acct    *power.Accountant
-	pm      *power.Model
-	spin    *spindle // the dynamic-RPM policy; nil at fixed speed
+	model Model
+	opts  Options
+	eng   simkit.Scheduler
+	geo   *geom.Geometry
+	curve *mech.SeekCurve
+	rot   *mech.Rotation
+	buf   *cache.Cache
+	acct  *power.Accountant
+	pm    *power.Model
+	spin  *spindle // the dynamic-RPM policy; nil at fixed speed
+
+	// Queued requests live in slab, reused through the free list; the
+	// foreground and background queues hold slab indices, so a queue
+	// operation moves a small entry rather than a whole pending record.
+	// A slot is taken at submit and freed when its service starts.
+	slab    []pending
+	free    []int32
+	queue   *sched.Queue[int32]
+	bgQueue *sched.Queue[int32]
+
+	// hits is the free list of cache-hit completion records.
+	hits []*cacheHitRec
 
 	arms           []arm
 	activeChannels int
@@ -223,9 +237,9 @@ type Drive struct {
 	// loop never allocates a closure. Both follow the sched.Cost bound
 	// contract and read costStart (and armCost additionally costArm),
 	// which dispatchOne / preSeekAssign refresh before each queue scan.
-	queueCost sched.Cost[pending] // the policy's cost of a queued request
-	armCost   sched.Cost[pending] // SPTF positioning cost for arm costArm
-	costStart float64             // now + ControllerOverheadMs: when a dispatched seek starts
+	queueCost sched.Cost[int32] // the policy's cost of a queued request
+	armCost   sched.Cost[int32] // SPTF positioning cost for arm costArm
+	costStart float64           // now + ControllerOverheadMs: when a dispatched seek starts
 	costArm   int
 
 	// plan is the best idle arm for the entry of the last planArm call
@@ -310,8 +324,8 @@ func New(eng simkit.Scheduler, model Model, opts Options) (*Drive, error) {
 		curve:     curve,
 		rot:       rot,
 		buf:       buf,
-		queue:     sched.NewQueueSized[pending](cfg, 256),
-		bgQueue:   sched.NewQueue[pending](cfg),
+		queue:     sched.NewQueueSized[int32](cfg, 256),
+		bgQueue:   sched.NewQueue[int32](cfg),
 		acct:      power.NewAccountant(pm),
 		pm:        pm,
 		arms:      make([]arm, n),
@@ -345,6 +359,7 @@ func New(eng simkit.Scheduler, model Model, opts Options) (*Drive, error) {
 		} else {
 			a.alpha = float64(i) / float64(n)
 		}
+		a.assigned = noSlot
 		a.complete = func() { d.finishService(i) }
 	}
 	d.buildCosts(cfg.Policy)
@@ -355,8 +370,8 @@ func New(eng simkit.Scheduler, model Model, opts Options) (*Drive, error) {
 func (d *Drive) buildCosts(policy sched.Policy) {
 	switch policy {
 	case sched.SSTF:
-		d.queueCost = func(p *pending, _ float64) float64 {
-			dist := d.arms[0].cyl - p.loc.Cyl
+		d.queueCost = func(i *int32, _ float64) float64 {
+			dist := d.arms[0].cyl - d.slab[*i].loc.Cyl
 			if dist < 0 {
 				dist = -dist
 			}
@@ -366,8 +381,8 @@ func (d *Drive) buildCosts(policy sched.Policy) {
 		// Circular elevator: requests at or above the arm are served in
 		// ascending order; requests below it sort after a full wrap.
 		span := float64(d.geo.Cylinders())
-		d.queueCost = func(p *pending, _ float64) float64 {
-			delta := float64(p.loc.Cyl - d.arms[0].cyl)
+		d.queueCost = func(i *int32, _ float64) float64 {
+			delta := float64(d.slab[*i].loc.Cyl - d.arms[0].cyl)
 			if delta < 0 {
 				delta += span
 			}
@@ -376,13 +391,14 @@ func (d *Drive) buildCosts(policy sched.Policy) {
 	default: // SPTF, and FCFS, whose scans cost at most the front entry
 		d.queueCost = d.planArm
 	}
-	d.armCost = func(p *pending, bound float64) float64 {
+	d.armCost = func(i *int32, bound float64) float64 {
 		a := &d.arms[d.costArm]
-		seekMs := d.curve.Time(a.cyl-p.loc.Cyl) * d.seekScale
+		loc := &d.slab[*i].loc
+		seekMs := d.curve.Time(a.cyl-loc.Cyl) * d.seekScale
 		if seekMs >= bound {
 			return seekMs // its rotation cannot bring it below bound
 		}
-		return seekMs + d.rotLatency(a, &p.loc, d.costStart+seekMs)
+		return seekMs + d.rotLatency(a, loc, d.costStart+seekMs)
 	}
 }
 
@@ -500,11 +516,10 @@ func (d *Drive) FailArm(i int) error {
 	a.failed = true
 	// A pre-seek assignment is abandoned; the request goes back to the
 	// queue so another arm picks it up.
-	if a.assigned != nil {
-		p := *a.assigned
-		a.assigned = nil
+	if a.assigned != noSlot {
+		d.queue.Push(a.assigned, d.eng.Now())
+		a.assigned = noSlot
 		d.assignedArms--
-		d.queue.Push(p, d.eng.Now())
 		d.qDepth.Set(float64(d.queue.Len()))
 	}
 	return nil
@@ -538,17 +553,67 @@ func (d *Drive) outOfRange(r trace.Request) {
 		d.model.Name, r.LBA, r.End(), d.Capacity()))
 }
 
+// cacheHitRec is one cache hit waiting out the cache-hit latency. The
+// drive keeps finished records on a free list, and each record's event
+// is bound once when it is built, so a hit schedules no closure.
+type cacheHitRec struct {
+	d         *Drive
+	req       uint64
+	submitMs  float64
+	completed *uint64
+	done      device.Done
+	fire      simkit.Event // r.finish, bound once
+}
+
 // cacheHit completes an accepted request from the buffer after the
 // cache-hit latency, counting it in *completed.
 func (d *Drive) cacheHit(req uint64, now float64, completed *uint64, done device.Done) {
-	d.eng.After(d.model.CacheHitMs, func() {
-		*completed++
-		d.em.CacheHit(req, d.model.CacheHitMs)
-		d.em.Complete(req, -1, now)
-		if done != nil {
-			done(d.eng.Now())
-		}
-	})
+	var r *cacheHitRec
+	if n := len(d.hits); n > 0 {
+		r = d.hits[n-1]
+		d.hits = d.hits[:n-1]
+	} else {
+		r = &cacheHitRec{d: d}
+		r.fire = r.finish
+	}
+	r.req, r.submitMs, r.completed, r.done = req, now, completed, done
+	d.eng.After(d.model.CacheHitMs, r.fire)
+}
+
+// finish completes the hit. The record goes back on the free list
+// before done runs, so a submit from done can reuse it.
+func (r *cacheHitRec) finish() {
+	d, req, submitMs, done := r.d, r.req, r.submitMs, r.done
+	*r.completed++
+	r.completed, r.done = nil, nil
+	d.hits = append(d.hits, r)
+	d.em.CacheHit(req, d.model.CacheHitMs)
+	d.em.Complete(req, -1, submitMs)
+	if done != nil {
+		done(d.eng.Now())
+	}
+}
+
+// alloc takes a free slab slot.
+func (d *Drive) alloc() int32 {
+	n := len(d.free)
+	if n == 0 {
+		d.slab = append(d.slab, pending{})
+		return int32(len(d.slab) - 1)
+	}
+	i := d.free[n-1]
+	d.free = d.free[:n-1]
+	return i
+}
+
+// enqueue takes a free slab slot, queues it on q as arriving at `at`,
+// and returns its record for the caller to fill in place. The pointer
+// is valid until the next alloc, and the record must be filled before
+// anything dispatches.
+func (d *Drive) enqueue(q *sched.Queue[int32], at float64) *pending {
+	i := d.alloc()
+	q.Push(i, at)
+	return &d.slab[i]
 }
 
 // Submit presents a request at the current simulated time. Requests
@@ -582,7 +647,8 @@ func (d *Drive) Submit(r trace.Request, done device.Done) {
 			outstanding := len(exts)
 			var last float64
 			for _, e := range exts {
-				sub := pending{
+				sub := d.enqueue(d.queue, now)
+				*sub = pending{
 					req:      trace.Request{LBA: e.LBA, Sectors: e.Sectors, Read: r.Read},
 					loc:      d.geo.Locate(e.LBA),
 					fragment: true,
@@ -601,7 +667,6 @@ func (d *Drive) Submit(r trace.Request, done device.Done) {
 						}
 					},
 				}
-				d.queue.Push(sub, now)
 				d.qDepth.Set(float64(d.queue.Len()))
 			}
 			d.trySchedule()
@@ -612,10 +677,15 @@ func (d *Drive) Submit(r trace.Request, done device.Done) {
 		// Write-back: acknowledge at cache latency, destage later.
 		d.buf.InsertWrite(r.LBA, r.Sectors)
 		d.cacheHit(req, now, &d.completed, done)
-		d.pushBackground(pending{req: r, loc: d.geo.Locate(r.LBA), flush: true, submitMs: now})
+		p := d.enqueue(d.bgQueue, now)
+		*p = pending{req: r, flush: true, submitMs: now}
+		p.loc = d.geo.Locate(r.LBA)
+		d.queuedBackground()
 		return
 	}
-	d.queue.Push(pending{req: r, done: done, loc: d.geo.Locate(r.LBA), obsReq: req, submitMs: now}, now)
+	p := d.enqueue(d.queue, now)
+	*p = pending{req: r, done: done, obsReq: req, submitMs: now}
+	p.loc = d.geo.Locate(r.LBA)
 	d.qDepth.Set(float64(d.queue.Len()))
 	if d.spin != nil {
 		d.spin.submitted()
@@ -643,12 +713,15 @@ func (d *Drive) SubmitBackground(r trace.Request, done device.Done) {
 		d.cacheHit(req, now, &d.bgCompleted, done)
 		return
 	}
-	d.pushBackground(pending{req: r, done: done, loc: d.geo.Locate(r.LBA), background: true,
-		obsReq: req, submitMs: now})
+	p := d.enqueue(d.bgQueue, now)
+	*p = pending{req: r, done: done, background: true, obsReq: req, submitMs: now}
+	p.loc = d.geo.Locate(r.LBA)
+	d.queuedBackground()
 }
 
-func (d *Drive) pushBackground(p pending) {
-	d.bgQueue.Push(p, p.submitMs)
+// queuedBackground follows a background enqueue: it updates the queue
+// gauge and dispatches if the drive can.
+func (d *Drive) queuedBackground() {
 	d.bgDepth.Set(float64(d.bgQueue.Len()))
 	d.trySchedule()
 }
@@ -675,17 +748,18 @@ func wrapAngle(t float64) float64 {
 	return t
 }
 
-// planArm is the SPTF cost of dispatching p at costStart: the lowest
-// positioning time (seek + rotational latency) over the idle arms, ties
-// going to the lowest arm. It is branch-and-bound under the sched.Cost
-// contract: an arm whose scaled seek alone already reaches bound, or the
-// best arm so far, is skipped without computing its rotation, since a
-// non-negative rotation cannot bring it back below. A result below bound
-// is exact and makes p the scan's new best, so planArm records its
+// planArm is the SPTF cost of dispatching the request in slab slot
+// *slot at costStart: the lowest positioning time (seek + rotational
+// latency) over the idle arms, ties going to the lowest arm. It is
+// branch-and-bound under the sched.Cost contract: an arm whose scaled
+// seek alone already reaches bound, or the best arm so far, is skipped
+// without computing its rotation, since a non-negative rotation cannot
+// bring it back below. A result below bound is exact and makes the
+// request the scan's new best, so planArm records its
 // arm, seek and rotation in d.plan; otherwise it returns bound and
 // leaves d.plan alone. With bound +Inf it is the exhaustive choice.
-func (d *Drive) planArm(p *pending, bound float64) float64 {
-	loc := &p.loc
+func (d *Drive) planArm(slot *int32, bound float64) float64 {
+	loc := &d.slab[*slot].loc
 	for i := range d.arms {
 		a := &d.arms[i]
 		if !a.idle() {
@@ -732,14 +806,14 @@ func (d *Drive) dispatchOne() bool {
 	var bestAssignedCost, bestAssignedSeek, bestAssignedRot float64
 	for i := 0; d.assignedArms > 0 && i < len(d.arms); i++ {
 		a := &d.arms[i]
-		if a.assigned == nil || a.busy || a.failed {
+		if a.assigned == noSlot || a.busy || a.failed {
 			continue
 		}
 		rem := a.seekDoneAt - now
 		if rem < 0 {
 			rem = 0
 		}
-		rot := d.rotLatency(a, &a.assigned.loc, now+rem)
+		rot := d.rotLatency(a, &d.slab[a.assigned].loc, now+rem)
 		if c := rem + rot; bestAssigned == -1 || c < bestAssignedCost {
 			bestAssigned, bestAssignedCost = i, c
 			bestAssignedSeek, bestAssignedRot = rem, rot
@@ -751,60 +825,65 @@ func (d *Drive) dispatchOne() bool {
 	// candidate and the dispatch itself: Take removes what Pick chose.
 	if d.idleArms > 0 && d.queue.Len() > 0 {
 		if bestAssigned == -1 {
-			p, _ := d.queue.Pop(now, d.queueCost)
+			i, _ := d.queue.Pop(now, d.queueCost)
 			d.qDepth.Set(float64(d.queue.Len()))
-			d.startPlanned(&p, now)
+			d.startPlanned(i, now)
 			return true
 		}
 		if pk, _ := d.queue.Pick(now, d.queueCost); pk.Cost <= bestAssignedCost {
-			p := d.queue.Take(pk)
+			i := d.queue.Take(pk)
 			d.qDepth.Set(float64(d.queue.Len()))
-			d.startPlanned(&p, now)
+			d.startPlanned(i, now)
 			return true
 		}
 	}
 	if bestAssigned != -1 {
 		a := &d.arms[bestAssigned]
-		p := *a.assigned
-		a.assigned = nil
+		i := a.assigned
+		a.assigned = noSlot
 		d.assignedArms--
 		// The seek was overlapped: pay the residual plus rotation from
 		// there; the command overhead was paid at assignment time.
-		d.startService(bestAssigned, &p, now, 0, bestAssignedSeek, bestAssignedRot)
+		d.startService(bestAssigned, i, now, 0, bestAssignedSeek, bestAssignedRot)
 		return true
 	}
 	// Background work runs only when no foreground work is dispatchable.
 	if idleWork {
-		p, _ := d.bgQueue.Pop(now, d.queueCost)
+		i, _ := d.bgQueue.Pop(now, d.queueCost)
 		d.bgDepth.Set(float64(d.bgQueue.Len()))
-		d.startPlanned(&p, now)
+		d.startPlanned(i, now)
 		return true
 	}
 	return false
 }
 
-// startPlanned starts p, just taken from a queue, on the idle arm the
-// dispatch planned for it. A pick no SPTF scan costed (FCFS, an
-// age-forced front, or the distance-ordered SSTF and C-LOOK) left no
-// plan, so it is planned here.
-func (d *Drive) startPlanned(p *pending, now float64) {
+// startPlanned starts the request in slab slot i, just taken from a
+// queue, on the idle arm the dispatch planned for it. A pick no SPTF
+// scan costed (FCFS, an age-forced front, or the distance-ordered SSTF
+// and C-LOOK) left no plan, so it is planned here.
+func (d *Drive) startPlanned(i int32, now float64) {
 	if d.plan.arm < 0 {
-		d.planArm(p, math.Inf(1))
+		d.planArm(&i, math.Inf(1))
 	}
 	d.idleArms--
-	d.startService(d.plan.arm, p, now, d.model.ControllerOverheadMs, d.plan.seekMs, d.plan.rotMs)
+	d.startService(d.plan.arm, i, now, d.model.ControllerOverheadMs, d.plan.seekMs, d.plan.rotMs)
 }
 
-// startService begins media access for p on the given arm at now, whose
-// positioning the dispatch already costed: overheadMs of controller
-// time, then seekMs and rotMs.
-func (d *Drive) startService(armIdx int, p *pending, now, overheadMs, seekMs, rotMs float64) {
+// startService begins media access for the request in slab slot i on
+// the given arm at now, whose positioning the dispatch already costed:
+// overheadMs of controller time, then seekMs and rotMs. The request
+// moves into the arm and its slot goes back on the free list.
+func (d *Drive) startService(armIdx int, i int32, now, overheadMs, seekMs, rotMs float64) {
 	a := &d.arms[armIdx]
 	a.busy = true
 	primary := d.activeChannels == 0
 	d.activeChannels++
+	a.inService = d.slab[i]
+	d.slab[i].done = nil // release the callback; the slot is free
+	d.free = append(d.free, i)
+	p := &a.inService
 
-	xferMs := d.model.TransferTime(d.geo, d.rot, p.req.LBA, p.req.Sectors)
+	xferMs := d.model.transferAt(d.geo, d.rot, &p.loc, p.req.LBA, p.req.Sectors)
 	serviceEnd := now + overheadMs + seekMs + rotMs + xferMs
 
 	d.hSeek.Observe(seekMs)
@@ -831,8 +910,6 @@ func (d *Drive) startService(armIdx int, p *pending, now, overheadMs, seekMs, ro
 		d.opts.OnService(seekMs, rotMs, xferMs)
 	}
 	a.cyl = p.loc.Cyl
-
-	a.inService = *p
 	d.eng.At(serviceEnd, a.complete)
 }
 
@@ -840,8 +917,12 @@ func (d *Drive) startService(armIdx int, p *pending, now, overheadMs, seekMs, ro
 // end and frees the arm and its channel.
 func (d *Drive) finishService(armIdx int) {
 	a := &d.arms[armIdx]
-	p := a.inService
-	a.inService = pending{} // release the done callback
+	// Read the in-service record in place: nothing below re-enters the
+	// drive before done runs, and done may start the arm's next
+	// service, so the callback and cylinder are taken out first.
+	p := &a.inService
+	done, cyl := p.done, p.loc.Cyl
+	p.done = nil // release the callback
 	a.busy = false
 	if a.idle() {
 		d.idleArms++
@@ -869,14 +950,14 @@ func (d *Drive) finishService(armIdx int) {
 			d.em.Complete(p.obsReq, armIdx, p.submitMs)
 		}
 	}
-	if p.done != nil {
-		p.done(d.eng.Now())
+	if done != nil {
+		done(d.eng.Now())
 	}
 	if d.spin != nil && d.queue.Len() == 0 {
 		d.spin.armIdle() // idle from here unless a request arrives
 	}
 	if d.opts.IdleReturn {
-		d.returnIdleArms(armIdx, p.loc.Cyl)
+		d.returnIdleArms(armIdx, cyl)
 	}
 	d.trySchedule()
 }
@@ -933,18 +1014,18 @@ func (d *Drive) preSeekAssign() {
 			return
 		}
 		d.costArm = i
-		p, ok := d.queue.Pop(now, d.armCost)
+		slot, ok := d.queue.Pop(now, d.armCost)
 		if !ok {
 			return
 		}
 		d.qDepth.Set(float64(d.queue.Len()))
-		seekMs := d.curve.Time(a.cyl-p.loc.Cyl) * d.seekScale
-		held := p
-		a.assigned = &held
+		cyl := d.slab[slot].loc.Cyl
+		seekMs := d.curve.Time(a.cyl-cyl) * d.seekScale
+		a.assigned = slot
 		d.idleArms--
 		d.assignedArms++
 		a.seekDoneAt = d.costStart + seekMs
-		a.cyl = held.loc.Cyl
+		a.cyl = cyl
 		// Overlapped motion: charge the VCM increment only.
 		d.acct.AddSeekIncrement(seekMs)
 	}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/device"
 	"repro/internal/power"
 	"repro/internal/sched"
 	"repro/internal/simkit"
@@ -434,18 +435,20 @@ func TestBoundedSPTFMatchesExhaustive(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				lba = rng.Int63n(d.Capacity())
 			}
-			d.queue.Push(pending{loc: d.geo.Locate(lba), obsReq: uint64(i)}, now)
+			*d.enqueue(d.queue, now) = pending{loc: d.geo.Locate(lba), obsReq: uint64(i)}
 		}
 		d.costStart = now + d.model.ControllerOverheadMs
 		got, _ := d.queue.Pick(now, d.queueCost)
-		want, _ := d.queue.Pick(now, func(p *pending, _ float64) float64 {
+		want, _ := d.queue.Pick(now, func(i *int32, _ float64) float64 {
+			p := &d.slab[*i]
 			seekMs := d.curve.Time(d.arms[0].cyl-p.loc.Cyl) * d.seekScale
 			atTrack := now + d.model.ControllerOverheadMs + seekMs
 			return seekMs + d.rot.LatencyTo(p.loc.Angle, atTrack)*d.rotScale
 		})
-		if got.Item.obsReq != want.Item.obsReq || math.Float64bits(got.Cost) != math.Float64bits(want.Cost) {
+		gotReq, wantReq := d.slab[got.Item].obsReq, d.slab[want.Item].obsReq
+		if gotReq != wantReq || math.Float64bits(got.Cost) != math.Float64bits(want.Cost) {
 			t.Fatalf("case %d: bounded pick %d at %v, exhaustive %d at %v",
-				c, got.Item.obsReq, got.Cost, want.Item.obsReq, want.Cost)
+				c, gotReq, got.Cost, wantReq, want.Cost)
 		}
 	}
 }
@@ -602,6 +605,66 @@ func TestMediaServiceAllocatesNothing(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(500, cycle); n != 0 {
 		t.Fatalf("media service allocated %v times per request, want 0", n)
+	}
+}
+
+// TestCacheHitAllocatesNothing pins the pooled cache-hit completion:
+// once warm, a read hit allocates nothing, through Submit and through
+// SubmitBackground, and its done callback still runs.
+func TestCacheHitAllocatesNothing(t *testing.T) {
+	eng, d := newDrive(t, smallModel(), Options{})
+	r := trace.Request{LBA: 5000, Sectors: 8, Read: true}
+	d.Submit(r, nil) // the miss stages the run in the cache
+	eng.Run()
+	completions := 0
+	done := func(float64) { completions++ }
+	for _, submit := range []struct {
+		name string
+		fn   func(trace.Request, device.Done)
+	}{{"Submit", d.Submit}, {"SubmitBackground", d.SubmitBackground}} {
+		read := func() { submit.fn(r, done) }
+		hit := func() {
+			eng.After(5, read)
+			eng.Run()
+		}
+		hit()
+		hits, before := d.cacheHits, completions
+		if n := testing.AllocsPerRun(200, hit); n != 0 {
+			t.Fatalf("%s: a cache hit allocated %v times, want 0", submit.name, n)
+		}
+		if d.cacheHits-hits != 201 || completions-before != 201 {
+			t.Fatalf("%s: %d hits and %d completions for 201 reads",
+				submit.name, d.cacheHits-hits, completions-before)
+		}
+	}
+}
+
+// TestDeepQueueReusesStorage pushes 300 requests at once, past the
+// drive's preallocated 256-entry queue, and drains them twice: the
+// first drain grows the slab and the ring, and the second reuses both,
+// allocating nothing.
+func TestDeepQueueReusesStorage(t *testing.T) {
+	eng, d := newDrive(t, smallModel(), Options{})
+	rng := rand.New(rand.NewSource(4))
+	lbas := make([]int64, 300)
+	for i := range lbas {
+		lbas[i] = rng.Int63n(d.Capacity() - 64)
+	}
+	burst := func() {
+		for _, lba := range lbas {
+			d.Submit(trace.Request{LBA: lba, Sectors: 8, Read: false}, nil)
+		}
+	}
+	drain := func() {
+		eng.After(5, burst)
+		eng.Run()
+	}
+	drain()
+	if got := d.Snapshot().Queue.Max; got < 299 {
+		t.Fatalf("queue peaked at %d, want past 256", got)
+	}
+	if n := testing.AllocsPerRun(1, drain); n != 0 {
+		t.Fatalf("a second deep drain allocated %v times, want 0", n)
 	}
 }
 

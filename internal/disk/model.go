@@ -106,7 +106,8 @@ func (m Model) PowerSpec(actuators int) power.DriveSpec {
 // kind built from a Model (conventional, intra-disk parallel, DRPM)
 // shares this walk, so they agree on transfer time to the bit.
 //
-// Only the first, possibly partial, track needs Locate. Both layouts
+// Only the first, possibly partial, track needs Locate, and a drive
+// that already holds it calls transferAt directly. Both layouts
 // split a zone into SPT-sector tracks starting at the zone's FirstLBA,
 // so every later track starts at a track boundary of a known zone and
 // the walk steps through the zone table directly. The result is the
@@ -120,6 +121,14 @@ func (m *Model) TransferTime(geo *geom.Geometry, rot *mech.Rotation, lba int64, 
 		return 0
 	}
 	l := geo.Locate(lba)
+	return m.transferAt(geo, rot, &l, lba, sectors)
+}
+
+// transferAt is TransferTime for a caller holding l = geo.Locate(lba).
+func (m *Model) transferAt(geo *geom.Geometry, rot *mech.Rotation, l *geom.Loc, lba int64, sectors int) float64 {
+	if sectors <= 0 {
+		return 0
+	}
 	first := min(l.SPT-l.Sector, sectors)
 	t := rot.TransferTime(first, l.SPT)
 	remaining := int64(sectors - first)

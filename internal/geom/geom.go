@@ -14,7 +14,6 @@ package geom
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // Spec describes a drive's recording geometry. All fields must be
@@ -171,10 +170,8 @@ func (g *Geometry) Locate(lba int64) Loc {
 	if lba < 0 || lba >= g.total {
 		panic(fmt.Sprintf("geom: lba %d out of range [0,%d)", lba, g.total))
 	}
-	zi := sort.Search(len(g.zones), func(i int) bool {
-		return g.zones[i].FirstLBA+g.zones[i].Sectors > lba
-	})
-	z := g.zones[zi]
+	zi := g.zoneIndex(lba)
+	z := &g.zones[zi]
 	off := lba - z.FirstLBA
 	var cylIn, surface, sector int
 	if g.spec.Serpentine {
@@ -202,6 +199,21 @@ func (g *Geometry) Locate(lba int64) Loc {
 		SPT:     z.SPT,
 		Angle:   g.angle(cyl, surface, sector, z.SPT),
 	}
+}
+
+// zoneIndex returns the index of the zone holding lba, which must be in
+// range: the first zone ending past lba, found by binary search.
+func (g *Geometry) zoneIndex(lba int64) int {
+	lo, hi := 0, len(g.zones)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if z := &g.zones[mid]; z.FirstLBA+z.Sectors > lba {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
 }
 
 // angle computes the angular position (fraction of a revolution) at which
@@ -251,10 +263,7 @@ func (g *Geometry) CylOf(lba int64) int {
 	if g.spec.Serpentine {
 		return g.Locate(lba).Cyl
 	}
-	zi := sort.Search(len(g.zones), func(i int) bool {
-		return g.zones[i].FirstLBA+g.zones[i].Sectors > lba
-	})
-	z := g.zones[zi]
+	z := &g.zones[g.zoneIndex(lba)]
 	off := lba - z.FirstLBA
 	perCyl := int64(g.surfaces) * int64(z.SPT)
 	return z.FirstCyl + int(off/perCyl)

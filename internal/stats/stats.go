@@ -59,8 +59,11 @@ func (s *Sample) Mean() float64 {
 
 // Max reports the largest observation (0 for an empty sample).
 func (s *Sample) Max() float64 {
-	var m float64
-	for _, x := range s.xs {
+	if len(s.xs) == 0 {
+		return 0
+	}
+	m := s.xs[0]
+	for _, x := range s.xs[1:] {
 		if x > m {
 			m = x
 		}
@@ -98,8 +101,106 @@ func (s *Sample) CI95() (lo, hi float64) {
 
 func (s *Sample) ensureSorted() {
 	if !s.sorted {
-		sort.Float64s(s.xs)
+		radixSort(s.xs)
 		s.sorted = true
+	}
+}
+
+// radixSort sorts xs in place into exactly the slice sort.Float64s
+// yields, allocating nothing. It is an MSD radix sort on each value's
+// order-preserving key (radixKey), one byte per level from the top,
+// with insertion sort for small buckets. That key orders −0 before +0
+// and spreads NaNs by payload, while sort.Float64s treats ±0 as equal
+// and puts NaNs first in no defined order; so a slice holding a NaN, or
+// both zeros, goes to sort.Float64s instead. Without them, values that
+// compare equal have equal bits, so any correct sort gives these bits.
+func radixSort(xs []float64) {
+	var negZero, posZero bool
+	for _, x := range xs {
+		switch {
+		case x != x:
+			sort.Float64s(xs)
+			return
+		case x == 0 && math.Signbit(x):
+			negZero = true
+		case x == 0:
+			posZero = true
+		}
+	}
+	if negZero && posZero {
+		sort.Float64s(xs)
+		return
+	}
+	radixLevel(xs, 56)
+}
+
+// radixCutoff is the bucket size at or below which radixLevel switches
+// to insertion sort.
+const radixCutoff = 32
+
+// radixKey maps x to a key whose unsigned order is x's numeric order:
+// a negative value has all its bits flipped, a positive one its sign bit.
+func radixKey(x float64) uint64 {
+	b := math.Float64bits(x)
+	return b ^ (uint64(int64(b)>>63) | 1<<63)
+}
+
+// radixLevel sorts xs, whose keys agree above bit shift+8, by the key
+// byte at shift and then, bucket by bucket, by the bytes below it. A
+// level where every key has the same byte moves nothing.
+func radixLevel(xs []float64, shift uint) {
+	for len(xs) > radixCutoff {
+		var end, next [256]int
+		for _, x := range xs {
+			end[byte(radixKey(x)>>shift)]++
+		}
+		if end[byte(radixKey(xs[0])>>shift)] == len(xs) {
+			if shift == 0 {
+				return
+			}
+			shift -= 8
+			continue
+		}
+		sum := 0
+		for b, c := range end {
+			next[b] = sum
+			sum += c
+			end[b] = sum
+		}
+		// In-place permutation (American flag sort): each value goes to
+		// the next free slot of its bucket, displacing the value there.
+		for b := range next {
+			for next[b] < end[b] {
+				x := xs[next[b]]
+				d := int(byte(radixKey(x) >> shift))
+				for d != b {
+					j := next[d]
+					next[d]++
+					x, xs[j] = xs[j], x
+					d = int(byte(radixKey(x) >> shift))
+				}
+				xs[next[b]] = x
+				next[b]++
+			}
+		}
+		if shift == 0 {
+			return
+		}
+		lo := 0
+		for _, hi := range end {
+			if hi-lo > 1 {
+				radixLevel(xs[lo:hi], shift-8)
+			}
+			lo = hi
+		}
+		return
+	}
+	for i := 1; i < len(xs); i++ {
+		x, j := xs[i], i
+		for ; j > 0 && x < xs[j-1]; j-- {
+			xs[j] = xs[j-1]
+		}
+		xs[j] = x
 	}
 }
 

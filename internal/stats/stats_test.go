@@ -236,14 +236,24 @@ func TestInterleavedAddAndQuery(t *testing.T) {
 	}
 }
 
+// BenchmarkPercentile times a percentile query on a freshly filled
+// sample, which is dominated by the sort: each iteration restores the
+// same 100 000 unsorted values, outside the timer.
 func BenchmarkPercentile(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	var s Sample
-	for i := 0; i < 100000; i++ {
-		s.Add(rng.Float64() * 1000)
+	vals := make([]float64, 100000)
+	for i := range vals {
+		vals[i] = rng.Float64() * 1000
+		s.Add(vals[i])
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		copy(s.xs, vals)
+		s.sorted = false
+		b.StartTimer()
 		_ = s.Percentile(90)
 	}
 }
