@@ -44,7 +44,7 @@ func TestFixturesStillFire(t *testing.T) {
 	}{
 		{"globalrand", []string{"repro/internal/workload"}, 8},
 		{"globalrand", []string{"repro/examples/demo"}, 1},
-		{"lpconfine", []string{"repro/internal/confix", "repro/internal/conapp"}, 5},
+		{"lpconfine", []string{"repro/internal/confix", "repro/internal/conapp"}, 9},
 		{"maporder", []string{"repro/internal/core"}, 5},
 		{"nogoroutine", []string{"repro/internal/sched"}, 2},
 		{"nogoroutine", []string{"repro/internal/simkit"}, 1},

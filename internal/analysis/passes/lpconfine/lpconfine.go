@@ -22,6 +22,12 @@
 //     callback handed to raid's Array.issueOp, whose linked branch
 //     fires it inside a Send(0, ...) event, is controller context even
 //     though issueOp also arms member events.
+//   - A method value stands for its method wherever a literal would:
+//     passed to LP.Send it runs on the destination LP. A func-typed
+//     field loaded at a Send, At/After, dynamic-callee (Submit) or
+//     call site stands for every method value assigned to that field
+//     anywhere in the program — the pooled-record shape of raid's
+//     linkOp, whose callbacks are bound once when the record is built.
 //   - A named function unions the contexts of its call sites (plus
 //     controller, since exported entry points run on the driver's LP).
 //
@@ -107,16 +113,21 @@ type confine struct {
 	// callArg marks literals that appear directly as a call argument or
 	// callee; all others inherit their enclosing function's context.
 	callArg map[*ast.FuncLit]bool
+
+	// fieldFuncs maps a func-typed struct field to the methods whose
+	// method values are assigned to it anywhere in the program.
+	fieldFuncs map[*types.Var][]*types.Func
 }
 
 func confineFor(prog *analysis.Program) *confine {
 	return prog.Cached("lpconfine.confine", func() any {
 		cf := &confine{
-			graph:    sharedGraph(prog),
-			ctx:      make(map[*callgraph.Node]uint8),
-			decl:     make(map[types.Object]*callgraph.Node),
-			aggField: make(map[*types.Var]bool),
-			callArg:  make(map[*ast.FuncLit]bool),
+			graph:      sharedGraph(prog),
+			ctx:        make(map[*callgraph.Node]uint8),
+			decl:       make(map[types.Object]*callgraph.Node),
+			aggField:   make(map[*types.Var]bool),
+			callArg:    make(map[*ast.FuncLit]bool),
+			fieldFuncs: make(map[*types.Var][]*types.Func),
 		}
 		cf.index(prog)
 		cf.propagate()
@@ -146,11 +157,22 @@ func (cf *confine) index(prog *analysis.Program) {
 					cf.decl[obj] = n
 				}
 			}
-			if call, ok := m.(*ast.CallExpr); ok {
-				for _, arg := range call.Args {
+			switch m := m.(type) {
+			case *ast.CallExpr:
+				for _, arg := range m.Args {
 					if lit, ok := arg.(*ast.FuncLit); ok {
 						cf.callArg[lit] = true
 					}
+				}
+			case *ast.AssignStmt:
+				if len(m.Lhs) == len(m.Rhs) {
+					for i, lhs := range m.Lhs {
+						cf.bindField(n.Pkg.TypesInfo, lhs, m.Rhs[i])
+					}
+				}
+			case *ast.KeyValueExpr:
+				if id, ok := m.Key.(*ast.Ident); ok {
+					cf.bindField(n.Pkg.TypesInfo, id, m.Value)
 				}
 			}
 			return true
@@ -184,6 +206,68 @@ func (cf *confine) index(prog *analysis.Program) {
 			}
 		}
 	}
+}
+
+// bindField records rhs in fieldFuncs when lhs names a func-typed
+// field (a selector, or a composite-literal key) and rhs is a method
+// value.
+func (cf *confine) bindField(info *types.Info, lhs, rhs ast.Expr) {
+	var id *ast.Ident
+	switch l := ast.Unparen(lhs).(type) {
+	case *ast.SelectorExpr:
+		id = l.Sel
+	case *ast.Ident:
+		id = l
+	default:
+		return
+	}
+	fv, ok := info.ObjectOf(id).(*types.Var)
+	if !ok || !fv.IsField() {
+		return
+	}
+	if fn := methodValue(info, rhs); fn != nil {
+		cf.fieldFuncs[fv] = append(cf.fieldFuncs[fv], fn)
+	}
+}
+
+// methodValue returns the method of a method-value expression x.M, or
+// nil.
+func methodValue(info *types.Info, e ast.Expr) *types.Func {
+	sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
+	if !ok {
+		return nil
+	}
+	if s, ok := info.Selections[sel]; ok && s.Kind() == types.MethodVal {
+		fn, _ := s.Obj().(*types.Func)
+		return fn
+	}
+	return nil
+}
+
+// callbacks returns the graph nodes a function-valued expression can
+// run: a literal's own node, a method value's method, or, for a load
+// of a func-typed field, every method whose value is assigned to it.
+func (cf *confine) callbacks(info *types.Info, e ast.Expr) []*callgraph.Node {
+	e = ast.Unparen(e)
+	if lit, ok := e.(*ast.FuncLit); ok {
+		return []*callgraph.Node{cf.graph.ByLit[lit]}
+	}
+	if fn := methodValue(info, e); fn != nil {
+		return []*callgraph.Node{cf.graph.ByObj[fn]}
+	}
+	sel, ok := e.(*ast.SelectorExpr)
+	if !ok {
+		return nil
+	}
+	fv, ok := info.ObjectOf(sel.Sel).(*types.Var)
+	if !ok || !fv.IsField() {
+		return nil
+	}
+	var out []*callgraph.Node
+	for _, fn := range cf.fieldFuncs[fv] {
+		out = append(out, cf.graph.ByObj[fn])
+	}
+	return out
 }
 
 // holdsEngine reports whether a struct is an aggregate: it holds a
@@ -231,8 +315,16 @@ func (cf *confine) propagate() {
 			if node.Lit != nil && !cf.callArg[node.Lit] {
 				merge(node, cf.ctx[node.Parent])
 			}
+			info := node.Pkg.TypesInfo
 			for _, call := range node.Calls {
 				fn := call.Callee
+				if fn == nil {
+					// A call of a func-typed field runs the methods
+					// bound to it where the caller runs.
+					for _, cb := range cf.callbacks(info, call.Site.Fun) {
+						merge(cb, cf.ctx[node])
+					}
+				}
 				if fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == parPath {
 					cf.propagatePar(call, node, merge)
 					continue
@@ -243,13 +335,13 @@ func (cf *confine) propagate() {
 				}
 				if target != nil {
 					// Named in-program callee: it runs in its callers'
-					// contexts, and a literal argument runs where the
+					// contexts, and a callback argument runs where the
 					// callee invokes the parameter it binds.
 					merge(target, cf.ctx[node])
 					for i, arg := range call.Site.Args {
-						if lit, ok := arg.(*ast.FuncLit); ok {
+						for _, cb := range cf.callbacks(info, arg) {
 							seen := make(map[paramKey]bool)
-							merge(cf.graph.ByLit[lit], cf.invocationCtx(fn, i, seen))
+							merge(cb, cf.invocationCtx(fn, i, seen))
 						}
 					}
 					continue
@@ -258,8 +350,8 @@ func (cf *confine) propagate() {
 				// function arguments where the caller runs (the
 				// device.Device.Submit completion-callback case).
 				for _, arg := range call.Site.Args {
-					if lit, ok := arg.(*ast.FuncLit); ok {
-						merge(cf.graph.ByLit[lit], cf.ctx[node])
+					for _, cb := range cf.callbacks(info, arg) {
+						merge(cb, cf.ctx[node])
 					}
 				}
 			}
@@ -267,8 +359,8 @@ func (cf *confine) propagate() {
 	}
 }
 
-// propagatePar handles calls into the par package: Send literals run
-// on the destination LP, At/After literals on the arming LP.
+// propagatePar handles calls into the par package: Send callbacks run
+// on the destination LP, At/After callbacks on the arming LP.
 func (cf *confine) propagatePar(call *callgraph.Call, node *callgraph.Node, merge func(*callgraph.Node, uint8)) {
 	site := call.Site
 	switch call.Callee.Name() {
@@ -276,21 +368,19 @@ func (cf *confine) propagatePar(call *callgraph.Call, node *callgraph.Node, merg
 		if len(site.Args) != 3 {
 			return
 		}
-		lit, ok := site.Args[2].(*ast.FuncLit)
-		if !ok {
-			return
-		}
 		dest := ctxMember
 		if tv, ok := node.Pkg.TypesInfo.Types[site.Args[0]]; ok && constIsZero(tv) {
 			dest = ctxCtrl
 		}
-		merge(cf.graph.ByLit[lit], dest)
+		for _, cb := range cf.callbacks(node.Pkg.TypesInfo, site.Args[2]) {
+			merge(cb, dest)
+		}
 	case "At", "After": // At(t, fn) / After(d, fn)
 		if len(site.Args) != 2 {
 			return
 		}
-		if lit, ok := site.Args[1].(*ast.FuncLit); ok {
-			merge(cf.graph.ByLit[lit], cf.ctx[node])
+		for _, cb := range cf.callbacks(node.Pkg.TypesInfo, site.Args[1]) {
+			merge(cb, cf.ctx[node])
 		}
 	}
 }

@@ -89,3 +89,15 @@ func GoodController(c *confix.Ctl) {
 	_ = lp
 	_ = par.Options{}
 }
+
+// BadMethodValue sends a method value to a member LP: Ctl.Bump runs
+// there (its write is flagged in lib.go).
+func BadMethodValue(c *confix.Ctl) {
+	c.Eng.LP(0).Send(1, c.Eng.LP(0).Now()+1, c.Bump)
+}
+
+// BadRecord issues a pooled record whose member-side callbacks write
+// controller state (flagged in lib.go's Rec methods).
+func BadRecord(c *confix.Ctl, m confix.Member) {
+	confix.NewRec(c, m, 0).Issue()
+}

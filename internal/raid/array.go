@@ -274,27 +274,20 @@ func (q *request) finishOp(at float64) {
 // issueOp submits one operation to its member and runs onBack on the
 // controller when the completion is back; it is the only place the
 // couplings differ. Direct calls hand onBack to the member as is. The
-// linked coupling reserves the outbound link, delivers the command
-// (and a write's payload) to the member's LP, submits there, reserves
-// the return link for the completion (and a read's data), and runs
-// onBack in a controller-LP event at the completion's arrival time.
-// Foreground phases and rebuild traffic both go through issueOp, so
-// they share the member queues and link reservations. It applies no
-// degraded rewrite.
+// linked coupling takes a linkOp record off the controller's free list
+// and sends it over the links (see linkOp). Foreground phases and
+// rebuild traffic both go through issueOp, so they share the member
+// queues and link reservations. It applies no degraded rewrite.
 func (a *Array) issueOp(op Op, onBack device.Done) {
 	sub := trace.Request{LBA: op.LBA, Sectors: op.Sectors, Read: op.Read}
 	if a.links == nil {
 		a.members[op.Dev].Submit(sub, onBack)
 		return
 	}
-	// The closures capture only a, op, sub and onBack: a wider capture
-	// grows every in-flight operation's allocation.
-	a.links.ctrl.Send(1+op.Dev, a.links.reserveOut(op), func() {
-		a.members[op.Dev].Submit(sub, func(at float64) {
-			back := a.links.reserveReturn(op, at)
-			a.links.eng.LP(1+op.Dev).Send(0, back, func() { onBack(back) })
-		})
-	})
+	l := a.links
+	lo := l.record(a)
+	lo.op, lo.sub, lo.onBack = op, sub, onBack
+	l.ctrl.Send(1+op.Dev, l.reserveOut(op), lo.deliver)
 }
 
 // Snapshot reports the array's request counters with every instrumented

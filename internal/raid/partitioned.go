@@ -7,6 +7,7 @@ import (
 	"repro/internal/device"
 	"repro/internal/simkit"
 	"repro/internal/simkit/par"
+	"repro/internal/trace"
 )
 
 // MemberFunc builds member i of a partitioned array on the given
@@ -48,6 +49,65 @@ type links struct {
 	// execution never races on them.
 	outBusy []float64
 	retBusy []float64
+
+	// free holds linkOp records back at the controller, for reuse; it
+	// is controller state like outBusy.
+	free []*linkOp
+}
+
+// linkOp is one member operation in flight over the links. The
+// controller fills it and sends deliver to the member's LP; the member
+// submits sub and, on completion, reserves the return link and sends
+// ret back; ret puts the record on the controller's free list and runs
+// onBack at the arrival time. The three callbacks are bound once, when
+// the record is built, so a warm linked operation allocates nothing.
+type linkOp struct {
+	a      *Array
+	op     Op
+	sub    trace.Request
+	onBack device.Done
+
+	deliver    simkit.Event // lo.toMember, on the member LP
+	memberDone device.Done  // lo.returnOp, on the member LP
+	ret        simkit.Event // lo.toController, on the controller LP
+}
+
+// record takes a linkOp off the free list, or builds one.
+func (l *links) record(a *Array) *linkOp {
+	if n := len(l.free); n > 0 {
+		lo := l.free[n-1]
+		l.free = l.free[:n-1]
+		return lo
+	}
+	lo := &linkOp{a: a}
+	lo.deliver = lo.toMember
+	lo.memberDone = lo.returnOp
+	lo.ret = lo.toController
+	return lo
+}
+
+// toMember submits the operation on the member's LP.
+func (lo *linkOp) toMember() {
+	lo.a.members[lo.op.Dev].Submit(lo.sub, lo.memberDone)
+}
+
+// returnOp reserves the member's return link for the completion (and a
+// read's data) and sends the record back to the controller.
+func (lo *linkOp) returnOp(at float64) {
+	l := lo.a.links
+	l.eng.LP(1+lo.op.Dev).Send(0, l.reserveReturn(lo.op, at), lo.ret)
+}
+
+// toController runs at the completion's arrival on the controller LP,
+// whose clock is then the arrival time. The record goes back on the
+// free list before onBack runs, so an onBack that issues again can
+// reuse it: nothing reads the record after that point.
+func (lo *linkOp) toController() {
+	l := lo.a.links
+	onBack := lo.onBack
+	lo.onBack = nil
+	l.free = append(l.free, lo)
+	onBack(l.ctrl.Now())
 }
 
 // NewPartitioned builds an array on eng: the controller on LP 0 and

@@ -1,6 +1,10 @@
 package raid
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/device"
+)
 
 // MemberSizer is implemented by layouts that know how much of each
 // member disk they occupy (used to bound a rebuild sweep).
@@ -55,80 +59,137 @@ func (a *Array) Rebuild(dev int, chunkSectors int64, depth int, onDone func(copi
 		extent = sizer.MemberExtent()
 	}
 
-	var (
-		cursor   int64
-		inflight int
-		copied   int64
-		issue    func()
-	)
-	finished := false
-	finish := func() {
-		if finished {
-			return // a synchronous member completion already finished the sweep
-		}
-		finished = true
-		a.failed[dev] = false
-		if onDone != nil {
-			onDone(copied)
-		}
-	}
-	issue = func() {
-		for inflight < depth && cursor < extent {
-			start := cursor
-			n := chunkSectors
-			if start+n > extent {
-				n = extent - start
-			}
-			cursor += n
-			inflight++
-
-			ops, err := rec.Reconstruct(nil, Op{Dev: dev, LBA: start, Sectors: int(n), Read: true}, dev)
-			if err != nil {
-				panic(err) // layout contract violation: a simulator bug
-			}
-			// Survivor reads complete: write the rebuilt chunk to the
-			// replacement disk. issueOp applies no degraded rewrite, so
-			// the write lands even though the member is still marked
-			// failed: the replacement is physically present and being
-			// refilled.
-			writeChunk := func() {
-				a.issueOp(Op{Dev: dev, LBA: start, Sectors: int(n), Read: false}, func(float64) {
-					copied += n
-					inflight--
-					if cursor < extent {
-						issue()
-					} else if inflight == 0 {
-						finish()
-					}
-				})
-			}
-			if len(ops) == 0 {
-				// Nothing to read from the survivors (a layout may derive
-				// the chunk without I/O): go straight to the write, or the
-				// chunk would stay in flight forever and the member would
-				// never return to service.
-				writeChunk()
-				continue
-			}
-			outstanding := len(ops)
-			for _, op := range ops {
-				a.issueOp(op, func(float64) {
-					outstanding--
-					if outstanding != 0 {
-						return
-					}
-					writeChunk()
-				})
-			}
-		}
-	}
-	issue()
+	rb := &rebuild{a: a, rec: rec, dev: dev, chunk: chunkSectors, depth: depth, extent: extent, onDone: onDone}
+	rb.issue()
 	// A zero-sector extent issues no I/O at all: the sweep is trivially
 	// complete, so the member returns to service and onDone fires now —
 	// the issue loop alone would exit with inflight == 0 and leave the
 	// member marked failed forever.
-	if inflight == 0 && cursor >= extent {
-		finish()
+	if rb.inflight == 0 && rb.cursor >= extent {
+		rb.finish()
 	}
 	return nil
+}
+
+// rebuild is one Rebuild sweep's controller state. Its chunk records
+// are built on demand and reused, so the sweep allocates at most depth
+// of them however many chunks it copies.
+type rebuild struct {
+	a      *Array
+	rec    Reconstructor
+	dev    int
+	chunk  int64
+	depth  int
+	extent int64
+	onDone func(copiedSectors int64)
+
+	cursor   int64
+	inflight int
+	copied   int64
+	finished bool
+	free     []*chunk
+}
+
+// chunk is one chunk in flight: its survivor reads (a reused
+// Reconstruct destination), then the write to the replacement. Its two
+// member callbacks are bound once, when the record is built.
+type chunk struct {
+	rb          *rebuild
+	start, n    int64
+	ops         []Op
+	outstanding int
+	readDone    device.Done // c.finishRead
+	writeDone   device.Done // c.finishWrite
+}
+
+// finish returns the member to service and reports the copied sectors,
+// once.
+func (rb *rebuild) finish() {
+	if rb.finished {
+		return // a synchronous member completion already finished the sweep
+	}
+	rb.finished = true
+	rb.a.failed[rb.dev] = false
+	if rb.onDone != nil {
+		rb.onDone(rb.copied)
+	}
+}
+
+// issue starts chunks until depth are in flight or the extent is
+// covered.
+func (rb *rebuild) issue() {
+	for rb.inflight < rb.depth && rb.cursor < rb.extent {
+		c := rb.record()
+		c.start, c.n = rb.cursor, rb.chunk
+		if c.start+c.n > rb.extent {
+			c.n = rb.extent - c.start
+		}
+		rb.cursor += c.n
+		rb.inflight++
+
+		var err error
+		c.ops, err = rb.rec.Reconstruct(c.ops[:0], Op{Dev: rb.dev, LBA: c.start, Sectors: int(c.n), Read: true}, rb.dev)
+		if err != nil {
+			panic(err) // layout contract violation: a simulator bug
+		}
+		if len(c.ops) == 0 {
+			// Nothing to read from the survivors (a layout may derive
+			// the chunk without I/O): go straight to the write, or the
+			// chunk would stay in flight forever and the member would
+			// never return to service.
+			c.write()
+			continue
+		}
+		// A member that completes synchronously finishes the chunk from
+		// the last op's issueOp, which may reuse c; the range has read
+		// its last op by then.
+		c.outstanding = len(c.ops)
+		for _, op := range c.ops {
+			rb.a.issueOp(op, c.readDone)
+		}
+	}
+}
+
+// record takes a chunk record off the free list, or builds one.
+func (rb *rebuild) record() *chunk {
+	if n := len(rb.free); n > 0 {
+		c := rb.free[n-1]
+		rb.free = rb.free[:n-1]
+		return c
+	}
+	c := &chunk{rb: rb}
+	c.readDone = c.finishRead
+	c.writeDone = c.finishWrite
+	return c
+}
+
+// finishRead counts one survivor read back; the last one starts the
+// write.
+func (c *chunk) finishRead(float64) {
+	c.outstanding--
+	if c.outstanding == 0 {
+		c.write()
+	}
+}
+
+// write sends the rebuilt chunk to the replacement disk. issueOp
+// applies no degraded rewrite, so the write lands even though the
+// member is still marked failed: the replacement is physically present
+// and being refilled.
+func (c *chunk) write() {
+	c.rb.a.issueOp(Op{Dev: c.rb.dev, LBA: c.start, Sectors: int(c.n), Read: false}, c.writeDone)
+}
+
+// finishWrite retires the chunk: the record goes back on the free list
+// before the sweep continues, so the next chunk can reuse it.
+func (c *chunk) finishWrite(float64) {
+	rb := c.rb
+	rb.copied += c.n
+	rb.inflight--
+	rb.free = append(rb.free, c)
+	if rb.cursor < rb.extent {
+		rb.issue()
+	} else if rb.inflight == 0 {
+		rb.finish()
+	}
 }

@@ -26,8 +26,15 @@ type Sample struct {
 	sorted bool
 }
 
-// Add records one observation.
+// Add records one observation. The slice grows by doubling: append
+// grows a slice past 256 elements by about 1.25x, so a large sample
+// would allocate about five times its final size along the way.
 func (s *Sample) Add(x float64) {
+	if len(s.xs) == cap(s.xs) {
+		grown := make([]float64, len(s.xs), max(2*cap(s.xs), 8))
+		copy(grown, s.xs)
+		s.xs = grown
+	}
 	s.xs = append(s.xs, x)
 	s.sorted = false
 }

@@ -365,3 +365,27 @@ func TestCI95(t *testing.T) {
 		t.Fatalf("CI center %v, want mean %v", (hi+lo)/2, s.Mean())
 	}
 }
+
+// TestAddGrowsByDoubling bounds the allocations of a large sample: Add
+// doubles the slice from 8, so 100 000 values take 15 growths (the
+// last to 131 072). Growing through append, whose steps past 256
+// elements are about 1.25x, takes 28.
+func TestAddGrowsByDoubling(t *testing.T) {
+	const n = 100_000
+	fill := func(s *Sample) {
+		for i := 0; i < n; i++ {
+			s.Add(float64(n - i))
+		}
+	}
+	var s Sample
+	allocs := testing.AllocsPerRun(5, func() {
+		s = Sample{}
+		fill(&s)
+	})
+	if allocs > 16 {
+		t.Fatalf("adding %d values allocated %v times, want at most 16", n, allocs)
+	}
+	if s.Count() != n || s.Percentile(0) != 1 || s.Max() != n {
+		t.Fatalf("sample holds %d values, min %v, max %v", s.Count(), s.Percentile(0), s.Max())
+	}
+}
