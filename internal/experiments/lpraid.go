@@ -100,19 +100,25 @@ type LPRAIDResult struct {
 // are byte-identical at every worker count — only elapsed real time
 // changes.
 func LPRAID(cfg Config, opts LPRAIDOpts) (*LPRAIDResult, error) {
+	res, _, err := lpraid(cfg, opts)
+	return res, err
+}
+
+// lpraid is LPRAID that also returns the partitioned engine it ran on.
+func lpraid(cfg Config, opts LPRAIDOpts) (*LPRAIDResult, *par.Engine, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	opts = opts.withDefaults()
 	if opts.Drives < 1 {
-		return nil, fmt.Errorf("experiments: LPRAID drives %d", opts.Drives)
+		return nil, nil, fmt.Errorf("experiments: LPRAID drives %d", opts.Drives)
 	}
 
 	model := disk.BarracudaES()
 	probeEng := simkit.New()
 	probe, err := disk.New(probeEng, model, disk.Options{})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	memberSectors := probe.Capacity()
 
@@ -122,14 +128,14 @@ func LPRAID(cfg Config, opts LPRAIDOpts) (*LPRAIDResult, error) {
 	var layout raid.Layout
 	if opts.Degraded {
 		if opts.Drives < 3 {
-			return nil, fmt.Errorf("experiments: LPRAID degraded needs >= 3 drives, got %d", opts.Drives)
+			return nil, nil, fmt.Errorf("experiments: LPRAID degraded needs >= 3 drives, got %d", opts.Drives)
 		}
 		layout, err = raid.NewRAID5(opts.Drives, memberSectors, StripeUnitSectors)
 	} else {
 		layout, err = raid.NewRAID0(opts.Drives, memberSectors, StripeUnitSectors)
 	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	pe := par.New(opts.Drives+1, par.Options{Workers: opts.Workers})
 	sink := cfg.Observe.sink()
@@ -141,7 +147,7 @@ func LPRAID(cfg Config, opts LPRAIDOpts) (*LPRAIDResult, error) {
 			})
 		})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	// Offered load scales with the array: Drives times the intensity's
@@ -150,7 +156,7 @@ func LPRAID(cfg Config, opts LPRAIDOpts) (*LPRAIDResult, error) {
 	spec.MeanInterArrivalMs /= float64(opts.Drives)
 	g, err := workload.NewGenerator(spec, cfg.Seed)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	var inj *fault.Injector
@@ -170,12 +176,12 @@ func LPRAID(cfg Config, opts LPRAIDOpts) (*LPRAIDResult, error) {
 			Depth:        opts.RebuildDepth,
 		}}, cfg.Seed)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		inj, err = fault.NewInjector(pe.LP(0), plan, fault.Targets{Array: arr},
 			lpSinkOptions(pe.LP(0), sink, "lpraid/fault"))
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		inj.Schedule()
 	}
@@ -183,7 +189,7 @@ func LPRAID(cfg Config, opts LPRAIDOpts) (*LPRAIDResult, error) {
 	runner := pe.Runner(0)
 	resp, err := ReplayStream(runner, arr, g)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	elapsed := runner.Now()
 	res := &LPRAIDResult{
@@ -207,5 +213,5 @@ func LPRAID(cfg Config, opts LPRAIDOpts) (*LPRAIDResult, error) {
 			res.Snap.Children = append(res.Snap.Children, inj.Snapshot())
 		}
 	}
-	return res, nil
+	return res, pe, nil
 }

@@ -11,13 +11,20 @@ import (
 // TestLPRAIDWorkerIdentity: the genuinely multi-LP scenario produces
 // identical results at one worker and many — the window protocol, not
 // scheduling luck, fixes the outcome. Trace and Metrics are on so the
-// comparison covers span events and snapshots, not just samples.
+// comparison covers span events and snapshots, not just samples. The
+// run is the degraded 64-drive array: the rebuild's survivor reads fill
+// windows with more LPs than run inline, so at four workers those
+// windows go through the pool and members run on different goroutines,
+// which is what -race needs to see.
 func TestLPRAIDWorkerIdentity(t *testing.T) {
 	run := func(workers int) *LPRAIDResult {
 		cfg := Config{Requests: 3000, Seed: 1, Observe: Observe{Trace: true, Metrics: true}}
-		r, err := LPRAID(cfg, LPRAIDOpts{Drives: 8, Workers: workers})
+		r, pe, err := lpraid(cfg, LPRAIDOpts{Workers: workers, Degraded: true})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if pe.WideWindows() == 0 {
+			t.Fatalf("%d workers: no window was wide enough for the pool", workers)
 		}
 		return r
 	}

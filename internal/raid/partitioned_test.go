@@ -99,25 +99,41 @@ func replayPartitioned(pe *par.Engine, a *Array, tr trace.Trace) []float64 {
 }
 
 // TestPartitionedWorkerIdentity is the array-level determinism check:
-// the same striped workload replayed with one worker and with eight
-// produces bit-identical response times and byte-identical snapshots.
-// Run under -race this also exercises the ownership partition of the
-// link-reservation state (outBusy by the controller, retBusy by the
-// members).
+// a RAID-5 of 40 members, one of which dies and is rebuilt under load,
+// replays the same workload with one worker and with eight and produces
+// bit-identical completion times, rebuild results and snapshots. Every
+// third request spans a full stripe, and the rebuild reads every
+// survivor at once, so many windows have more busy LPs than run
+// inline: at eight workers those go through the pool, where member LPs
+// run on different goroutines. Run under -race this exercises the
+// ownership partition of the link-reservation state (outBusy by the
+// controller, retBusy by the members), the pooled link-op records and
+// the rebuild's chunk records.
 func TestPartitionedWorkerIdentity(t *testing.T) {
-	run := func(workers int) (outcome, uint64) {
-		pe, a := buildPartitioned(t, false, 8, workers)
-		healthy := deathTrial{dead: -1, tr: partTrace(41, 600, a.Capacity())}
-		return healthy.play(t, pe.Runner(0), a), pe.Windows()
+	const members = 40
+	run := func(workers int) (outcome, *par.Engine) {
+		pe, a := buildPartitioned(t, true, members, workers)
+		tr := partTrace(41, 600, a.Capacity())
+		stripe := int64(members-1) * 128
+		for i := 0; i < len(tr); i += 3 {
+			tr[i].LBA = tr[i].LBA / stripe * stripe
+			tr[i].Sectors = int(stripe)
+		}
+		trial := deathTrial{dead: 7, deathMs: 150, rebuildMs: 250, depth: 4, chunk: 1 << 12, tr: tr}
+		return trial.play(t, pe.Runner(0), a), pe
 	}
-	want, refWin := run(1)
-	got, gotWin := run(8)
+	want, ref := run(1)
+	got, pe := run(8)
 	got.mustMatch(t, "8 workers vs 1", want)
-	if refWin != gotWin {
-		t.Fatalf("window count %d with 1 worker, %d with 8", refWin, gotWin)
+	if ref.Windows() != pe.Windows() || ref.WideWindows() != pe.WideWindows() {
+		t.Fatalf("windows %d (%d wide) with 1 worker, %d (%d wide) with 8",
+			ref.Windows(), ref.WideWindows(), pe.Windows(), pe.WideWindows())
 	}
-	if refWin < 2 {
-		t.Fatalf("degenerate run: %d windows", refWin)
+	if want.rebuilt < 0 {
+		t.Fatalf("the rebuild never finished")
+	}
+	if ref.WideWindows() < 100 {
+		t.Fatalf("%d of %d windows wide enough for the pool, want at least 100", ref.WideWindows(), ref.Windows())
 	}
 }
 
