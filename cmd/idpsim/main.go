@@ -232,8 +232,7 @@ func run(wl, replayFile, system string, requests, reorder int, seed int64, rpm f
 			return fmt.Errorf("bad system %q: want raidN with N >= 1", system)
 		}
 		model := hcsdModel(rpm)
-		probeEng := simkit.New()
-		probe, err := disk.New(probeEng, model, disk.Options{})
+		memberSectors, err := model.Sectors()
 		if err != nil {
 			return err
 		}
@@ -246,9 +245,9 @@ func run(wl, replayFile, system string, requests, reorder int, seed int64, rpm f
 				return fmt.Errorf("-degraded needs -system raidN with N >= 3, got %d members", n)
 			}
 			level = "RAID-5 degraded"
-			layout, err = raid.NewRAID5(n, probe.Capacity(), experiments.StripeUnitSectors)
+			layout, err = raid.NewRAID5(n, memberSectors, experiments.StripeUnitSectors)
 		} else {
-			layout, err = raid.NewRAID0(n, probe.Capacity(), experiments.StripeUnitSectors)
+			layout, err = raid.NewRAID0(n, memberSectors, experiments.StripeUnitSectors)
 		}
 		if err != nil {
 			return err
@@ -268,13 +267,11 @@ func run(wl, replayFile, system string, requests, reorder int, seed int64, rpm f
 			// rebuilt from 45%, sweeping its extent in 256 chunks — the
 			// degradation study's timeline on the CLI's array.
 			durationMs := spec.MeanInterArrivalMs * float64(requests)
-			extent := layout.(raid.MemberSizer).MemberExtent()
-			chunk := (extent + 255) / 256
 			plan, err := fault.Compile(fault.Spec{Death: &fault.Death{
 				AtMs:         0.35 * durationMs,
 				Member:       n / 2,
 				RebuildAtMs:  0.45 * durationMs,
-				ChunkSectors: chunk,
+				ChunkSectors: experiments.RebuildChunkSectors(layout.(raid.MemberSizer).MemberExtent()),
 				Depth:        4,
 			}}, seed)
 			if err != nil {
@@ -339,11 +336,11 @@ func boundToMD(spec trace.WorkloadSpec, s trace.Stream) (trace.Stream, error) {
 	if err != nil {
 		return nil, err
 	}
-	probe, err := disk.New(simkit.New(), model, disk.Options{})
+	capacity, err := model.Sectors()
 	if err != nil {
 		return nil, err
 	}
-	return trace.BoundStream(s, spec.Disks, probe.Capacity()), nil
+	return trace.BoundStream(s, spec.Disks, capacity), nil
 }
 
 // hcsdRemap layers the MD→HC-SD address migration onto the workload

@@ -28,14 +28,12 @@ func main() {
 
 	model := repro.BarracudaES()
 	// The dataset spans one drive's capacity in every array size.
-	probeEng := repro.NewEngine()
-	probe, err := repro.NewDrive(probeEng, model, repro.DriveOptions{})
+	capacity, err := model.Sectors()
 	if err != nil {
 		panic(err)
 	}
-	spec := repro.PaperSynthetic(intensity, probe.Capacity()).WithRequests(*requests)
-	tr, err := repro.GenerateSynthetic(spec, 1)
-	if err != nil {
+	spec := repro.PaperSynthetic(intensity, capacity).WithRequests(*requests)
+	if err := spec.Validate(); err != nil {
 		panic(err)
 	}
 
@@ -52,7 +50,7 @@ func main() {
 				}
 				members[i] = d
 			}
-			layout, err := repro.NewRAID0(disks, probe.Capacity(), 128)
+			layout, err := repro.NewRAID0(disks, capacity, 128)
 			if err != nil {
 				panic(err)
 			}
@@ -60,9 +58,14 @@ func main() {
 			if err != nil {
 				panic(err)
 			}
+			// Every array replays the same stream: a fresh generator
+			// from the same seed.
+			g, err := repro.NewSyntheticGenerator(spec, 1)
+			if err != nil {
+				panic(err)
+			}
 			var resp repro.Sample
-			for _, r := range tr {
-				r := r
+			for r, ok := g.Next(); ok; r, ok = g.Next() {
 				eng.At(r.ArrivalMs, func() {
 					arr.Submit(r, func(at float64) { resp.Add(at - r.ArrivalMs) })
 				})

@@ -35,9 +35,9 @@ type diffOutcome struct {
 // diffTrace is a random stream within capacity that mixes the shapes
 // the drive paths care about: random reads and writes, sequential runs
 // that ride read-ahead, and re-reads of recent ranges that hit the cache.
-func diffTrace(seed int64, n int, meanGapMs float64, capacity int64) trace.Trace {
+func diffTrace(seed int64, n int, meanGapMs float64, capacity int64) []trace.Request {
 	rng := rand.New(rand.NewSource(seed))
-	tr := make(trace.Trace, n)
+	tr := make([]trace.Request, n)
 	now := 0.0
 	for i := range tr {
 		now += rng.ExpFloat64() * meanGapMs
@@ -64,7 +64,7 @@ func diffTrace(seed int64, n int, meanGapMs float64, capacity int64) trace.Trace
 // playDiff replays tr on a drive that build attaches to a fresh engine
 // with opts (plus a span sink of its own) and records the outcome.
 func playDiff(t *testing.T, build func(simkit.Scheduler, disk.Options) (diffDrive, error),
-	opts disk.Options, tr trace.Trace) diffOutcome {
+	opts disk.Options, tr []trace.Request) diffOutcome {
 	t.Helper()
 	sink := &obs.MemorySink{}
 	opts.Obs = obs.Options{Sink: sink, Name: "dut"}
@@ -248,7 +248,7 @@ func TestDiskDriveMatchesReference(t *testing.T) {
 // hcsdTrace is an n-request HC-SD stream: the workload synthesized for
 // its multi-disk array, each disk's requests remapped into its own
 // region of one high-capacity drive (the paper's §7.1 migration).
-func hcsdTrace(tb testing.TB, spec trace.WorkloadSpec, n int) trace.Trace {
+func hcsdTrace(tb testing.TB, spec trace.WorkloadSpec, n int) []trace.Request {
 	tb.Helper()
 	probe, err := disk.New(simkit.New(), disk.Drive10K18GB(), disk.Options{})
 	if err != nil {
@@ -262,7 +262,7 @@ func hcsdTrace(tb testing.TB, spec trace.WorkloadSpec, n int) trace.Trace {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	var tr trace.Trace
+	var tr []trace.Request
 	for s := trace.RemapStream(g, offsets); ; {
 		r, ok := s.Next()
 		if !ok {
@@ -278,7 +278,7 @@ func hcsdTrace(tb testing.TB, spec trace.WorkloadSpec, n int) trace.Trace {
 // relative to the conventional drive it replaced. One op is one replay
 // of both workloads, drive construction included.
 func BenchmarkOneArmReplay(b *testing.B) {
-	traces := []trace.Trace{
+	traces := [][]trace.Request{
 		hcsdTrace(b, trace.Websearch(), 8000),
 		hcsdTrace(b, trace.Financial(), 8000),
 	}

@@ -40,9 +40,9 @@ func newSA(t testing.TB, n int) (*simkit.Engine, *ParallelDrive) {
 }
 
 // randomTrace builds a deterministic random request stream within cap.
-func randomTrace(seed int64, n int, meanGapMs float64, capacity int64) trace.Trace {
+func randomTrace(seed int64, n int, meanGapMs float64, capacity int64) []trace.Request {
 	rng := rand.New(rand.NewSource(seed))
-	tr := make(trace.Trace, n)
+	tr := make([]trace.Request, n)
 	now := 0.0
 	for i := range tr {
 		now += rng.ExpFloat64() * meanGapMs
@@ -57,7 +57,7 @@ func randomTrace(seed int64, n int, meanGapMs float64, capacity int64) trace.Tra
 }
 
 // replay submits the trace and returns per-request response times.
-func replay(eng *simkit.Engine, submit func(trace.Request, func(float64)), tr trace.Trace) []float64 {
+func replay(eng *simkit.Engine, submit func(trace.Request, func(float64)), tr []trace.Request) []float64 {
 	resp := make([]float64, len(tr))
 	for i, r := range tr {
 		i, r := i, r

@@ -12,9 +12,9 @@ import (
 // migrate back toward the active band and become useful again.
 
 // concentratedTrace targets only the first tenth of the drive.
-func concentratedTrace(seed int64, n int, meanGapMs float64, capacity int64) trace.Trace {
+func concentratedTrace(seed int64, n int, meanGapMs float64, capacity int64) []trace.Request {
 	rng := rand.New(rand.NewSource(seed))
-	tr := make(trace.Trace, n)
+	tr := make([]trace.Request, n)
 	now := 0.0
 	for i := range tr {
 		now += rng.ExpFloat64() * meanGapMs

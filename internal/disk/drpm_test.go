@@ -316,9 +316,9 @@ func TestDRPMPowerWindow(t *testing.T) {
 // drpmTrace is a random open-loop trace that exercises the spindle:
 // idle gaps long enough for the ladder to step down, bursts deep enough
 // to spin it back up, and re-reads of recent ranges that hit the cache.
-func drpmTrace(seed int64, n int, capacity int64) trace.Trace {
+func drpmTrace(seed int64, n int, capacity int64) []trace.Request {
 	rng := rand.New(rand.NewSource(seed))
-	tr := make(trace.Trace, 0, n)
+	tr := make([]trace.Request, 0, n)
 	now := 0.0
 	for len(tr) < n {
 		now += []float64{30, 300, 1200, 2500}[rng.Intn(4)]
@@ -341,7 +341,7 @@ func drpmTrace(seed int64, n int, capacity int64) trace.Trace {
 }
 
 // playDRPM replays tr on d and returns every completion time.
-func playDRPM(eng *simkit.Engine, d device.Device, tr trace.Trace) []float64 {
+func playDRPM(eng *simkit.Engine, d device.Device, tr []trace.Request) []float64 {
 	done := make([]float64, len(tr))
 	for i, r := range tr {
 		eng.At(r.ArrivalMs, func() {

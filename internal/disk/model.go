@@ -70,6 +70,24 @@ func (m Model) Validate() error {
 	return nil
 }
 
+// Sectors reports the addressable size of a drive built from the model
+// with zero Options, in sectors, without building one. An invalid model
+// fails with the error New would return for it: past Validate, only the
+// cache configuration can still fail New's construction.
+func (m Model) Sectors() (int64, error) {
+	if err := m.Validate(); err != nil {
+		return 0, err
+	}
+	if _, err := cache.New(m.cacheConfig()); err != nil {
+		return 0, err
+	}
+	geo, err := geom.New(m.Geom)
+	if err != nil {
+		return 0, err
+	}
+	return geo.TotalSectors(), nil
+}
+
 func (m Model) seekSpec() mech.SeekSpec {
 	return mech.SeekSpec{
 		SingleCylMs:  m.SingleCylMs,

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/mech"
+	"repro/internal/simkit"
 )
 
 // trackWalkTransferTime is the reference media-transfer walk: one Locate
@@ -336,4 +337,37 @@ func FuzzTransferTime(f *testing.F) {
 				m.Name, lba, n, got, math.Float64bits(got), want, math.Float64bits(want))
 		}
 	})
+}
+
+// TestSectorsMatchesNew pins Model.Sectors to the drive New builds: the
+// same sector count for every named model, and the same error for an
+// invalid one, whichever of New's constructors rejects it.
+func TestSectorsMatchesNew(t *testing.T) {
+	for _, m := range []Model{BarracudaES(), Drive10K18GB(), Drive10K37GB(), Drive7200x36GB()} {
+		d, err := New(simkit.New(), m, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := m.Sectors()
+		if err != nil || got != d.Capacity() {
+			t.Errorf("%s: Sectors = %d, %v; want %d", m.Name, got, err, d.Capacity())
+		}
+	}
+	for _, mutate := range []func(*Model){
+		func(m *Model) { m.RPM = 0 },
+		func(m *Model) { m.Geom.Zones = 0 },
+		func(m *Model) { m.FullStrokeMs = m.AvgSeekMs },
+		func(m *Model) { m.DiameterIn = 0 },
+		func(m *Model) { m.CacheSegments = 0 },
+		func(m *Model) { m.ReadAheadSectors = -1 },
+		func(m *Model) { m.CacheBytes, m.CacheSegments = 512, 4 }, // empty segments
+	} {
+		m := BarracudaES()
+		mutate(&m)
+		_, newErr := New(simkit.New(), m, Options{})
+		_, err := m.Sectors()
+		if newErr == nil || err == nil || err.Error() != newErr.Error() {
+			t.Errorf("Sectors error %v, New error %v; want the same error", err, newErr)
+		}
+	}
 }

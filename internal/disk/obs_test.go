@@ -11,9 +11,9 @@ import (
 )
 
 // obsTrace builds a deterministic random request stream within cap.
-func obsTrace(seed int64, n int, meanGapMs float64, capacity int64) trace.Trace {
+func obsTrace(seed int64, n int, meanGapMs float64, capacity int64) []trace.Request {
 	rng := rand.New(rand.NewSource(seed))
-	tr := make(trace.Trace, n)
+	tr := make([]trace.Request, n)
 	now := 0.0
 	for i := range tr {
 		now += rng.ExpFloat64() * meanGapMs
@@ -28,7 +28,7 @@ func obsTrace(seed int64, n int, meanGapMs float64, capacity int64) trace.Trace 
 }
 
 // obsReplay submits the trace and returns per-request response times.
-func obsReplay(eng *simkit.Engine, d *Drive, tr trace.Trace) []float64 {
+func obsReplay(eng *simkit.Engine, d *Drive, tr []trace.Request) []float64 {
 	resp := make([]float64, len(tr))
 	for i, r := range tr {
 		i, r := i, r

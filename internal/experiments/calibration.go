@@ -10,7 +10,6 @@ import (
 	"repro/internal/disk"
 	"repro/internal/fleet"
 	"repro/internal/obs"
-	"repro/internal/simkit"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -85,14 +84,13 @@ func CalibrationStudy(path string, cfg Config) (*CalibrationResult, error) {
 			slot = e
 		}
 	}
-	probeEng := simkit.New()
-	probe, err := disk.New(probeEng, disk.BarracudaES(), disk.Options{})
+	capacity, err := disk.BarracudaES().Sectors()
 	if err != nil {
 		return nil, err
 	}
-	if need := slot * int64(spec.Disks); need > probe.Capacity() {
+	if need := slot * int64(spec.Disks); need > capacity {
 		return nil, fmt.Errorf("experiments: calibration: %s spans %d sectors over %d disks (%.1f GB), beyond the HC-SD's %.1f GB",
-			path, need, spec.Disks, float64(need)*512/1e9, float64(probe.Capacity())*512/1e9)
+			path, need, spec.Disks, float64(need)*512/1e9, float64(capacity)*512/1e9)
 	}
 	offsets := make([]int64, spec.Disks)
 	for d := range offsets {

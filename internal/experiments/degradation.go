@@ -35,9 +35,6 @@ const (
 	degradationDefectMember = 0
 	degradationSectorErrors = 64
 	degradationSpareSectors = 4096
-	// The rebuild sweeps the member extent in a fixed number of chunks,
-	// so the simulated event count is independent of the drive size.
-	degradationRebuildChunks = 256
 
 	// Timeline fractions of the nominal duration.
 	degradationErrorStartFrac = 0.05
@@ -55,6 +52,15 @@ const (
 	degradationDriftRate   = 0.004
 	degradationDriftArm    = 2
 )
+
+// RebuildChunkSectors sizes the rebuild chunks of every degraded
+// scenario (the degradation study, LPRAID and idpsim -degraded): the
+// member extent is swept in 256 chunks, so the simulated event count is
+// independent of the drive size.
+func RebuildChunkSectors(extent int64) int64 {
+	const chunks = 256
+	return (extent + chunks - 1) / chunks
+}
 
 // DefaultDegradationDepths returns the rebuild queue depths the study
 // sweeps: serialized, moderately and deeply overlapped chunk pipelines.
@@ -102,12 +108,11 @@ func hcsdTotalSectors(spec trace.WorkloadSpec) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	eng := simkit.New() // throwaway: only the geometry capacity is needed
-	probe, err := disk.New(eng, model, disk.Options{})
+	capacity, err := model.Sectors()
 	if err != nil {
 		return 0, err
 	}
-	return probe.Capacity() * int64(spec.Disks), nil
+	return capacity * int64(spec.Disks), nil
 }
 
 // degradationRun assembles the common measurement of one scenario.
@@ -181,7 +186,7 @@ func RunDegradationStudy(spec trace.WorkloadSpec, cfg Config, depths []int) (*De
 	// unit.
 	per := (total + int64(degradationMembers-1) - 1) / int64(degradationMembers-1)
 	per = (per + StripeUnitSectors - 1) / StripeUnitSectors * StripeUnitSectors
-	chunk := (per + degradationRebuildChunks - 1) / degradationRebuildChunks
+	chunk := RebuildChunkSectors(per)
 
 	jobs := []fleet.Job[DegradationRun]{
 		{Name: spec.Name + "/degradation/healthy", Run: func(context.Context, int64) (DegradationRun, error) {

@@ -317,8 +317,7 @@ func HCSDOffsets(spec trace.WorkloadSpec) ([]int64, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng := simkit.New() // throwaway: only the geometry capacity is needed
-	probe, err := disk.New(eng, model, disk.Options{})
+	capacity, err := model.Sectors()
 	if err != nil {
 		return nil, err
 	}
@@ -326,7 +325,7 @@ func HCSDOffsets(spec trace.WorkloadSpec) ([]int64, error) {
 	var cum int64
 	for i := range offsets {
 		offsets[i] = cum
-		cum += probe.Capacity()
+		cum += capacity
 	}
 	return offsets, nil
 }

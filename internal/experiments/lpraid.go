@@ -115,12 +115,10 @@ func lpraid(cfg Config, opts LPRAIDOpts) (*LPRAIDResult, *par.Engine, error) {
 	}
 
 	model := disk.BarracudaES()
-	probeEng := simkit.New()
-	probe, err := disk.New(probeEng, model, disk.Options{})
+	memberSectors, err := model.Sectors()
 	if err != nil {
 		return nil, nil, err
 	}
-	memberSectors := probe.Capacity()
 
 	// The healthy scale run stripes without redundancy; the degraded
 	// scenario needs a layout that can reconstruct, so it runs RAID-5
@@ -166,13 +164,11 @@ func lpraid(cfg Config, opts LPRAIDOpts) (*LPRAIDResult, *par.Engine, error) {
 		// the controller LP — the only place fail/rebuild calls are
 		// legal on a partitioned array.
 		durationMs := spec.MeanInterArrivalMs * float64(cfg.Requests)
-		extent := layout.(raid.MemberSizer).MemberExtent()
-		chunk := (extent + degradationRebuildChunks - 1) / degradationRebuildChunks
 		plan, err := fault.Compile(fault.Spec{Death: &fault.Death{
 			AtMs:         degradationDeathFrac * durationMs,
 			Member:       opts.Drives / 2,
 			RebuildAtMs:  degradationRebuildFrac * durationMs,
-			ChunkSectors: chunk,
+			ChunkSectors: RebuildChunkSectors(layout.(raid.MemberSizer).MemberExtent()),
 			Depth:        opts.RebuildDepth,
 		}}, cfg.Seed)
 		if err != nil {

@@ -116,12 +116,10 @@ func RunRAIDStudy(cfg Config, opts RAIDStudyOpts) (*RAIDStudyResult, error) {
 	model := disk.BarracudaES()
 	// Dataset: the capacity of a single drive (sectors usable in every
 	// array size).
-	probeEng := simkit.New()
-	probe, err := disk.New(probeEng, model, disk.Options{})
+	dataset, err := model.Sectors()
 	if err != nil {
 		return nil, err
 	}
-	dataset := probe.Capacity()
 
 	out := &RAIDStudyResult{DiskCounts: diskCounts, Families: families}
 

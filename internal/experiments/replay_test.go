@@ -8,6 +8,7 @@ import (
 	"repro/internal/power"
 	"repro/internal/simkit"
 	"repro/internal/trace"
+	"repro/internal/trace/tracetest"
 )
 
 // quietDevice allocates nothing per request once warm: it completes
@@ -53,7 +54,7 @@ func (d *quietDevice) Capacity() int64 { return 1 << 40 }
 func TestReplayStreamAllocationsAreAmortized(t *testing.T) {
 	const n = 20000
 	rng := rand.New(rand.NewSource(5))
-	tr := make(trace.Trace, n)
+	tr := make([]trace.Request, n)
 	now := 0.0
 	for i := range tr {
 		now += rng.ExpFloat64() * 0.4 // some requests overlap in flight
@@ -62,7 +63,7 @@ func TestReplayStreamAllocationsAreAmortized(t *testing.T) {
 	count := 0
 	allocs := testing.AllocsPerRun(1, func() {
 		eng := simkit.New()
-		resp, err := ReplayStream(eng, newQuietDevice(eng), tr.Stream())
+		resp, err := ReplayStream(eng, newQuietDevice(eng), tracetest.Stream(tr))
 		if err != nil {
 			t.Fatal(err)
 		}

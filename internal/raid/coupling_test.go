@@ -50,10 +50,10 @@ type deathTrial struct {
 	deathMs, rebuildMs float64
 	depth              int
 	chunk              int64
-	tr                 trace.Trace
+	tr                 []trace.Request
 }
 
-func newDeathTrial(rng *rand.Rand, members int, extent int64, tr trace.Trace) deathTrial {
+func newDeathTrial(rng *rand.Rand, members int, extent int64, tr []trace.Request) deathTrial {
 	d := deathTrial{dead: rng.Intn(members), deathMs: 50 + rng.Float64()*300, tr: tr}
 	d.rebuildMs = d.deathMs + 20 + rng.Float64()*200
 	d.depth = 1 + rng.Intn(6)

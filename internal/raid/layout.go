@@ -120,7 +120,7 @@ func (j *JBOD) Members() int { return len(j.caps) }
 func (j *JBOD) Capacity() int64 { return j.total }
 
 // Offsets returns each member's starting logical address — exactly the
-// offsets trace.Trace.Remap needs for the paper's MD→HC-SD migration.
+// offsets trace.RemapStream needs for the paper's MD→HC-SD migration.
 func (j *JBOD) Offsets() []int64 { return append([]int64(nil), j.offsets...) }
 
 // Plan implements Layout, splitting requests at member boundaries.

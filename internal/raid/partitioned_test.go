@@ -12,9 +12,9 @@ import (
 )
 
 // partTrace builds a deterministic random stream of striped requests.
-func partTrace(seed int64, n int, capacity int64) trace.Trace {
+func partTrace(seed int64, n int, capacity int64) []trace.Request {
 	rng := rand.New(rand.NewSource(seed))
-	tr := make(trace.Trace, n)
+	tr := make([]trace.Request, n)
 	now := 0.0
 	for i := range tr {
 		now += rng.ExpFloat64() * 2
@@ -85,7 +85,7 @@ func buildPartitioned(t *testing.T, raid5 bool, members, workers int) (*par.Engi
 
 // replayPartitioned submits the trace on the controller LP and returns
 // per-request response times.
-func replayPartitioned(pe *par.Engine, a *Array, tr trace.Trace) []float64 {
+func replayPartitioned(pe *par.Engine, a *Array, tr []trace.Request) []float64 {
 	resp := make([]float64, len(tr))
 	ctrl := pe.LP(0)
 	for i, r := range tr {

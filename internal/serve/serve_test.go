@@ -91,8 +91,17 @@ func TestServeByteIdentity(t *testing.T) {
 	}
 
 	// A fresh server (cold cache) under concurrency 16: identical
-	// bodies, and the duplicates collapse onto one computation.
+	// bodies, and the duplicates collapse onto one computation. The
+	// leader's computation waits until the other 15 requests have joined
+	// its flight, so none of them can arrive late enough to hit the
+	// cache instead.
 	s2, ts2 := newTestServer(t, Config{Workers: 4})
+	s2.runner = func(ctx context.Context, q Query, progress func(int, int, string)) ([]*experiments.WhatIfRun, error) {
+		for deadline := time.Now().Add(30 * time.Second); s2.Stats().Collapsed < 15 && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		return runQuery(ctx, q, progress)
+	}
 	var wg sync.WaitGroup
 	bodies := make([][]byte, 16)
 	codes := make([]int, 16)
@@ -118,11 +127,8 @@ func TestServeByteIdentity(t *testing.T) {
 	if st.Computed != 1 {
 		t.Errorf("fresh server computed %d times for 16 identical queries, want 1", st.Computed)
 	}
-	if st.Collapsed+st.CacheHits != 15 {
-		t.Errorf("collapsed %d + hits %d, want 15 of 16 deduplicated", st.Collapsed, st.CacheHits)
-	}
-	if st.Collapsed == 0 {
-		t.Errorf("no singleflight collapses under concurrency 16")
+	if st.Collapsed != 15 {
+		t.Errorf("collapsed %d (cache hits %d), want all 15 duplicates collapsed", st.Collapsed, st.CacheHits)
 	}
 	_ = s
 }

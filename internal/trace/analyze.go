@@ -3,7 +3,6 @@ package trace
 import (
 	"fmt"
 	"io"
-	"sort"
 )
 
 // Stats summarizes the statistical shape of a trace — the same
@@ -24,13 +23,6 @@ type Stats struct {
 	FootprintSectors   int64   // highest block touched (per-disk max)
 }
 
-// Analyze computes Stats over a trace. It is AnalyzeStream over the
-// materialized trace's stream, so the two always agree exactly.
-func Analyze(t Trace) Stats {
-	s, _ := AnalyzeStream(t.Stream()) // slice streams cannot fail
-	return s
-}
-
 // WriteStats renders the stats as a labeled table.
 func WriteStats(w io.Writer, label string, s Stats) {
 	fmt.Fprintf(w, "%s:\n", label)
@@ -42,28 +34,4 @@ func WriteStats(w io.Writer, label string, s Stats) {
 	fmt.Fprintf(w, "  sequential fraction %.3f\n", s.SeqFraction)
 	fmt.Fprintf(w, "  disks               %d (load CV %.2f)\n", s.Disks, s.DiskLoadCV)
 	fmt.Fprintf(w, "  footprint           %.2f GB\n", float64(s.FootprintSectors)*512/1e9)
-}
-
-// InterArrivalPercentiles reports chosen percentiles of the trace's
-// inter-arrival gaps (useful for burstiness inspection).
-func InterArrivalPercentiles(t Trace, ps []float64) ([]float64, error) {
-	if len(t) < 2 {
-		return nil, fmt.Errorf("trace: need at least two requests")
-	}
-	gaps := make([]float64, 0, len(t)-1)
-	prev := t[0].ArrivalMs
-	for _, r := range t[1:] {
-		gaps = append(gaps, r.ArrivalMs-prev)
-		prev = r.ArrivalMs
-	}
-	sort.Float64s(gaps)
-	out := make([]float64, len(ps))
-	for i, p := range ps {
-		if p < 0 || p > 100 {
-			return nil, fmt.Errorf("trace: percentile %v out of range", p)
-		}
-		idx := int(p / 100 * float64(len(gaps)-1))
-		out[i] = gaps[idx]
-	}
-	return out, nil
 }

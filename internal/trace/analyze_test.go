@@ -7,54 +7,15 @@ import (
 	"testing"
 )
 
-func TestAnalyzeEmpty(t *testing.T) {
-	s := Analyze(nil)
-	if s.Requests != 0 || s.Disks != 0 {
-		t.Fatalf("empty stats %+v", s)
-	}
-}
-
-func TestAnalyzeBasics(t *testing.T) {
-	tr := Trace{
-		{ArrivalMs: 0, Disk: 0, LBA: 0, Sectors: 8, Read: true},
-		{ArrivalMs: 10, Disk: 0, LBA: 8, Sectors: 8, Read: true}, // sequential
-		{ArrivalMs: 20, Disk: 1, LBA: 100, Sectors: 16, Read: false},
-		{ArrivalMs: 30, Disk: 1, LBA: 500, Sectors: 32, Read: true},
-	}
-	s := Analyze(tr)
-	if s.Requests != 4 || s.Disks != 2 {
-		t.Fatalf("stats %+v", s)
-	}
-	if s.MeanInterArrivalMs != 10 {
-		t.Fatalf("mean inter-arrival %v", s.MeanInterArrivalMs)
-	}
-	if math.Abs(s.ReadFraction-0.75) > 1e-12 {
-		t.Fatalf("read fraction %v", s.ReadFraction)
-	}
-	if s.MeanSizeSectors != 16 || s.MaxSizeSectors != 32 {
-		t.Fatalf("sizes %v/%d", s.MeanSizeSectors, s.MaxSizeSectors)
-	}
-	if math.Abs(s.SeqFraction-0.25) > 1e-12 {
-		t.Fatalf("seq fraction %v", s.SeqFraction)
-	}
-	if s.FootprintSectors != 532 {
-		t.Fatalf("footprint %d", s.FootprintSectors)
-	}
-	// Perfectly regular arrivals: CV^2 near zero. Balanced disks: CV 0.
-	if s.CV2InterArrival > 1e-9 {
-		t.Fatalf("CV2 %v for deterministic arrivals", s.CV2InterArrival)
-	}
-	if s.DiskLoadCV > 1e-9 {
-		t.Fatalf("disk load CV %v for balanced trace", s.DiskLoadCV)
-	}
-}
-
 func TestAnalyzePoissonCV2NearOne(t *testing.T) {
-	tr, err := Generate(Websearch().WithRequests(20000), 5)
+	g, err := NewGenerator(Websearch().WithRequests(20000), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := Analyze(tr)
+	s, err := AnalyzeStream(g)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Bursty arrivals push CV^2 at or above the Poisson value of 1.
 	if s.CV2InterArrival < 0.8 {
 		t.Fatalf("CV2 %v, want near/above 1 for a (modulated) Poisson stream", s.CV2InterArrival)
@@ -63,11 +24,14 @@ func TestAnalyzePoissonCV2NearOne(t *testing.T) {
 
 func TestAnalyzeMatchesWorkloadSpecs(t *testing.T) {
 	for _, spec := range Workloads() {
-		tr, err := Generate(spec.WithRequests(20000), 3)
+		g, err := NewGenerator(spec.WithRequests(20000), 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := Analyze(tr)
+		s, err := AnalyzeStream(g)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if math.Abs(s.ReadFraction-spec.ReadFraction) > 0.02 {
 			t.Errorf("%s: analyzed read fraction %v vs spec %v",
 				spec.Name, s.ReadFraction, spec.ReadFraction)
@@ -87,9 +51,16 @@ func TestAnalyzeMatchesWorkloadSpecs(t *testing.T) {
 }
 
 func TestWriteStats(t *testing.T) {
-	tr, _ := Generate(TPCH().WithRequests(1000), 1)
+	g, err := NewGenerator(TPCH().WithRequests(1000), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := AnalyzeStream(g)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	WriteStats(&buf, "tpch", Analyze(tr))
+	WriteStats(&buf, "tpch", s)
 	out := buf.String()
 	for _, want := range []string{"tpch:", "requests", "read fraction", "footprint"} {
 		if !strings.Contains(out, want) {
@@ -98,109 +69,30 @@ func TestWriteStats(t *testing.T) {
 	}
 }
 
+// TestInterArrivalPercentiles checks the profile's gap percentiles on
+// known gaps of 1, 2 and 4 ms, to the histogram's ~9% resolution, and
+// its rejection of a single request and of an out-of-range percentile.
 func TestInterArrivalPercentiles(t *testing.T) {
-	tr := Trace{
-		{ArrivalMs: 0, Sectors: 1},
-		{ArrivalMs: 1, Sectors: 1},
-		{ArrivalMs: 3, Sectors: 1},
-		{ArrivalMs: 7, Sectors: 1},
+	p := NewProfiler()
+	for _, at := range []float64{0, 1, 3, 7} {
+		p.Add(Request{ArrivalMs: at, Sectors: 1})
 	}
-	ps, err := InterArrivalPercentiles(tr, []float64{0, 50, 100})
-	if err != nil {
-		t.Fatal(err)
+	prof := p.Finish()
+	for _, c := range []struct{ pct, want float64 }{{0, 1}, {50, 2}, {100, 4}} {
+		got, err := prof.GapPercentile(c.pct)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(got-c.want) > 0.09*c.want {
+			t.Errorf("p%v = %v, want ~%v", c.pct, got, c.want)
+		}
 	}
-	if ps[0] != 1 || ps[2] != 4 {
-		t.Fatalf("percentiles %v", ps)
-	}
-	if _, err := InterArrivalPercentiles(tr[:1], []float64{50}); err == nil {
-		t.Fatalf("single-request trace accepted")
-	}
-	if _, err := InterArrivalPercentiles(tr, []float64{150}); err == nil {
+	if _, err := prof.GapPercentile(150); err == nil {
 		t.Fatalf("out-of-range percentile accepted")
 	}
-}
-
-// --- Transform tests ---
-
-func TestMergeOrdersByArrival(t *testing.T) {
-	a := Trace{{ArrivalMs: 1, Sectors: 1}, {ArrivalMs: 5, Sectors: 1}}
-	b := Trace{{ArrivalMs: 2, Sectors: 1}, {ArrivalMs: 4, Sectors: 1}}
-	m := Merge(a, b)
-	if len(m) != 4 || !m.Sorted() {
-		t.Fatalf("merge broken: %+v", m)
-	}
-	if a[0].ArrivalMs != 1 || b[0].ArrivalMs != 2 {
-		t.Fatalf("inputs mutated")
-	}
-}
-
-func TestTimeScale(t *testing.T) {
-	tr := Trace{{ArrivalMs: 10, Sectors: 1}, {ArrivalMs: 20, Sectors: 1}}
-	half, err := TimeScale(tr, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if half[0].ArrivalMs != 5 || half[1].ArrivalMs != 10 {
-		t.Fatalf("scaled %+v", half)
-	}
-	if _, err := TimeScale(tr, 0); err == nil {
-		t.Fatalf("zero factor accepted")
-	}
-	if tr[0].ArrivalMs != 10 {
-		t.Fatalf("input mutated")
-	}
-}
-
-func TestTimeShift(t *testing.T) {
-	tr := Trace{{ArrivalMs: 10, Sectors: 1}}
-	out, err := TimeShift(tr, 5)
-	if err != nil || out[0].ArrivalMs != 15 {
-		t.Fatalf("shift: %v %+v", err, out)
-	}
-	if _, err := TimeShift(tr, -20); err == nil {
-		t.Fatalf("negative result accepted")
-	}
-}
-
-func TestRebase(t *testing.T) {
-	tr := Trace{{Disk: 3, LBA: 100, Sectors: 1}}
-	out, err := Rebase(tr, 0, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out[0].Disk != 0 || out[0].LBA != 1100 {
-		t.Fatalf("rebased %+v", out[0])
-	}
-	if _, err := Rebase(tr, -1, 0); err == nil {
-		t.Fatalf("negative disk accepted")
-	}
-}
-
-func TestMultiTenantComposition(t *testing.T) {
-	// Two tenants in disjoint halves of one device, merged into one
-	// stream — the utilities' intended composition.
-	a, err := Generate(Websearch().WithRequests(500), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	aFlat, err := Rebase(a, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Generate(TPCC().WithRequests(500), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bFlat, err := Rebase(b, 0, 1<<30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := Merge(aFlat, bFlat)
-	if len(m) != 1000 || !m.Sorted() {
-		t.Fatalf("composition broken")
-	}
-	s := Analyze(m)
-	if s.Disks != 1 {
-		t.Fatalf("composed stream targets %d disks", s.Disks)
+	single := NewProfiler()
+	single.Add(Request{Sectors: 1})
+	if _, err := single.Finish().GapPercentile(50); err == nil {
+		t.Fatalf("single-request profile accepted")
 	}
 }

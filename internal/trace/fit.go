@@ -238,8 +238,7 @@ func ProfileStream(s Stream) (Profile, error) {
 }
 
 // AnalyzeStream computes Stats over a stream in one pass and O(1)
-// memory. Analyze is implemented on top of it, so the two agree exactly
-// on any materialized trace.
+// memory.
 func AnalyzeStream(s Stream) (Stats, error) {
 	p, err := ProfileStream(s)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 	"unsafe"
@@ -187,6 +188,12 @@ func (rd *Reader) Next() (Request, bool) {
 			rd.base = p.r.ArrivalMs
 		}
 		p.r.ArrivalMs -= rd.base
+		if math.IsInf(p.r.ArrivalMs, 0) {
+			rd.err = fmt.Errorf("trace: %s: line %d: arrival overflows once rebased to the first arrival",
+				rd.Format(), p.line)
+			rd.done = true
+			return Request{}, false
+		}
 	}
 
 	// Enforce non-decreasing arrivals at the ingestion boundary: a
@@ -254,9 +261,13 @@ func (rd *Reader) scanOne() (Request, int, bool) {
 }
 
 // validateShape checks every Request field except the arrival sign,
-// which the Reader judges after reordering and rebasing.
+// which the Reader judges after reordering and rebasing. A NaN arrival
+// would also slip past the ordering check, since every comparison with
+// NaN is false.
 func validateShape(r Request) error {
 	switch {
+	case math.IsNaN(r.ArrivalMs) || math.IsInf(r.ArrivalMs, 0):
+		return fmt.Errorf("non-finite arrival %v", r.ArrivalMs)
 	case r.Disk < 0:
 		return fmt.Errorf("negative disk %d", r.Disk)
 	case r.LBA < 0:

@@ -25,18 +25,14 @@ func secMs(t *testing.T, ts string) float64 {
 	return v * 1000
 }
 
-// drain pulls every request from a reader, returning them with the
+// drain pulls every request from a stream, returning them with the
 // terminal error.
-func drain(rd *Reader) ([]Request, error) {
+func drain(s Stream) ([]Request, error) {
 	var out []Request
-	for {
-		r, ok := rd.Next()
-		if !ok {
-			break
-		}
+	for r, ok := s.Next(); ok; r, ok = s.Next() {
 		out = append(out, r)
 	}
-	return out, rd.Err()
+	return out, Err(s)
 }
 
 func TestSPCReaderCorpus(t *testing.T) {
@@ -159,6 +155,35 @@ func TestReaderMalformedLines(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), "line 2") {
 			t.Errorf("%s: error %q lacks the line number", c.name, err)
+		}
+	}
+}
+
+// TestReaderRejectsNonFiniteArrivals checks that a NaN or infinite
+// arrival, parsed or reached by unit conversion or rebasing, ends the
+// stream with an error naming the format and the line. Unchecked, NaN
+// also passes the ordering check (every comparison with NaN is false)
+// and replays as NaN response times. MSR timestamps are integers and
+// cannot be non-finite.
+func TestReaderRejectsNonFiniteArrivals(t *testing.T) {
+	cases := []struct {
+		name, want string
+		rd         *Reader
+	}{
+		{"native-nan", "trace: native: line 2: non-finite", NewNativeReader(strings.NewReader("0.5 0 100 8 R\nNaN 0 200 8 R\n1.0 0 300 8 W\n"), ReaderOpts{})},
+		{"native-inf", "trace: native: line 2: non-finite", NewNativeReader(strings.NewReader("0.5 0 100 8 R\n+Inf 0 200 8 R\n"), ReaderOpts{})},
+		{"spc-nan", "trace: spc: line 2: non-finite", NewSPCReader(strings.NewReader("0,0,4096,r,0.5\n0,8,4096,r,NaN\n"), ReaderOpts{})},
+		{"spc-ms-overflow", "trace: spc: line 2: non-finite", NewSPCReader(strings.NewReader("0,0,4096,r,0.5\n0,8,4096,r,1e306\n"), ReaderOpts{})},
+		{"spc-rebase-overflow", "trace: spc: line 2: arrival overflows", NewSPCReader(strings.NewReader("0,0,4096,r,-1.7e305\n0,8,4096,r,1.7e305\n"), ReaderOpts{})},
+		{"blkparse-inf", "trace: blkparse: line 2: non-finite", NewBlkparseReader(strings.NewReader("8,0 1 1 0.5 9 Q R 0 + 8 [a]\n8,0 1 2 Inf 9 Q R 8 + 8 [a]\n"), ReaderOpts{})},
+	}
+	for _, c := range cases {
+		got, err := drain(c.rd)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want %q", c.name, err, c.want)
+		}
+		if len(got) != 1 {
+			t.Errorf("%s: %d requests before the error, want 1", c.name, len(got))
 		}
 	}
 }
@@ -312,45 +337,12 @@ func TestFixtureRoundTrip(t *testing.T) {
 		}
 
 		// The golden itself must round-trip through the native reader.
-		tr, err := Read(bytes.NewReader(want))
+		tr, err := drain(NewNativeReader(bytes.NewReader(want), ReaderOpts{}))
 		if err != nil {
 			t.Fatalf("%s: %v", c.golden, err)
 		}
 		if len(tr) != n {
 			t.Errorf("%s: native re-read %d requests, want %d", c.golden, len(tr), n)
-		}
-	}
-}
-
-// TestAnalyzeStreamMatchesAnalyze pins the streaming analyzer to the
-// materialized one: identical Stats (exactly — Analyze is implemented
-// on AnalyzeStream) for every workload.
-func TestAnalyzeStreamMatchesAnalyze(t *testing.T) {
-	for _, spec := range Workloads() {
-		spec := spec.WithRequests(20000)
-		tr, err := Generate(spec, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := Analyze(tr)
-		got, err := AnalyzeStream(tr.Stream())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Errorf("%s: AnalyzeStream = %+v, Analyze = %+v", spec.Name, got, want)
-		}
-		// And the generator stream agrees with the materialized trace.
-		g, err := NewGenerator(spec, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err = AnalyzeStream(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Errorf("%s: AnalyzeStream(generator) = %+v, want %+v", spec.Name, got, want)
 		}
 	}
 }

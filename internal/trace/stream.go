@@ -3,9 +3,9 @@ package trace
 import "fmt"
 
 // Stream is a sequential source of requests in arrival order. Generator
-// implements it (synthesis without materialization); a materialized
-// Trace adapts to it with Trace.Stream; RemapStream layers the MD→HC-SD
-// address migration on any stream.
+// implements it (synthesis without materialization), Reader implements
+// it for trace files, and RemapStream layers the MD→HC-SD address
+// migration on any stream.
 type Stream interface {
 	// Next yields the stream's following request; ok is false when the
 	// stream is exhausted.
@@ -14,29 +14,11 @@ type Stream interface {
 
 var _ Stream = (*Generator)(nil)
 
-// sliceStream walks a materialized trace.
-type sliceStream struct {
-	t Trace
-	i int
-}
-
-func (s *sliceStream) Next() (Request, bool) {
-	if s.i >= len(s.t) {
-		return Request{}, false
-	}
-	r := s.t[s.i]
-	s.i++
-	return r, true
-}
-
-// Stream returns a one-pass Stream over the materialized trace.
-func (t Trace) Stream() Stream { return &sliceStream{t: t} }
-
 // Err reports the terminal error of a stream, if it has one. Streams
 // backed by parsers or validators (Reader, remapStream) expose an
 // Err() method that is non-nil after Next returned false because of a
-// failure rather than exhaustion; plain streams (slices, generators)
-// cannot fail and report nil. Every consumer that drains a stream of
+// failure rather than exhaustion; plain streams (generators) cannot
+// fail and report nil. Every consumer that drains a stream of
 // unvetted origin must check Err afterwards.
 func Err(s Stream) error {
 	if es, ok := s.(interface{ Err() error }); ok {
@@ -45,7 +27,7 @@ func Err(s Stream) error {
 	return nil
 }
 
-// remapStream applies the Remap address migration on the fly.
+// remapStream applies the MD→HC-SD address migration on the fly.
 type remapStream struct {
 	s       Stream
 	offsets []int64
@@ -85,8 +67,9 @@ func (s *remapStream) Err() error {
 }
 
 // RemapStream retargets every request of s to a single disk (disk 0) at
-// LBA offset[r.Disk]+r.LBA — the streaming form of Trace.Remap,
-// implementing the paper's MD→HC-SD migration layout. A request
+// LBA offset[r.Disk]+r.LBA. This implements the paper's MD→HC-SD
+// migration layout: the high-capacity drive is sequentially populated
+// with each original disk's data in disk order. A request
 // targeting a disk beyond the offset table ends the stream with an
 // error (see Err) — foreign traces reach this boundary, so it must not
 // crash the process.

@@ -7,8 +7,6 @@ package trace
 
 import (
 	"fmt"
-	"io"
-	"sort"
 	"strconv"
 )
 
@@ -26,99 +24,13 @@ func (r Request) End() int64 { return r.LBA + int64(r.Sectors) }
 
 // Validate reports the first problem with the request, if any.
 func (r Request) Validate() error {
-	switch {
-	case r.ArrivalMs < 0:
+	if err := validateShape(r); err != nil {
+		return fmt.Errorf("trace: %v", err)
+	}
+	if r.ArrivalMs < 0 {
 		return fmt.Errorf("trace: negative arrival %v", r.ArrivalMs)
-	case r.Disk < 0:
-		return fmt.Errorf("trace: negative disk %d", r.Disk)
-	case r.LBA < 0:
-		return fmt.Errorf("trace: negative lba %d", r.LBA)
-	case r.Sectors <= 0:
-		return fmt.Errorf("trace: non-positive length %d", r.Sectors)
 	}
 	return nil
-}
-
-// Trace is a request stream ordered by arrival time.
-type Trace []Request
-
-// Sort orders the trace by arrival time (stable, so equal-time requests
-// keep their generation order).
-func (t Trace) Sort() {
-	sort.SliceStable(t, func(i, j int) bool { return t[i].ArrivalMs < t[j].ArrivalMs })
-}
-
-// Sorted reports whether the trace is in arrival order.
-func (t Trace) Sorted() bool {
-	return sort.SliceIsSorted(t, func(i, j int) bool { return t[i].ArrivalMs < t[j].ArrivalMs })
-}
-
-// DurationMs reports the arrival span of the trace.
-func (t Trace) DurationMs() float64 {
-	if len(t) == 0 {
-		return 0
-	}
-	return t[len(t)-1].ArrivalMs - t[0].ArrivalMs
-}
-
-// MeanInterArrivalMs reports the mean time between consecutive arrivals.
-func (t Trace) MeanInterArrivalMs() float64 {
-	if len(t) < 2 {
-		return 0
-	}
-	return t.DurationMs() / float64(len(t)-1)
-}
-
-// ReadFraction reports the fraction of requests that are reads.
-func (t Trace) ReadFraction() float64 {
-	if len(t) == 0 {
-		return 0
-	}
-	reads := 0
-	for _, r := range t {
-		if r.Read {
-			reads++
-		}
-	}
-	return float64(reads) / float64(len(t))
-}
-
-// MaxDisk reports the highest disk number referenced (-1 when empty).
-func (t Trace) MaxDisk() int {
-	max := -1
-	for _, r := range t {
-		if r.Disk > max {
-			max = r.Disk
-		}
-	}
-	return max
-}
-
-// Remap returns a copy of the trace with every request retargeted to a
-// single disk (disk 0) at LBA offset[r.Disk]+r.LBA. This implements the
-// paper's MD→HC-SD migration layout: the high-capacity drive is
-// sequentially populated with each original disk's data in disk order.
-func (t Trace) Remap(offsets []int64) (Trace, error) {
-	out := make(Trace, len(t))
-	for i, r := range t {
-		if r.Disk >= len(offsets) {
-			return nil, fmt.Errorf("trace: request %d targets disk %d but only %d offsets given",
-				i, r.Disk, len(offsets))
-		}
-		r.LBA += offsets[r.Disk]
-		r.Disk = 0
-		out[i] = r
-	}
-	return out, nil
-}
-
-// Write emits the trace in the text format:
-//
-//	# optional comments
-//	<arrival-ms> <disk> <lba> <sectors> <R|W>
-func Write(w io.Writer, t Trace) error {
-	_, err := WriteStream(w, t.Stream())
-	return err
 }
 
 // nativeParser reads the repository's own text format, one request per
@@ -161,24 +73,4 @@ func (nativeParser) parse(line string) (Request, bool, error) {
 		return Request{}, false, fmt.Errorf("bad op %q", f[4])
 	}
 	return Request{ArrivalMs: arrival, Disk: disk, LBA: lba, Sectors: sectors, Read: read}, false, nil
-}
-
-// Read materializes a text-format trace. Blank lines and lines starting
-// with '#' are skipped. Arrivals must be non-decreasing: an unsorted
-// trace would replay with negative inter-arrivals, which both the
-// analyzer and the engine assume away.
-func Read(r io.Reader) (Trace, error) {
-	rd := NewNativeReader(r, ReaderOpts{})
-	var t Trace
-	for {
-		req, ok := rd.Next()
-		if !ok {
-			break
-		}
-		t = append(t, req)
-	}
-	if err := rd.Err(); err != nil {
-		return nil, err
-	}
-	return t, nil
 }

@@ -1,13 +1,10 @@
 package trace
 
 import (
-	"bytes"
 	"math"
-	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestRequestValidate(t *testing.T) {
@@ -21,6 +18,9 @@ func TestRequestValidate(t *testing.T) {
 		{LBA: -1, Sectors: 8},
 		{Sectors: 0},
 		{Sectors: -8},
+		{ArrivalMs: math.NaN(), Sectors: 8},
+		{ArrivalMs: math.Inf(1), Sectors: 8},
+		{ArrivalMs: math.Inf(-1), Sectors: 8},
 	}
 	for _, r := range bad {
 		if err := r.Validate(); err == nil {
@@ -36,112 +36,11 @@ func TestRequestEnd(t *testing.T) {
 	}
 }
 
-func TestSortAndSorted(t *testing.T) {
-	tr := Trace{
-		{ArrivalMs: 3, Sectors: 1},
-		{ArrivalMs: 1, Sectors: 1},
-		{ArrivalMs: 2, Sectors: 1},
-	}
-	if tr.Sorted() {
-		t.Fatalf("unsorted trace reported sorted")
-	}
-	tr.Sort()
-	if !tr.Sorted() {
-		t.Fatalf("sorted trace reported unsorted")
-	}
-	if tr[0].ArrivalMs != 1 || tr[2].ArrivalMs != 3 {
-		t.Fatalf("sort order wrong: %+v", tr)
-	}
-}
-
-func TestTraceStatistics(t *testing.T) {
-	tr := Trace{
-		{ArrivalMs: 0, Sectors: 1, Read: true},
-		{ArrivalMs: 10, Sectors: 1, Read: false},
-		{ArrivalMs: 20, Sectors: 1, Read: true},
-	}
-	if d := tr.DurationMs(); d != 20 {
-		t.Fatalf("DurationMs = %v, want 20", d)
-	}
-	if m := tr.MeanInterArrivalMs(); m != 10 {
-		t.Fatalf("MeanInterArrivalMs = %v, want 10", m)
-	}
-	if f := tr.ReadFraction(); math.Abs(f-2.0/3) > 1e-12 {
-		t.Fatalf("ReadFraction = %v, want 2/3", f)
-	}
-	var empty Trace
-	if empty.DurationMs() != 0 || empty.MeanInterArrivalMs() != 0 || empty.ReadFraction() != 0 {
-		t.Fatalf("empty trace statistics nonzero")
-	}
-}
-
-func TestMaxDisk(t *testing.T) {
-	var empty Trace
-	if empty.MaxDisk() != -1 {
-		t.Fatalf("empty MaxDisk = %d, want -1", empty.MaxDisk())
-	}
-	tr := Trace{{Disk: 2, Sectors: 1}, {Disk: 7, Sectors: 1}, {Disk: 1, Sectors: 1}}
-	if tr.MaxDisk() != 7 {
-		t.Fatalf("MaxDisk = %d, want 7", tr.MaxDisk())
-	}
-}
-
-func TestRemapConcatenatesDisks(t *testing.T) {
-	tr := Trace{
-		{ArrivalMs: 0, Disk: 0, LBA: 5, Sectors: 1},
-		{ArrivalMs: 1, Disk: 1, LBA: 5, Sectors: 1},
-		{ArrivalMs: 2, Disk: 2, LBA: 5, Sectors: 1},
-	}
-	offsets := []int64{0, 1000, 2000}
-	out, err := tr.Remap(offsets)
-	if err != nil {
-		t.Fatalf("Remap: %v", err)
-	}
-	want := []int64{5, 1005, 2005}
-	for i, r := range out {
-		if r.Disk != 0 {
-			t.Fatalf("request %d still targets disk %d", i, r.Disk)
-		}
-		if r.LBA != want[i] {
-			t.Fatalf("request %d LBA %d, want %d", i, r.LBA, want[i])
-		}
-	}
-	// Original is untouched.
-	if tr[1].Disk != 1 || tr[1].LBA != 5 {
-		t.Fatalf("Remap mutated its input")
-	}
-}
-
-func TestRemapRejectsMissingOffsets(t *testing.T) {
-	tr := Trace{{Disk: 3, Sectors: 1}}
-	if _, err := tr.Remap([]int64{0, 10}); err == nil {
-		t.Fatalf("Remap accepted out-of-range disk")
-	}
-}
-
-func TestWriteReadRoundTrip(t *testing.T) {
-	tr := Trace{
-		{ArrivalMs: 0.5, Disk: 0, LBA: 100, Sectors: 8, Read: true},
-		{ArrivalMs: 1.25, Disk: 3, LBA: 999999, Sectors: 64, Read: false},
-	}
-	var buf bytes.Buffer
-	if err := Write(&buf, tr); err != nil {
-		t.Fatalf("Write: %v", err)
-	}
-	back, err := Read(&buf)
-	if err != nil {
-		t.Fatalf("Read: %v", err)
-	}
-	if !reflect.DeepEqual(tr, back) {
-		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", back, tr)
-	}
-}
-
 func TestReadSkipsCommentsAndBlanks(t *testing.T) {
 	in := "# header\n\n0.5 0 100 8 R\n  \n# trailer\n1.0 1 200 16 w\n"
-	tr, err := Read(strings.NewReader(in))
+	tr, err := drain(NewNativeReader(strings.NewReader(in), ReaderOpts{}))
 	if err != nil {
-		t.Fatalf("Read: %v", err)
+		t.Fatalf("read: %v", err)
 	}
 	if len(tr) != 2 {
 		t.Fatalf("parsed %d requests, want 2", len(tr))
@@ -164,38 +63,9 @@ func TestReadRejectsMalformedLines(t *testing.T) {
 		"0.5 0 100 0 R",       // zero length
 	}
 	for _, line := range cases {
-		if _, err := Read(strings.NewReader(line + "\n")); err == nil {
-			t.Fatalf("Read accepted malformed line %q", line)
+		if _, err := drain(NewNativeReader(strings.NewReader(line+"\n"), ReaderOpts{})); err == nil {
+			t.Fatalf("native reader accepted malformed line %q", line)
 		}
-	}
-}
-
-// Property: any generated trace round-trips through the text format.
-func TestPropertyFormatRoundTrip(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(50)
-		tr := make(Trace, n)
-		now := 0.0
-		for i := range tr {
-			now += rng.Float64() * 10
-			tr[i] = Request{
-				ArrivalMs: math.Round(now*1e6) / 1e6, // format precision
-				Disk:      rng.Intn(8),
-				LBA:       rng.Int63n(1 << 40),
-				Sectors:   1 + rng.Intn(256),
-				Read:      rng.Intn(2) == 0,
-			}
-		}
-		var buf bytes.Buffer
-		if err := Write(&buf, tr); err != nil {
-			return false
-		}
-		back, err := Read(&buf)
-		return err == nil && reflect.DeepEqual(tr, back)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -236,21 +106,27 @@ func TestWorkloadByName(t *testing.T) {
 	}
 }
 
+// generate drains a fresh generator for (spec, seed).
+func generate(t *testing.T, spec WorkloadSpec, seed int64) []Request {
+	t.Helper()
+	g, err := NewGenerator(spec, seed)
+	if err != nil {
+		t.Fatalf("NewGenerator: %v", err)
+	}
+	tr, _ := drain(g)
+	if _, ok := g.Next(); ok {
+		t.Fatalf("%s: Next yielded past exhaustion", spec.Name)
+	}
+	return tr
+}
+
 func TestGenerateDeterministic(t *testing.T) {
 	spec := Websearch().WithRequests(2000)
-	a, err := Generate(spec, 42)
-	if err != nil {
-		t.Fatalf("Generate: %v", err)
-	}
-	b, err := Generate(spec, 42)
-	if err != nil {
-		t.Fatalf("Generate: %v", err)
-	}
-	if !reflect.DeepEqual(a, b) {
+	a := generate(t, spec, 42)
+	if !reflect.DeepEqual(a, generate(t, spec, 42)) {
 		t.Fatalf("same seed produced different traces")
 	}
-	c, _ := Generate(spec, 43)
-	if reflect.DeepEqual(a, c) {
+	if reflect.DeepEqual(a, generate(t, spec, 43)) {
 		t.Fatalf("different seeds produced identical traces")
 	}
 }
@@ -258,43 +134,42 @@ func TestGenerateDeterministic(t *testing.T) {
 func TestGenerateMatchesSpecStatistics(t *testing.T) {
 	for _, spec := range Workloads() {
 		spec := spec.WithRequests(20000)
-		tr, err := Generate(spec, 1)
-		if err != nil {
-			t.Fatalf("%s: %v", spec.Name, err)
-		}
+		tr := generate(t, spec, 1)
 		if len(tr) != spec.Requests {
 			t.Fatalf("%s: generated %d requests, want %d", spec.Name, len(tr), spec.Requests)
 		}
-		if !tr.Sorted() {
-			t.Fatalf("%s: trace not in arrival order", spec.Name)
-		}
-		if rf := tr.ReadFraction(); math.Abs(rf-spec.ReadFraction) > 0.02 {
-			t.Errorf("%s: read fraction %v, want ~%v", spec.Name, rf, spec.ReadFraction)
-		}
-		// Bursts shorten some gaps but the mean stays within ~35%.
-		if m := tr.MeanInterArrivalMs(); m < spec.MeanInterArrivalMs*0.5 || m > spec.MeanInterArrivalMs*1.1 {
-			t.Errorf("%s: mean inter-arrival %v, spec %v", spec.Name, m, spec.MeanInterArrivalMs)
-		}
-		if md := tr.MaxDisk(); md >= spec.Disks {
-			t.Errorf("%s: request targets disk %d beyond array of %d", spec.Name, md, spec.Disks)
-		}
+		reads := 0
 		for i, r := range tr {
+			if i > 0 && r.ArrivalMs < tr[i-1].ArrivalMs {
+				t.Fatalf("%s: request %d arrives before its predecessor", spec.Name, i)
+			}
 			if err := r.Validate(); err != nil {
 				t.Fatalf("%s: request %d invalid: %v", spec.Name, i, err)
+			}
+			if r.Disk >= spec.Disks {
+				t.Fatalf("%s: request %d targets disk %d beyond array of %d", spec.Name, i, r.Disk, spec.Disks)
 			}
 			if r.End() > spec.DiskSectors() {
 				t.Fatalf("%s: request %d beyond disk capacity", spec.Name, i)
 			}
+			if r.Read {
+				reads++
+			}
+		}
+		if rf := float64(reads) / float64(len(tr)); math.Abs(rf-spec.ReadFraction) > 0.02 {
+			t.Errorf("%s: read fraction %v, want ~%v", spec.Name, rf, spec.ReadFraction)
+		}
+		// Bursts shorten some gaps but the mean stays within ~35%.
+		m := (tr[len(tr)-1].ArrivalMs - tr[0].ArrivalMs) / float64(len(tr)-1)
+		if m < spec.MeanInterArrivalMs*0.5 || m > spec.MeanInterArrivalMs*1.1 {
+			t.Errorf("%s: mean inter-arrival %v, spec %v", spec.Name, m, spec.MeanInterArrivalMs)
 		}
 	}
 }
 
 func TestGenerateSequentialityOrdering(t *testing.T) {
 	seqRuns := func(spec WorkloadSpec) float64 {
-		tr, err := Generate(spec.WithRequests(20000), 7)
-		if err != nil {
-			t.Fatalf("%s: %v", spec.Name, err)
-		}
+		tr := generate(t, spec.WithRequests(20000), 7)
 		last := map[int]int64{}
 		seq := 0
 		for _, r := range tr {
@@ -318,23 +193,13 @@ func TestGenerateSequentialityOrdering(t *testing.T) {
 func TestGenerateRejectsInvalidSpec(t *testing.T) {
 	spec := Websearch()
 	spec.Requests = 0
-	if _, err := Generate(spec, 1); err == nil {
-		t.Fatalf("Generate accepted invalid spec")
+	if _, err := NewGenerator(spec, 1); err == nil {
+		t.Fatalf("NewGenerator accepted invalid spec")
 	}
 	// Footprint too small for the largest transfer.
 	spec = Websearch().WithRequests(10)
 	spec.DiskCapacityGB = 0.00001
-	if _, err := Generate(spec, 1); err == nil {
-		t.Fatalf("Generate accepted microscopic footprint")
-	}
-}
-
-func BenchmarkGenerate(b *testing.B) {
-	spec := TPCC().WithRequests(10000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Generate(spec, int64(i)); err != nil {
-			b.Fatal(err)
-		}
+	if _, err := NewGenerator(spec, 1); err == nil {
+		t.Fatalf("NewGenerator accepted microscopic footprint")
 	}
 }

@@ -174,9 +174,8 @@ func WorkloadByName(name string) (WorkloadSpec, error) {
 // Generator streams the synthesis of a workload trace one request at a
 // time, so multi-million-request replays never materialize the full
 // trace: a simulation pulls the next arrival as it needs it and the
-// working set stays O(1). The same (spec, seed) pair yields exactly the
-// sequence Generate returns — Generate is implemented on top of
-// Generator, and streaming_test.go pins the equivalence.
+// working set stays O(1). The same (spec, seed) pair always yields the
+// same sequence.
 type Generator struct {
 	spec      WorkloadSpec
 	rng       *rand.Rand
@@ -216,9 +215,6 @@ func NewGenerator(spec WorkloadSpec, seed int64) (*Generator, error) {
 		next:      next,
 	}, nil
 }
-
-// Remaining reports how many requests the generator has yet to yield.
-func (g *Generator) Remaining() int { return g.spec.Requests - g.emitted }
 
 // Next yields the following request of the stream; ok is false once
 // spec.Requests requests have been produced.
@@ -270,23 +266,4 @@ func (g *Generator) Next() (r Request, ok bool) {
 		Sectors:   size,
 		Read:      rng.Float64() < spec.ReadFraction,
 	}, true
-}
-
-// Generate synthesizes a trace from the spec. The same (spec, seed) pair
-// always yields the same trace. Prefer streaming with NewGenerator when
-// the caller replays the requests once: it produces the identical
-// sequence without holding the whole trace in memory.
-func Generate(spec WorkloadSpec, seed int64) (Trace, error) {
-	g, err := NewGenerator(spec, seed)
-	if err != nil {
-		return nil, err
-	}
-	t := make(Trace, 0, spec.Requests)
-	for {
-		r, ok := g.Next()
-		if !ok {
-			return t, nil
-		}
-		t = append(t, r)
-	}
 }

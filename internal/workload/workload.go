@@ -112,7 +112,9 @@ func (s Spec) WithRequests(n int) Spec {
 // Generator streams the synthesis one request at a time, mirroring
 // trace.Generator: replays pull arrivals as the simulation advances
 // instead of materializing the full stream per parallel job. The same
-// (spec, seed) pair yields exactly the sequence Generate returns.
+// (spec, seed) pair always yields the same sequence. Requests target
+// Disk 0 with array-level LBAs; the array layout maps them onto
+// members.
 type Generator struct {
 	spec    Spec
 	rng     *rand.Rand
@@ -169,23 +171,4 @@ func (g *Generator) Next() (trace.Request, bool) {
 		Sectors:   size,
 		Read:      rng.Float64() < spec.ReadFraction,
 	}, true
-}
-
-// Generate synthesizes the stream. The same (spec, seed) pair always
-// yields the same trace. Requests target Disk 0 with array-level LBAs;
-// the array layout maps them onto members. Prefer streaming with
-// NewGenerator when the caller replays the requests once.
-func Generate(spec Spec, seed int64) (trace.Trace, error) {
-	g, err := NewGenerator(spec, seed)
-	if err != nil {
-		return nil, err
-	}
-	t := make(trace.Trace, 0, spec.Requests)
-	for {
-		r, ok := g.Next()
-		if !ok {
-			return t, nil
-		}
-		t = append(t, r)
-	}
 }

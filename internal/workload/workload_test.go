@@ -4,6 +4,9 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"repro/internal/trace"
+	"repro/internal/trace/tracetest"
 )
 
 func TestIntensityValues(t *testing.T) {
@@ -64,23 +67,30 @@ func TestSpecValidation(t *testing.T) {
 	}
 }
 
-func TestGenerateDeterministicAndInRange(t *testing.T) {
-	spec := Paper(Heavy, 1<<24).WithRequests(20000)
-	a, err := Generate(spec, 1)
+// collect drains a generator into a slice.
+func collect(t *testing.T, spec Spec, seed int64) []trace.Request {
+	t.Helper()
+	g, err := NewGenerator(spec, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _ := Generate(spec, 1)
-	if !reflect.DeepEqual(a, b) {
+	out, _ := tracetest.Collect(g) // generators cannot fail
+	return out
+}
+
+func TestGenerateDeterministicAndInRange(t *testing.T) {
+	spec := Paper(Heavy, 1<<24).WithRequests(20000)
+	a := collect(t, spec, 1)
+	if !reflect.DeepEqual(a, collect(t, spec, 1)) {
 		t.Fatalf("same seed differs")
 	}
 	if len(a) != spec.Requests {
 		t.Fatalf("generated %d", len(a))
 	}
-	if !a.Sorted() {
-		t.Fatalf("trace unsorted")
-	}
 	for i, r := range a {
+		if i > 0 && r.ArrivalMs < a[i-1].ArrivalMs {
+			t.Fatalf("request %d arrives before its predecessor", i)
+		}
 		if r.End() > spec.CapacitySectors || r.LBA < 0 {
 			t.Fatalf("request %d out of range: %+v", i, r)
 		}
@@ -92,14 +102,15 @@ func TestGenerateDeterministicAndInRange(t *testing.T) {
 
 func TestGenerateStatisticsMatchSpec(t *testing.T) {
 	spec := Paper(Moderate, 1<<26).WithRequests(50000)
-	tr, err := Generate(spec, 7)
+	tr := collect(t, spec, 7)
+	st, err := trace.AnalyzeStream(tracetest.Stream(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rf := tr.ReadFraction(); math.Abs(rf-0.6) > 0.01 {
+	if rf := st.ReadFraction; math.Abs(rf-0.6) > 0.01 {
 		t.Fatalf("read fraction %v, want ~0.6", rf)
 	}
-	if m := tr.MeanInterArrivalMs(); math.Abs(m-4) > 0.15 {
+	if m := st.MeanInterArrivalMs; math.Abs(m-4) > 0.15 {
 		t.Fatalf("mean inter-arrival %v, want ~4", m)
 	}
 	// Sequentiality: ~20% of requests continue the previous one.
@@ -119,16 +130,23 @@ func TestGenerateStatisticsMatchSpec(t *testing.T) {
 
 func TestGenerateRejectsInvalid(t *testing.T) {
 	spec := Paper(Light, 4)
-	if _, err := Generate(spec, 1); err == nil {
-		t.Fatalf("Generate accepted invalid spec")
+	if _, err := NewGenerator(spec, 1); err == nil {
+		t.Fatalf("NewGenerator accepted invalid spec")
 	}
 }
 
-func BenchmarkGenerate(b *testing.B) {
-	spec := Paper(Heavy, 1<<30).WithRequests(10000)
+// BenchmarkGeneratorStream measures per-request streaming synthesis.
+func BenchmarkGeneratorStream(b *testing.B) {
+	b.ReportAllocs()
+	spec := Paper(Heavy, 1<<30).WithRequests(1 << 30)
+	g, err := NewGenerator(spec, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Generate(spec, int64(i)); err != nil {
-			b.Fatal(err)
+		if _, ok := g.Next(); !ok {
+			b.Fatal("generator exhausted")
 		}
 	}
 }

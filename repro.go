@@ -59,9 +59,6 @@ func NewEngine() *Engine { return simkit.New() }
 // Request is one I/O request presented to a storage device.
 type Request = trace.Request
 
-// Trace is a request stream ordered by arrival time.
-type Trace = trace.Trace
-
 // WorkloadSpec parameterizes one of the paper's commercial workloads.
 type WorkloadSpec = trace.WorkloadSpec
 
@@ -74,10 +71,9 @@ var (
 	Workloads = trace.Workloads
 )
 
-// GenerateTrace synthesizes a workload trace deterministically.
-func GenerateTrace(spec WorkloadSpec, seed int64) (Trace, error) {
-	return trace.Generate(spec, seed)
-}
+// NewTraceGenerator streams a workload trace's synthesis one request
+// at a time; the same (spec, seed) pair always yields the same stream.
+var NewTraceGenerator = trace.NewGenerator
 
 // TraceStream is a pull-based request stream; trace readers, workload
 // generators, and remapped streams all implement it.
@@ -135,10 +131,9 @@ func PaperSynthetic(in Intensity, capacitySectors int64) SyntheticSpec {
 	return workload.Paper(in, capacitySectors)
 }
 
-// GenerateSynthetic synthesizes a §7.3 stream deterministically.
-func GenerateSynthetic(spec SyntheticSpec, seed int64) (Trace, error) {
-	return workload.Generate(spec, seed)
-}
+// NewSyntheticGenerator streams a §7.3 synthetic workload one request
+// at a time; the same (spec, seed) pair always yields the same stream.
+var NewSyntheticGenerator = workload.NewGenerator
 
 // ---------------------------------------------------------------------
 // Drive models and devices.

@@ -44,23 +44,31 @@ func TestWorkloadsRoundTrip(t *testing.T) {
 	if len(repro.Workloads()) != 4 {
 		t.Fatalf("want the paper's four workloads")
 	}
-	tr, err := repro.GenerateTrace(repro.Websearch().WithRequests(500), 7)
+	g, err := repro.NewTraceGenerator(repro.Websearch().WithRequests(500), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tr) != 500 || !tr.Sorted() {
-		t.Fatalf("bad trace")
+	st, err := repro.AnalyzeTraceStream(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Requests != 500 || st.Disks != 6 {
+		t.Fatalf("bad trace: %+v", st)
 	}
 }
 
 func TestSyntheticWorkload(t *testing.T) {
 	spec := repro.PaperSynthetic(repro.Heavy, 1<<26).WithRequests(1000)
-	tr, err := repro.GenerateSynthetic(spec, 1)
+	g, err := repro.NewSyntheticGenerator(spec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tr) != 1000 {
-		t.Fatalf("generated %d", len(tr))
+	n := 0
+	for _, ok := g.Next(); ok; _, ok = g.Next() {
+		n++
+	}
+	if n != 1000 {
+		t.Fatalf("generated %d", n)
 	}
 }
 
