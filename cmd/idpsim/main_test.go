@@ -56,3 +56,18 @@ func TestReplayRejectsRequestsOutsideTheSystem(t *testing.T) {
 		})
 	}
 }
+
+// TestReplayRejectsExtentOverflow replays a native line whose LBA plus
+// length passes MaxInt64. Wrapped, that end slipped under every
+// capacity check and the drive panicked; the reader now rejects the
+// line, and the run fails with an error naming it.
+func TestReplayRejectsExtentOverflow(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "overflow.trc")
+	if err := os.WriteFile(path, []byte("0.5 0 9223372036854775800 16 R\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := run("Websearch", path, "hcsd", 0, 0, 1, 0, "", false, false, 1)
+	if err == nil || !strings.Contains(err.Error(), "line 1") || !strings.Contains(err.Error(), "overflows") {
+		t.Fatalf("run = %v; want an error naming line 1 and the overflow", err)
+	}
+}

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 )
 
@@ -24,46 +23,55 @@ type msrParser struct {
 func (*msrParser) format() Format { return FormatMSR }
 
 func (p *msrParser) parse(line string) (Request, bool, error) {
-	var f [6]string
-	n := splitDelim(line, ',', f[:])
-	if n < 6 {
-		return Request{}, false, fmt.Errorf("want 7 comma-separated fields (timestamp,host,disk,type,offset,size,response), got %d", n)
+	c := csvCursor{s: line}
+	t, f0 := c.int()
+	c.next() // hostname
+	d, f2 := c.int()
+	typ := c.next()
+	o, f4 := c.int()
+	if c.done {
+		return Request{}, false, fmt.Errorf("want 7 comma-separated fields (timestamp,host,disk,type,offset,size,response), got %d", countCSV(line, 6))
 	}
-	if strings.EqualFold(f[0], "timestamp") {
+	n, f5 := c.int()
+	if strings.EqualFold(f0, "timestamp") {
 		return Request{}, true, nil // header row
 	}
-	ticks, err := strconv.ParseInt(f[0], 10, 64)
+	ticks, err := toInt64(t, f0)
 	if err != nil {
-		return Request{}, false, fmt.Errorf("bad timestamp %q (want 100-ns ticks)", f[0])
+		return Request{}, false, fmt.Errorf("bad timestamp %q (want 100-ns ticks)", f0)
 	}
-	disk, err := strconv.Atoi(f[2])
+	if ticks < 0 {
+		return Request{}, false, fmt.Errorf("negative timestamp %d (want 100-ns ticks >= 0)", ticks)
+	}
+	disk, err := toInt(d, f2)
 	if err != nil {
-		return Request{}, false, fmt.Errorf("bad disk number %q", f[2])
+		return Request{}, false, fmt.Errorf("bad disk number %q", f2)
 	}
 	var read bool
 	switch {
-	case strings.EqualFold(f[3], "read"):
+	case strings.EqualFold(typ, "read"):
 		read = true
-	case strings.EqualFold(f[3], "write"):
+	case strings.EqualFold(typ, "write"):
 		read = false
 	default:
-		return Request{}, false, fmt.Errorf("bad type %q (want Read or Write)", f[3])
+		return Request{}, false, fmt.Errorf("bad type %q (want Read or Write)", typ)
 	}
-	off, err := strconv.ParseInt(f[4], 10, 64)
+	off, err := toInt64(o, f4)
 	if err != nil || off < 0 {
-		return Request{}, false, fmt.Errorf("bad offset %q (want bytes >= 0)", f[4])
+		return Request{}, false, fmt.Errorf("bad offset %q (want bytes >= 0)", f4)
 	}
-	size, err := strconv.ParseInt(f[5], 10, 64)
+	size, err := toInt64(n, f5)
 	if err != nil || size <= 0 {
-		return Request{}, false, fmt.Errorf("bad size %q (want bytes > 0)", f[5])
+		return Request{}, false, fmt.Errorf("bad size %q (want bytes > 0)", f5)
 	}
 	if !p.haveFirst {
 		p.haveFirst = true
 		p.firstTick = ticks
 	}
-	// 1e4 ticks of 100 ns each per millisecond. The Reader still
-	// rebases to the first *emitted* arrival, which differs from the
-	// first *parsed* one only inside a reorder window.
+	// 1e4 ticks of 100 ns each per millisecond. Both ticks are >= 0, so
+	// the difference cannot wrap. The Reader still rebases to the first
+	// *emitted* arrival, which differs from the first *parsed* one only
+	// inside a reorder window.
 	arrival := float64(ticks-p.firstTick) / 1e4
 	lba := off / 512
 	end := (off + size + 511) / 512

@@ -143,6 +143,15 @@ func TestReaderMalformedLines(t *testing.T) {
 		{"msr-fields", NewMSRReader(strings.NewReader("100,h,0,Read,0,512,1\n101,h,0,Read\n"), ReaderOpts{})},
 		{"msr-type", NewMSRReader(strings.NewReader("100,h,0,Read,0,512,1\n101,h,0,Trim,0,512,1\n"), ReaderOpts{})},
 		{"blkparse-count", NewBlkparseReader(strings.NewReader("8,0 1 1 0.0 9 Q R 10 + 8 [a]\n8,0 1 2 0.1 9 Q R 10 + x [a]\n"), ReaderOpts{})},
+		// Values int64 arithmetic would wrap: an extent whose end passes
+		// MaxInt64 (wrapped, it slips under every capacity check and a
+		// drive panics), and a negative MSR tick (subtracting the first
+		// tick wraps, so a record ~1.8e19 ticks earlier reads as 0.1 us
+		// later).
+		{"native-extent-overflow", NewNativeReader(strings.NewReader("0.5 0 100 8 R\n0.5 0 9223372036854775800 16 R\n"), ReaderOpts{})},
+		{"spc-extent-overflow", NewSPCReader(strings.NewReader("0,0,4096,r,0.5\n0,9223372036854775807,512,r,0.6\n"), ReaderOpts{})},
+		{"blkparse-extent-overflow", NewBlkparseReader(strings.NewReader("8,0 1 1 0.5 9 Q R 0 + 8 [a]\n8,0 1 2 0.6 9 Q R 9223372036854775806 + 8 [a]\n"), ReaderOpts{})},
+		{"msr-negative-tick", NewMSRReader(strings.NewReader("9223372036854775807,h,0,Read,0,512,1\n-9223372036854775808,h,0,Read,512,512,1\n"), ReaderOpts{})},
 	}
 	for _, c := range cases {
 		got, err := drain(c.rd)

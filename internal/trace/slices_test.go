@@ -5,6 +5,7 @@ package trace_test
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -188,6 +189,9 @@ func TestBoundStream(t *testing.T) {
 	}{
 		{trace.Request{Disk: 2, LBA: 0, Sectors: 1}, []string{"request 2", "Disk 2", "2-disk"}},
 		{trace.Request{Disk: 1, LBA: 99, Sectors: 2}, []string{"request 2", "LBA 99", "Sectors 2", "100 sectors"}},
+		// LBA + Sectors wraps past MaxInt64: the bound must not compare
+		// the wrapped end.
+		{trace.Request{Disk: 0, LBA: math.MaxInt64 - 4, Sectors: 16}, []string{"request 2", "LBA 9223372036854775803", "Sectors 16"}},
 	} {
 		s := trace.BoundStream(tracetest.Stream([]trace.Request{
 			{Disk: 0, LBA: 0, Sectors: 100},
@@ -235,6 +239,50 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(reqs, back) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", back, reqs)
+	}
+}
+
+// TestWriteStreamMatchesSprintf pins WriteStream's strconv-built lines
+// to the bytes of fmt.Sprintf("%.6f %d %d %d %s\n", ...), on random
+// values and on 0, -0, 1e21, NaN and the infinities.
+func TestWriteStreamMatchesSprintf(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	arrivals := []float64{0, math.Copysign(0, -1), 1e21, -1e21, math.NaN(), math.Inf(1), math.Inf(-1),
+		0.0000005, 0.0000015, 1.0000005, math.MaxFloat64, math.SmallestNonzeroFloat64}
+	for i := 0; i < 2000; i++ {
+		arrivals = append(arrivals, rng.Float64()*math.Pow(10, float64(rng.Intn(30)-8)), -rng.ExpFloat64())
+	}
+	ints := []int64{0, 1, -1, math.MaxInt64, math.MinInt64}
+	pick := func() int64 {
+		if rng.Intn(4) == 0 {
+			return ints[rng.Intn(len(ints))]
+		}
+		return rng.Int63n(1<<40) - 1<<20
+	}
+	var reqs []trace.Request
+	var want strings.Builder
+	for i, a := range arrivals {
+		r := trace.Request{ArrivalMs: a, Disk: int(pick()), LBA: pick(), Sectors: int(pick()), Read: i%3 == 0}
+		op := "W"
+		if r.Read {
+			op = "R"
+		}
+		want.WriteString(fmt.Sprintf("%.6f %d %d %d %s\n", r.ArrivalMs, r.Disk, r.LBA, r.Sectors, op))
+		reqs = append(reqs, r)
+	}
+	var got bytes.Buffer
+	n, err := trace.WriteStream(&got, tracetest.Stream(reqs))
+	if err != nil || n != len(reqs) {
+		t.Fatalf("WriteStream = %d, %v; want %d, nil", n, err, len(reqs))
+	}
+	gotLines, wantLines := strings.SplitAfter(got.String(), "\n"), strings.SplitAfter(want.String(), "\n")
+	for i := range wantLines {
+		if i >= len(gotLines) || gotLines[i] != wantLines[i] {
+			t.Fatalf("line %d: got %q, want %q", i+1, gotLines[min(i, len(gotLines)-1)], wantLines[i])
+		}
+	}
+	if len(gotLines) != len(wantLines) {
+		t.Fatalf("%d lines, want %d", len(gotLines), len(wantLines))
 	}
 }
 

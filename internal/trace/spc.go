@@ -2,7 +2,6 @@ package trace
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 )
 
@@ -20,38 +19,42 @@ type spcParser struct{}
 func (spcParser) format() Format { return FormatSPC }
 
 func (spcParser) parse(line string) (Request, bool, error) {
-	var f [5]string
-	n := splitDelim(line, ',', f[:])
-	if n < 5 {
-		return Request{}, false, fmt.Errorf("want 5 comma-separated fields (ASU,LBA,size,opcode,timestamp), got %d", n)
+	c := csvCursor{s: line}
+	a, f0 := c.int()
+	l, f1 := c.int()
+	n, f2 := c.int()
+	op := c.next()
+	if c.done {
+		return Request{}, false, fmt.Errorf("want 5 comma-separated fields (ASU,LBA,size,opcode,timestamp), got %d", countCSV(line, 5))
 	}
-	if strings.EqualFold(f[0], "asu") {
+	t, f4 := c.float()
+	if strings.EqualFold(f0, "asu") {
 		return Request{}, true, nil // header row
 	}
-	asu, err := strconv.Atoi(f[0])
+	asu, err := toInt(a, f0)
 	if err != nil {
-		return Request{}, false, fmt.Errorf("bad ASU %q", f[0])
+		return Request{}, false, fmt.Errorf("bad ASU %q", f0)
 	}
-	lba, err := strconv.ParseInt(f[1], 10, 64)
+	lba, err := toInt64(l, f1)
 	if err != nil {
-		return Request{}, false, fmt.Errorf("bad LBA %q", f[1])
+		return Request{}, false, fmt.Errorf("bad LBA %q", f1)
 	}
-	size, err := strconv.ParseInt(f[2], 10, 64)
+	size, err := toInt64(n, f2)
 	if err != nil || size <= 0 {
-		return Request{}, false, fmt.Errorf("bad size %q (want bytes > 0)", f[2])
+		return Request{}, false, fmt.Errorf("bad size %q (want bytes > 0)", f2)
 	}
 	var read bool
-	switch f[3] {
+	switch op {
 	case "r", "R":
 		read = true
 	case "w", "W":
 		read = false
 	default:
-		return Request{}, false, fmt.Errorf("bad opcode %q (want r or w)", f[3])
+		return Request{}, false, fmt.Errorf("bad opcode %q (want r or w)", op)
 	}
-	ts, err := strconv.ParseFloat(f[4], 64)
+	ts, err := toFloat(t, f4)
 	if err != nil {
-		return Request{}, false, fmt.Errorf("bad timestamp %q", f[4])
+		return Request{}, false, fmt.Errorf("bad timestamp %q", f4)
 	}
 	return Request{
 		ArrivalMs: ts * 1000, // seconds -> ms

@@ -97,7 +97,7 @@ func (s *boundStream) Next() (Request, bool) {
 	switch {
 	case r.Disk >= s.disks:
 		s.err = fmt.Errorf("trace: request %d: Disk %d outside the %d-disk array", s.n, r.Disk, s.disks)
-	case r.End() > s.capacity:
+	case r.LBA > s.capacity-int64(r.Sectors):
 		s.err = fmt.Errorf("trace: request %d: LBA %d + Sectors %d ends past the %d sectors of disk %d",
 			s.n, r.LBA, r.Sectors, s.capacity, r.Disk)
 	}

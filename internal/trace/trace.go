@@ -5,10 +5,7 @@
 // commercial workloads (Table 2).
 package trace
 
-import (
-	"fmt"
-	"strconv"
-)
+import "fmt"
 
 // Request is one I/O request presented to a storage system.
 type Request struct {
@@ -42,35 +39,39 @@ type nativeParser struct{}
 func (nativeParser) format() Format { return FormatNative }
 
 func (nativeParser) parse(line string) (Request, bool, error) {
-	var f [6]string
-	n := splitWS(line, f[:])
-	if n != 5 {
-		return Request{}, false, fmt.Errorf("want 5 fields, got %d", n)
+	c := wsCursor{line}
+	a, f0 := c.float()
+	d, f1 := c.int()
+	l, f2 := c.int()
+	n, f3 := c.int()
+	op := c.next()
+	if op == "" || c.next() != "" {
+		return Request{}, false, fmt.Errorf("want 5 fields, got %d", countWS(line, 6))
 	}
-	arrival, err := strconv.ParseFloat(f[0], 64)
+	arrival, err := toFloat(a, f0)
 	if err != nil {
 		return Request{}, false, fmt.Errorf("bad arrival: %v", err)
 	}
-	disk, err := strconv.Atoi(f[1])
+	disk, err := toInt(d, f1)
 	if err != nil {
 		return Request{}, false, fmt.Errorf("bad disk: %v", err)
 	}
-	lba, err := strconv.ParseInt(f[2], 10, 64)
+	lba, err := toInt64(l, f2)
 	if err != nil {
 		return Request{}, false, fmt.Errorf("bad lba: %v", err)
 	}
-	sectors, err := strconv.Atoi(f[3])
+	sectors, err := toInt(n, f3)
 	if err != nil {
 		return Request{}, false, fmt.Errorf("bad sectors: %v", err)
 	}
 	var read bool
-	switch f[4] {
+	switch op {
 	case "R", "r":
 		read = true
 	case "W", "w":
 		read = false
 	default:
-		return Request{}, false, fmt.Errorf("bad op %q", f[4])
+		return Request{}, false, fmt.Errorf("bad op %q", op)
 	}
 	return Request{ArrivalMs: arrival, Disk: disk, LBA: lba, Sectors: sectors, Read: read}, false, nil
 }
