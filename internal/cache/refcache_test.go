@@ -233,7 +233,7 @@ func sameState(c *Cache, r *refCache) bool {
 			return false
 		}
 	}
-	return true
+	return indexesMatch(c)
 }
 
 // TestCacheMatchesReference drives the cache and its pre-one-pass

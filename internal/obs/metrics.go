@@ -16,10 +16,7 @@
 // simulation's event order is never perturbed by observation.
 package obs
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Counter is a monotonically increasing count.
 type Counter struct {
@@ -82,13 +79,17 @@ type Histogram struct {
 	N      uint64    `json:"n"`
 }
 
-// NewHistogram builds a histogram over the given ascending bucket edges.
+// NewHistogram builds a histogram over the given strictly ascending,
+// NaN-free bucket edges.
 func NewHistogram(edges []float64) *Histogram {
 	if len(edges) == 0 {
 		panic("obs: histogram needs at least one bucket edge")
 	}
+	if edges[0] != edges[0] {
+		panic(fmt.Sprintf("obs: histogram edge 0 is NaN: %v", edges))
+	}
 	for i := 1; i < len(edges); i++ {
-		if edges[i] <= edges[i-1] {
+		if !(edges[i] > edges[i-1]) { // also rejects NaN
 			panic(fmt.Sprintf("obs: histogram edges not ascending at %d: %v", i, edges))
 		}
 	}
@@ -98,9 +99,15 @@ func NewHistogram(edges []float64) *Histogram {
 	}
 }
 
-// Observe records one observation.
+// Observe records one observation in the bucket of the first edge >= x,
+// the index sort.SearchFloat64s returns: the edges are few, so a forward
+// scan beats a binary search. NaN compares false with every edge and
+// lands in the overflow bucket.
 func (h *Histogram) Observe(x float64) {
-	i := sort.SearchFloat64s(h.Edges, x) // first edge >= x
+	i := 0
+	for i < len(h.Edges) && !(h.Edges[i] >= x) {
+		i++
+	}
 	h.Counts[i]++
 	h.Sum += x
 	h.N++

@@ -50,12 +50,28 @@ func TestHistogramBuckets(t *testing.T) {
 }
 
 func TestHistogramRejectsBadEdges(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("non-ascending edges accepted")
-		}
-	}()
-	NewHistogram([]float64{1, 1})
+	nan, negZero := math.NaN(), math.Copysign(0, -1)
+	for _, edges := range [][]float64{
+		nil,
+		{1, 1},
+		{2, 1},
+		{0, negZero}, // equal values: -0 == +0
+		{negZero, 0},
+		{nan},
+		{nan, 1},
+		{1, nan},
+		{1, nan, 2}, // a NaN between ascending edges
+		{math.Inf(1), math.Inf(1)},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("edges %v accepted", edges)
+				}
+			}()
+			NewHistogram(edges)
+		}()
+	}
 }
 
 func TestRegistryGetOrCreate(t *testing.T) {
