@@ -8,7 +8,9 @@
 // of a baseline file's "after" section). With -baseline it compares the
 // parsed results against the baseline's "after" section and exits
 // non-zero if any benchmark's allocs/op regressed by more than the
-// tolerance (plus a small absolute slack for one-time setup noise).
+// tolerance (plus a small absolute slack for one-time setup noise), or
+// if any benchmark in the input has no baseline row: an unbaselined
+// benchmark would otherwise let any allocation through.
 // Wall-clock ns/op is reported but never gated: CI machines are too
 // noisy for time to be a hard bound, while allocs/op is deterministic.
 package main
@@ -133,17 +135,17 @@ func main() {
 		fatal(err)
 	}
 	if failed {
-		fmt.Fprintln(os.Stderr, "benchgate: allocs/op regressed beyond tolerance")
+		fmt.Fprintln(os.Stderr, "benchgate: allocs/op regressed beyond tolerance or a benchmark has no baseline row")
 		os.Exit(1)
 	}
 }
 
 // gate compares the parsed results against the baseline's After
 // section, writing one status line per benchmark. It reports whether
-// any benchmark regressed, and errors when the input shares no
-// benchmark with the baseline at all: a run whose bench selection
-// drifted away from the baseline would otherwise "pass" while gating
-// nothing.
+// any benchmark regressed or has no baseline row, and errors when the
+// input shares no benchmark with the baseline at all: a run whose
+// bench selection drifted away from the baseline would otherwise
+// "pass" while gating nothing.
 func gate(w io.Writer, got map[string]Result, base Baseline, tolerance float64) (failed bool, err error) {
 	names := make([]string, 0, len(got))
 	for name := range got {
@@ -160,7 +162,8 @@ func gate(w io.Writer, got map[string]Result, base Baseline, tolerance float64) 
 			ref, ok = base.After[cpuSuffix.ReplaceAllString(name, "")]
 		}
 		if !ok {
-			fmt.Fprintf(w, "  ?    %-45s allocs/op=%.0f (no baseline)\n", name, cur.AllocsPerOp)
+			fmt.Fprintf(w, "  FAIL %-45s allocs/op=%.0f (no baseline row)\n", name, cur.AllocsPerOp)
+			failed = true
 			continue
 		}
 		matched++

@@ -105,3 +105,23 @@ func TestGateCPUSuffixFallback(t *testing.T) {
 		t.Errorf("expected an ok status line, got:\n%s", out.String())
 	}
 }
+
+func TestGateUnbaselinedFails(t *testing.T) {
+	// A benchmark CI runs but the baseline lacks would gate nothing:
+	// it must fail, named on its status line.
+	got := map[string]Result{
+		"BenchmarkEngine":   {AllocsPerOp: 100},
+		"BenchmarkNewThing": {AllocsPerOp: 0},
+	}
+	var out strings.Builder
+	failed, err := gate(&out, got, baselineFor("BenchmarkEngine"), 0.10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !failed {
+		t.Errorf("a benchmark with no baseline row should fail the gate; output:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "FAIL BenchmarkNewThing") {
+		t.Errorf("the unbaselined benchmark is not named as failing; output:\n%s", out.String())
+	}
+}

@@ -11,10 +11,9 @@ import (
 // exampleArgs shrinks the long-running examples so the smoke test stays
 // CI-sized; determinism does not depend on the request count.
 var exampleArgs = map[string][]string{
-	"degradationstudy": {"-requests", "2000"},
-	"limitstudy":       {"-requests", "5000"},
-	"lowrpm":           {"-requests", "5000"},
-	"raidarray":        {"-requests", "5000"},
+	"limitstudy": {"-requests", "5000"},
+	"lowrpm":     {"-requests", "5000"},
+	"raidarray":  {"-requests", "5000"},
 }
 
 // TestExamplesDeterministic builds every program under examples/ and
@@ -22,7 +21,8 @@ var exampleArgs = map[string][]string{
 // the public-API surface the internal determinism regression tests do
 // not cover: a wall-clock read, a global RNG draw, or an unsorted map
 // range in the facade or an example would show up here as a diff
-// between the two runs.
+// between the two runs. An exampleArgs key that names no example fails
+// the test: a stale key would otherwise be ignored without notice.
 func TestExamplesDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs every example twice")
@@ -30,6 +30,11 @@ func TestExamplesDeterministic(t *testing.T) {
 	entries, err := os.ReadDir("examples")
 	if err != nil {
 		t.Fatal(err)
+	}
+	for name := range exampleArgs {
+		if fi, err := os.Stat(filepath.Join("examples", name)); err != nil || !fi.IsDir() {
+			t.Errorf("exampleArgs names %q, which is not a directory under examples/", name)
+		}
 	}
 	bin := t.TempDir()
 	build := exec.Command("go", "build", "-o", bin+string(os.PathSeparator), "./examples/...")

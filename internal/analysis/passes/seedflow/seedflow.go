@@ -22,9 +22,10 @@
 //     passes a derived argument. Call sites in shell packages (fleet,
 //     serve, cmd) discharge the obligation — the shell owns the base
 //     seed — as do parameters of exported functions with no static
-//     caller (a facade like repro.NewSMARTMonitor) and parameters of
-//     function literals invoked through dynamic calls (a fleet job
-//     closure), whose arguments this analysis cannot see.
+//     caller (a facade constructor only an application calls, like the
+//     seedapp fixture's Facade) and parameters of function literals
+//     invoked through dynamic calls (a fleet job closure), whose
+//     arguments this analysis cannot see.
 //   - A struct field other than the root is derived when every value
 //     the program assigns it — composite literal or field assignment —
 //     is derived.

@@ -1,6 +1,14 @@
 package repro_test
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strconv"
 	"testing"
 
 	"repro"
@@ -128,33 +136,6 @@ func TestConventionalDriveWithScaling(t *testing.T) {
 	}
 }
 
-func TestDASHParsing(t *testing.T) {
-	d, err := repro.ParseDASH("D1A2S1H2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.DataPaths() != 4 {
-		t.Fatalf("paths %d", d.DataPaths())
-	}
-	if repro.SATaxonomy(3).String() != "D1A3S1H1" {
-		t.Fatalf("SA taxonomy wrong")
-	}
-}
-
-func TestCostFacade(t *testing.T) {
-	r, err := repro.DriveCost(4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Low < 150 || r.High > 200 {
-		t.Fatalf("4-actuator drive cost %v", r)
-	}
-	iso, err := repro.IsoPerformanceCosts()
-	if err != nil || len(iso) != 3 {
-		t.Fatalf("iso costs: %v %v", iso, err)
-	}
-}
-
 func TestExperimentFacade(t *testing.T) {
 	cfg := repro.ExperimentConfig{Requests: 2000, Seed: 1}
 	ls, err := repro.RunLimitStudy(repro.TPCH(), cfg)
@@ -166,49 +147,6 @@ func TestExperimentFacade(t *testing.T) {
 	}
 	if repro.DefaultExperimentConfig().Requests <= 0 {
 		t.Fatalf("default config broken")
-	}
-}
-
-func TestSMARTFacade(t *testing.T) {
-	eng := repro.NewEngine()
-	drv, err := repro.NewSADrive(eng, repro.BarracudaES(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	monitors := []*repro.SMARTMonitor{
-		repro.NewSMARTMonitor(1, nil),
-		repro.NewSMARTMonitor(2, nil),
-	}
-	if err := monitors[1].BeginDegrading(repro.SeekErrorRate, 0.01); err != nil {
-		t.Fatal(err)
-	}
-	failed := -1
-	sentry, err := repro.NewSMARTSentry(eng, monitors, 100, func(i int) {
-		failed = i
-		if err := drv.FailArm(i); err != nil {
-			t.Errorf("FailArm: %v", err)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sentry.Start(5000)
-	eng.Run()
-	if failed != 1 || drv.HealthyArms() != 1 {
-		t.Fatalf("failed=%d healthy=%d", failed, drv.HealthyArms())
-	}
-}
-
-func TestThermalFacade(t *testing.T) {
-	e := repro.DefaultThermalEnvelope()
-	eng := repro.NewEngine()
-	d, err := repro.NewSADrive(eng, repro.BarracudaES(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	temp, ok := e.CheckModel(d.PowerModel())
-	if !ok {
-		t.Fatalf("4-actuator drive outside envelope at %.1f C", temp)
 	}
 }
 
@@ -277,50 +215,119 @@ func TestRebuildFacade(t *testing.T) {
 	}
 }
 
-func TestDRPMAndBusFacade(t *testing.T) {
-	eng := repro.NewEngine()
-	dd, err := repro.NewDRPMDrive(eng, repro.BarracudaES(), repro.DRPMConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := repro.NewBus(eng, 300, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dev, err := repro.AttachBus(dd, b, 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := 0
-	eng.At(0, func() {
-		for i := 0; i < 10; i++ {
-			lba := int64(i) * 1e6
-			dev.Submit(repro.Request{LBA: lba, Sectors: 16, Read: true},
-				func(float64) { done++ })
-		}
-	})
-	eng.Run()
-	if done != 10 {
-		t.Fatalf("completed %d of 10 through bus-attached DRPM drive", done)
-	}
-	if b.Transfers() != 10 {
-		t.Fatalf("bus carried %d transfers", b.Transfers())
-	}
-}
+// docUse matches a facade name cited in prose: repro.Name.
+var docUse = regexp.MustCompile(`\brepro\.([A-Z]\w*)`)
 
-func TestClosedLoopFacade(t *testing.T) {
-	eng := repro.NewEngine()
-	d, err := repro.NewSADrive(eng, repro.BarracudaES(), 2)
+// TestFacadeNamesAreUsed keeps the facade from regrowing aliases nobody
+// calls. Every exported top-level name in repro.go needs a use: a
+// repro.Name selector in another Go file of the repository, a repro.Name
+// citation in README.md or DESIGN.md, or a reference from another
+// declaration in repro.go (a type a kept signature names).
+func TestFacadeNamesAreUsed(t *testing.T) {
+	fset := token.NewFileSet()
+	facade, err := parser.ParseFile(fset, "repro.go", nil, parser.SkipObjectResolution)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := repro.RunClosedLoop(eng, d, 2, 50, 1, func(c, s int) repro.Request {
-		return repro.Request{LBA: int64(s) * 1e6, Sectors: 8, Read: true}
+	used := make(map[string]bool)
+	var exported []string
+	for _, decl := range facade.Decls {
+		var names []*ast.Ident
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			names = append(names, d.Name)
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch sp := spec.(type) {
+				case *ast.TypeSpec:
+					names = append(names, sp.Name)
+				case *ast.ValueSpec:
+					names = append(names, sp.Names...)
+				}
+			}
+		}
+		own := make(map[string]bool)
+		for _, n := range names {
+			own[n.Name] = true
+			if n.IsExported() {
+				exported = append(exported, n.Name)
+			}
+		}
+		var visit func(ast.Node) bool
+		visit = func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				// simkit.Engine names the internal type, not the alias.
+				ast.Inspect(n.X, visit)
+				return false
+			case *ast.Ident:
+				if !own[n.Name] {
+					used[n.Name] = true
+				}
+			}
+			return true
+		}
+		ast.Inspect(decl, visit)
+	}
+
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "." {
+				return nil
+			}
+			if d.Name() == "testdata" || d.Name()[0] == '.' {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if filepath.Ext(path) != ".go" || path == "repro.go" {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, imp := range f.Imports {
+			if p, _ := strconv.Unquote(imp.Path.Value); p != "repro" {
+				continue
+			}
+			local := "repro"
+			if imp.Name != nil {
+				local = imp.Name.Name
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok {
+					if x, ok := sel.X.(*ast.Ident); ok && x.Name == local {
+						used[sel.Sel.Name] = true
+					}
+				}
+				return true
+			})
+		}
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Count() != 50 {
-		t.Fatalf("closed loop completed %d of 50", resp.Count())
+	for _, doc := range []string{"README.md", "DESIGN.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range docUse.FindAllSubmatch(text, -1) {
+			used[string(m[1])] = true
+		}
+	}
+
+	if len(exported) == 0 {
+		t.Fatal("no exported names found in repro.go")
+	}
+	for _, name := range exported {
+		if !used[name] {
+			t.Errorf("repro.%s has no use: no repro.%s in the repository's Go files, README.md or DESIGN.md, and no other declaration in repro.go names it", name, name)
+		}
 	}
 }
