@@ -1,13 +1,19 @@
+// Package bus models the storage interconnect between an array
+// controller and its members: point-to-point links with finite
+// bandwidth and a fixed per-message overhead. The paper assumes the
+// intra-drive data channel is never the bottleneck (§4); the links
+// carry the partitioned RAID model's controller↔member traffic and
+// give its engine a lookahead.
 package bus
 
 import "fmt"
 
 // LinkSpec describes one point-to-point controller↔member link of a
 // partitioned array: a bandwidth plus a fixed per-message arbitration
-// overhead, the per-member analogue of the shared Bus. It is also the
-// partitioned engine's source of conservative lookahead — no message
-// can cross the link in less than MinLatencyMs, so a logical process
-// can safely run that far ahead of its neighbors (see simkit/par).
+// overhead. It is also the partitioned engine's source of conservative
+// lookahead — no message can cross the link in less than MinLatencyMs,
+// so a logical process can safely run that far ahead of its neighbors
+// (see simkit/par).
 type LinkSpec struct {
 	// BandwidthMBps is the link's payload bandwidth in MB/s.
 	BandwidthMBps float64
@@ -50,8 +56,3 @@ func (l LinkSpec) TransferMs(bytes int64) float64 {
 // lookahead the partitioned engine derives for channels carried by the
 // link: every cross-LP delivery lands at least this far in the future.
 func (l LinkSpec) MinLatencyMs() float64 { return l.OverheadMs }
-
-// MinLatencyMs reports the shared bus's minimum message latency, the
-// same lookahead bound LinkSpec.MinLatencyMs gives for point-to-point
-// links.
-func (b *Bus) MinLatencyMs() float64 { return b.overheadMs }

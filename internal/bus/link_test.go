@@ -42,12 +42,4 @@ func TestMinLatency(t *testing.T) {
 	if l.MinLatencyMs() != 0.3 {
 		t.Fatalf("link MinLatencyMs %g", l.MinLatencyMs())
 	}
-	// The shared bus exposes the same lookahead bound.
-	b, err := New(nil, 300, 0.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.MinLatencyMs() != 0.3 {
-		t.Fatalf("bus MinLatencyMs %g", b.MinLatencyMs())
-	}
 }

@@ -57,34 +57,6 @@ func NewSA(eng simkit.Scheduler, model disk.Model, n int) (*ParallelDrive, error
 // Taxonomy reports the drive's DASH taxonomy point.
 func (d *ParallelDrive) Taxonomy() DASH { return d.taxonomy }
 
-// DriveStats is a snapshot of a parallel drive's counters.
-type DriveStats struct {
-	Taxonomy            DASH
-	Completed           uint64
-	BackgroundCompleted uint64
-	CacheHits           uint64
-	// Queue reports the foreground dispatch queue per the obs.QueueStats
-	// contract: Len is its length now, Max its high-water mark after any
-	// push (including failure re-queues).
-	Queue         obs.QueueStats
-	HealthyArms   int
-	ServicedByArm []uint64
-}
-
-// Stats returns a snapshot of the drive's counters.
-func (d *ParallelDrive) Stats() DriveStats {
-	s := d.Drive.Snapshot()
-	return DriveStats{
-		Taxonomy:            d.taxonomy,
-		Completed:           s.Completed,
-		BackgroundCompleted: s.BackgroundCompleted,
-		CacheHits:           s.CacheHits,
-		Queue:               s.Queue,
-		HealthyArms:         d.HealthyArms(),
-		ServicedByArm:       d.ServicedByArm(),
-	}
-}
-
 // Snapshot captures the drive's statistics as the uniform obs surface,
 // labeled "parallel-drive". Beyond the typed fields it reports per-arm
 // service counts ("armN_serviced"), the healthy-arm count, the
@@ -93,7 +65,6 @@ func (d *ParallelDrive) Stats() DriveStats {
 func (d *ParallelDrive) Snapshot() obs.Snapshot {
 	s := d.Drive.Snapshot()
 	s.Kind = "parallel-drive"
-	s.Gauges = map[string]obs.GaugeValue{"bg_queue_len": s.Gauges["dirty_writes"]}
 	s.Counters = make(map[string]uint64, d.Actuators()+1)
 	for i, n := range d.ServicedByArm() {
 		s.Counters[fmt.Sprintf("arm%d_serviced", i)] = n

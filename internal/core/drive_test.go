@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -83,8 +84,6 @@ func TestConfigValidation(t *testing.T) {
 		{Actuators: 0},
 		{Actuators: 2, Channels: -1},
 		{Actuators: 2, Channels: 3},
-		{Actuators: 2, InitialCyls: []int{0}},
-		{Actuators: 2, InitialCyls: []int{0, 999999}},
 	}
 	for _, cfg := range bad {
 		if _, err := New(eng, smallModel(), cfg); err == nil {
@@ -305,32 +304,6 @@ func TestFailArmValidation(t *testing.T) {
 	}
 }
 
-func TestRepairArmRestoresService(t *testing.T) {
-	eng, d := newSA(t, 2)
-	if err := d.FailArm(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.RepairArm(1); err != nil {
-		t.Fatal(err)
-	}
-	if d.HealthyArms() != 2 {
-		t.Fatalf("HealthyArms = %d after repair, want 2", d.HealthyArms())
-	}
-	if err := d.RepairArm(1); err == nil {
-		t.Fatalf("repairing a healthy arm accepted")
-	}
-	if err := d.RepairArm(9); err == nil {
-		t.Fatalf("RepairArm(out of range) accepted")
-	}
-	// The repaired arm takes work again.
-	tr := randomTrace(31, 400, 6, d.Capacity())
-	replay(eng, func(r trace.Request, f func(float64)) { d.Submit(r, f) }, tr)
-	per := d.ServicedByArm()
-	if per[1] == 0 {
-		t.Fatalf("repaired arm serviced nothing: %v", per)
-	}
-}
-
 func TestDegradedDriveSlowerThanHealthy(t *testing.T) {
 	run := func(fail bool) float64 {
 		eng, d := newSA(t, 4)
@@ -405,9 +378,10 @@ func TestMultiChannelServesConcurrently(t *testing.T) {
 	}
 }
 
-// TestInitialPlacementUsed checks arm placement through service: with
-// every other arm deconfigured, a request on the remaining arm's
-// starting cylinder is served by that arm without a seek.
+// TestInitialPlacementUsed checks the default arm placement through
+// service: with every other arm deconfigured, a request on the
+// remaining arm's starting cylinder (0) is served by that arm without a
+// seek.
 func TestInitialPlacementUsed(t *testing.T) {
 	m := smallModel()
 	firstSeek := func(cfg Config, keep, cyl int) (seekMs float64, byArm []uint64) {
@@ -432,13 +406,6 @@ func TestInitialPlacementUsed(t *testing.T) {
 		eng.Run()
 		return seekMs, d.ServicedByArm()
 	}
-	placed := Config{Actuators: 2, InitialCyls: []int{100, 1900}}
-	for arm, cyl := range placed.InitialCyls {
-		if seek, by := firstSeek(placed, arm, cyl); seek != 0 || by[arm] != 1 {
-			t.Fatalf("arm %d placed at cylinder %d: seek %v ms, services %v", arm, cyl, seek, by)
-		}
-	}
-	// Default placement starts every arm at cylinder 0.
 	def := Config{Actuators: 4}
 	for arm := 0; arm < def.Actuators; arm++ {
 		if seek, by := firstSeek(def, arm, 0); seek != 0 || by[arm] != 1 {
@@ -574,25 +541,33 @@ func BenchmarkSA4Throughput(b *testing.B) {
 	}
 }
 
+// TestStatsSnapshot pins the parallel drive's stats views to a
+// replay: the taxonomy, the snapshot's typed fields and per-arm
+// counters, and ServicedByArm, whose services plus cache hits account
+// for every completion.
 func TestStatsSnapshot(t *testing.T) {
 	eng, d := newSA(t, 2)
 	tr := randomTrace(101, 100, 10, d.Capacity())
 	replay(eng, func(r trace.Request, f func(float64)) { d.Submit(r, f) }, tr)
-	s := d.Stats()
-	if s.Taxonomy.String() != "D1A2S1H1" {
-		t.Fatalf("taxonomy %s", s.Taxonomy)
+	s := d.Snapshot()
+	if d.Taxonomy().String() != "D1A2S1H1" {
+		t.Fatalf("taxonomy %s", d.Taxonomy())
 	}
 	if s.Completed != 100 {
 		t.Fatalf("Completed %d", s.Completed)
 	}
-	if s.HealthyArms != 2 || len(s.ServicedByArm) != 2 {
-		t.Fatalf("arm stats wrong: %+v", s)
+	by := d.ServicedByArm()
+	if s.Counters["healthy_arms"] != 2 || len(by) != 2 {
+		t.Fatalf("arm stats wrong: %v, serviced %v", s.Counters, by)
 	}
 	var mech uint64
-	for _, n := range s.ServicedByArm {
+	for i, n := range by {
+		if s.Counters[fmt.Sprintf("arm%d_serviced", i)] != n {
+			t.Fatalf("arm%d_serviced %d, ServicedByArm %v", i, s.Counters[fmt.Sprintf("arm%d_serviced", i)], by)
+		}
 		mech += n
 	}
 	if mech+s.CacheHits != s.Completed {
-		t.Fatalf("stats inconsistent: %+v", s)
+		t.Fatalf("stats inconsistent: %d serviced + %d hits != %d completed", mech, s.CacheHits, s.Completed)
 	}
 }

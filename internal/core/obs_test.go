@@ -61,14 +61,16 @@ func TestTraceDecomposition(t *testing.T) {
 
 // TestSnapshotConsistency pins the uniform stats surface (the drive's
 // only metrics API since the per-getter surface was removed) to the
-// replayed trace and the richer DriveStats view.
+// replayed trace, the taxonomy and the per-arm service counts.
 func TestSnapshotConsistency(t *testing.T) {
 	eng, d := newSA(t, 4)
 	tr := randomTrace(22, 400, 1.5, d.Capacity())
 	replay(eng, func(r trace.Request, f func(float64)) { d.Submit(r, f) }, tr)
 
 	s := d.Snapshot()
-	st := d.Stats()
+	if d.Taxonomy().String() != "D1A4S1H1" {
+		t.Fatalf("taxonomy %s", d.Taxonomy())
+	}
 	if s.Kind != "parallel-drive" || s.Device != "test-small" {
 		t.Fatalf("identity %q/%q", s.Device, s.Kind)
 	}
@@ -78,19 +80,27 @@ func TestSnapshotConsistency(t *testing.T) {
 	if s.BackgroundCompleted != d.BackgroundCompleted() {
 		t.Fatalf("background %d vs %d", s.BackgroundCompleted, d.BackgroundCompleted())
 	}
-	if s.Queue != st.Queue || s.Queue.Len != 0 {
-		t.Fatalf("queue %+v vs stats %+v after a drained replay", s.Queue, st.Queue)
+	if s.Queue.Len != 0 || s.Queue.Max < 1 {
+		t.Fatalf("queue %+v after a drained replay", s.Queue)
+	}
+	if g, ok := s.Gauges["bg_queue_len"]; !ok || g.Value != 0 || len(s.Gauges) != 1 {
+		t.Fatalf("gauges %v, want only an empty bg_queue_len", s.Gauges)
 	}
 	if s.Counters["healthy_arms"] != uint64(d.HealthyArms()) {
 		t.Fatalf("healthy_arms %d vs %d", s.Counters["healthy_arms"], d.HealthyArms())
 	}
+	var serviced uint64
 	for i, n := range d.ServicedByArm() {
 		key := fmt.Sprintf("arm%d_serviced", i)
 		if s.Counters[key] != n {
 			t.Fatalf("%s = %d, want %d", key, s.Counters[key], n)
 		}
+		serviced += n
 	}
 	media := s.Completed - s.CacheHits
+	if serviced != media {
+		t.Fatalf("arms serviced %d, want %d media services", serviced, media)
+	}
 	if h := s.Histograms["seek_ms"]; h.N != media || h.N == 0 {
 		t.Fatalf("seek histogram N=%d, want %d", h.N, media)
 	}

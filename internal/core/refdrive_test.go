@@ -1,14 +1,16 @@
 package core
 
 // refDrive is the conventional drive as it stood before disk.Drive
-// became the multi-arm engine: one arm, a foreground queue and a
-// write-back destage queue, the four dispatch costs, defect splitting,
-// and its own completion event and snapshot. It is kept verbatim apart
-// from renames, the model's unexported seek and cache specs written
-// out, and the option type and default dispatch config, which it takes
-// from package disk. It is the differential reference the engine must
-// reproduce bit for bit: every completion time, every per-mode watt,
-// every trace span and the snapshot bytes (see differential_test.go).
+// became the multi-arm engine: one arm, a foreground queue, the four
+// dispatch costs, defect splitting, and its own completion event and
+// snapshot. It is kept verbatim apart from renames, the model's
+// unexported seek and cache specs written out, the option type and
+// default dispatch config, which it takes from package disk, and the
+// removal of the write-back destage path and the Drain method, which
+// the engine no longer has. It is the differential reference the
+// engine must reproduce bit for bit: every completion time, every
+// per-mode watt, every trace span and the snapshot bytes (see
+// differential_test.go).
 
 import (
 	"fmt"
@@ -30,7 +32,6 @@ type refPending struct {
 	req      trace.Request
 	done     device.Done
 	loc      geom.Loc // physical location of the first block, cached at submit
-	flush    bool     // background destage of a write-back-cached write
 	fragment bool     // extent of a defect-fragmented request (parent completes it)
 
 	obsReq   uint64  // span-trace request id (0 when tracing is off)
@@ -40,17 +41,16 @@ type refPending struct {
 // refDrive is a conventional single-actuator disk drive attached to a
 // simulation engine.
 type refDrive struct {
-	model  disk.Model
-	eng    simkit.Scheduler
-	geo    *geom.Geometry
-	curve  *mech.SeekCurve
-	rot    *mech.Rotation
-	buf    *cache.Cache
-	queue  *sched.Queue[refPending]
-	flushQ *sched.Queue[refPending] // write-back destage queue
-	acct   *power.Accountant
-	pm     *power.Model
-	opts   disk.Options
+	model disk.Model
+	eng   simkit.Scheduler
+	geo   *geom.Geometry
+	curve *mech.SeekCurve
+	rot   *mech.Rotation
+	buf   *cache.Cache
+	queue *sched.Queue[refPending]
+	acct  *power.Accountant
+	pm    *power.Model
+	opts  disk.Options
 
 	armCyl int
 	busy   bool
@@ -84,8 +84,6 @@ type refDrive struct {
 	em          *obs.Emitter
 	reg         *obs.Registry
 	qDepth      obs.Gauge
-	gDirty      *obs.Gauge
-	cFlushes    *obs.Counter
 	cDefectHops *obs.Counter
 	hSeek       *obs.Histogram
 	hRot        *obs.Histogram
@@ -147,7 +145,6 @@ func newRefDrive(eng simkit.Scheduler, model disk.Model, opts disk.Options) (*re
 		rot:       rot,
 		buf:       buf,
 		queue:     sched.NewQueueSized[refPending](cfg, 256),
-		flushQ:    sched.NewQueueSized[refPending](cfg, 256),
 		acct:      power.NewAccountant(pm),
 		pm:        pm,
 		opts:      opts,
@@ -155,15 +152,16 @@ func newRefDrive(eng simkit.Scheduler, model disk.Model, opts disk.Options) (*re
 		rotScale:  device.NormalizeScale(opts.RotScale),
 
 		name:        name,
-		em:          simkit.Emitter(eng, opts.Obs.Sink, name),
+		em:          obs.NewEmitter(eng, opts.Obs.Sink, name),
 		reg:         reg,
-		gDirty:      reg.Gauge("dirty_writes"),
-		cFlushes:    reg.Counter("flushes"),
 		cDefectHops: reg.Counter("defect_hops"),
 		hSeek:       reg.Histogram("seek_ms", obs.PhaseEdgesMs),
 		hRot:        reg.Histogram("rot_ms", obs.PhaseEdgesMs),
 		hXfer:       reg.Histogram("xfer_ms", obs.PhaseEdgesMs),
 	}
+	// The background queue gauge the engine reports; this drive takes
+	// no background work, so it stays at zero.
+	reg.Gauge("bg_queue_len")
 	d.costFn = d.buildCostFn()
 	d.complete = d.finishService
 	return d, nil
@@ -190,12 +188,6 @@ func (d *refDrive) DefectHops() uint64 { return d.cDefectHops.Value() }
 
 // Busy reports whether the drive is servicing a request.
 func (d *refDrive) Busy() bool { return d.busy }
-
-// Flushes reports how many write-back destages have hit the media.
-func (d *refDrive) Flushes() uint64 { return d.cFlushes.Value() }
-
-// DirtyWrites reports how many destages are still pending.
-func (d *refDrive) DirtyWrites() int { return d.flushQ.Len() }
 
 // Snapshot implements device.Instrumented: the drive's uniform stats
 // surface, carrying everything the legacy getters report plus the
@@ -293,22 +285,6 @@ func (d *refDrive) Submit(r trace.Request, done device.Done) {
 			return
 		}
 	}
-	if !r.Read && d.opts.WriteCache {
-		// Write-back: acknowledge at cache latency, destage later.
-		d.buf.InsertWrite(r.LBA, r.Sectors)
-		d.eng.After(d.model.CacheHitMs, func() {
-			d.completed++
-			d.em.CacheHit(req, d.model.CacheHitMs)
-			d.em.Complete(req, -1, now)
-			if done != nil {
-				done(d.eng.Now())
-			}
-		})
-		d.flushQ.Push(refPending{req: r, loc: d.geo.Locate(r.LBA), flush: true, submitMs: now}, now)
-		d.gDirty.Set(float64(d.flushQ.Len()))
-		d.trySchedule()
-		return
-	}
 	d.queue.Push(refPending{req: r, done: done, loc: d.geo.Locate(r.LBA), obsReq: req, submitMs: now}, now)
 	d.qDepth.Set(float64(d.queue.Len()))
 	d.trySchedule()
@@ -327,21 +303,13 @@ func (d *refDrive) positioning(loc geom.Loc, at float64) (seekMs, rotMs float64)
 
 // trySchedule dispatches the next queued request if the drive is free.
 func (d *refDrive) trySchedule() {
-	if d.busy || (d.queue.Len() == 0 && d.flushQ.Len() == 0) {
+	if d.busy || d.queue.Len() == 0 {
 		return
 	}
 	now := d.eng.Now()
 	d.costStart = now + d.model.ControllerOverheadMs
-	p, ok := d.queue.Pop(now, d.costFn)
-	if ok {
-		d.qDepth.Set(float64(d.queue.Len()))
-	} else {
-		// Foreground queue empty: destage dirty writes in the background.
-		if p, ok = d.flushQ.Pop(now, d.costFn); !ok {
-			return
-		}
-		d.gDirty.Set(float64(d.flushQ.Len()))
-	}
+	p, _ := d.queue.Pop(now, d.costFn)
+	d.qDepth.Set(float64(d.queue.Len()))
 	d.busy = true
 	seekMs, rotMs := d.positioning(p.loc, now)
 	xferMs := d.model.TransferTime(d.geo, d.rot, p.req.LBA, p.req.Sectors)
@@ -358,10 +326,6 @@ func (d *refDrive) trySchedule() {
 	}
 	d.armCyl = p.loc.Cyl
 
-	if p.flush {
-		// Destages complete no request; they trace under their own id.
-		p.obsReq = d.em.NextReq()
-	}
 	d.em.Service(p.obsReq, 0, p.submitMs, d.model.ControllerOverheadMs, seekMs, rotMs, xferMs)
 
 	d.inService = p
@@ -373,20 +337,13 @@ func (d *refDrive) finishService() {
 	p := d.inService
 	d.inService = refPending{} // release the done callback
 	d.busy = false
-	switch {
-	case p.flush:
-		// Destage: the logical write already completed at ack time
-		// and the data is already in the cache.
-		d.cFlushes.Inc()
-		d.em.Span(p.obsReq, obs.PhaseFlush, 0, d.eng.Now(), 0)
-	case p.req.Read:
-		d.completed++
+	d.completed++
+	if p.req.Read {
 		d.buf.InsertRead(p.req.LBA, p.req.Sectors)
-	default:
-		d.completed++
+	} else {
 		d.buf.InsertWrite(p.req.LBA, p.req.Sectors)
 	}
-	if !p.flush && !p.fragment {
+	if !p.fragment {
 		d.em.Complete(p.obsReq, 0, p.submitMs)
 	}
 	if p.done != nil {
@@ -430,16 +387,4 @@ func (d *refDrive) buildCostFn() sched.Cost[refPending] {
 			return seekMs + d.rot.LatencyTo(p.loc.Angle, d.costStart+seekMs)*d.rotScale
 		}
 	}
-}
-
-// Drain runs the event loop until every submitted request has
-// completed. The drive's scheduler must own its event loop (the
-// sequential Engine or a partitioned LP's Runner); a bare logical
-// process cannot drain the simulation from inside one window.
-func (d *refDrive) Drain() {
-	r, ok := d.eng.(interface{ Run() })
-	if !ok {
-		panic("disk: Drain needs a scheduler that owns the event loop")
-	}
-	r.Run()
 }

@@ -40,12 +40,6 @@ type Options struct {
 	// addressable space shrinks to Defects.UserSectors().
 	Defects *defect.Table
 
-	// WriteCache enables write-back caching (an extension beyond the
-	// paper, which models enterprise write-through): writes are
-	// acknowledged at cache latency and destaged to the media as
-	// background-class work, yielding to foreground requests.
-	WriteCache bool
-
 	// Obs is the observability hookup: when Obs.Sink is non-nil every
 	// request emits lifecycle span events (with the servicing arm) to
 	// it, labeled Obs.Name (default: the model name). A nil sink costs
@@ -73,21 +67,6 @@ type Options struct {
 	// (first relaxed design of the paper's §7.2; the paper found little
 	// benefit). Power for overlapped motion is charged as VCM increments.
 	MultiArmMotion bool
-	// IdleReturn lets an idle arm reposition toward the most recently
-	// serviced cylinder once it has drifted far from the action (an
-	// extension: real multi-actuator firmware parks idle heads near the
-	// active band). Repositioning motion overlaps other activity, so it
-	// slightly relaxes the single-arm-in-motion constraint; its energy
-	// is charged as a VCM increment.
-	IdleReturn bool
-	// InitialCyls optionally places each arm at a starting cylinder.
-	// By default every arm starts at cylinder 0 and spreads through use:
-	// dispatch parks each arm where it last serviced, which keeps all
-	// arms inside the workload's active region. (Spreading arms evenly
-	// across the stroke strands the far arms when the footprint is
-	// concentrated: a long seek always loses the dispatch cost race to
-	// simply waiting out the rotation on a nearer arm.)
-	InitialCyls []int
 	// AngularOffsets optionally sets each arm assembly's angular
 	// mounting position around the platter stack, as a fraction of a
 	// revolution in [0,1). The paper's Figure 1 mounts assemblies
@@ -118,8 +97,6 @@ func (o Options) Validate() error {
 		return fmt.Errorf("disk: HeadsPerArm %d must be nonnegative", o.HeadsPerArm)
 	case orOne(o.Channels) > arms:
 		return fmt.Errorf("disk: %d channels exceed %d actuators", orOne(o.Channels), arms)
-	case o.InitialCyls != nil && len(o.InitialCyls) != arms:
-		return fmt.Errorf("disk: %d initial cylinders for %d actuators", len(o.InitialCyls), arms)
 	case o.AngularOffsets != nil && len(o.AngularOffsets) != arms:
 		return fmt.Errorf("disk: %d angular offsets for %d actuators", len(o.AngularOffsets), arms)
 	}
@@ -164,7 +141,6 @@ type pending struct {
 	loc  geom.Loc // physical location of the first block, cached at submit
 
 	background bool // a SubmitBackground request (completes in bgCompleted)
-	flush      bool // background destage of a write-back-cached write
 	fragment   bool // extent of a defect-fragmented request (parent completes it)
 
 	obsReq   uint64  // span-trace request id (0 when tracing is off)
@@ -172,10 +148,16 @@ type pending struct {
 }
 
 type arm struct {
+	// cyl is where the arm last serviced (or is pre-seeking to). Every
+	// arm starts at cylinder 0 and spreads through use, which keeps all
+	// arms inside the workload's active region. (Spreading arms evenly across the stroke
+	// strands the far arms when the footprint is concentrated: a long
+	// seek always loses the dispatch cost race to waiting out the
+	// rotation on a nearer arm.)
 	cyl    int
 	alpha  float64 // angular mounting position, fraction of a revolution
 	failed bool
-	busy   bool // servicing a request (holds a channel) or returning
+	busy   bool // servicing a request (holds a channel)
 
 	// Pre-seek assignment state (MultiArmMotion only): the slab slot of
 	// the request the arm is seeking toward, or noSlot.
@@ -200,8 +182,8 @@ const noSlot int32 = -1
 // Drive is a disk drive attached to a simulation engine: one spindle
 // and platter stack reached by one or more independently positioned arm
 // assemblies. A foreground queue feeds the arms under the configured
-// policy; background-class work (write-back destages and
-// SubmitBackground requests) runs only when no foreground request can.
+// policy; background-class work (SubmitBackground requests) runs only
+// when no foreground request can.
 type Drive struct {
 	model Model
 	opts  Options
@@ -260,7 +242,6 @@ type Drive struct {
 	bgCompleted uint64
 	cacheHits   uint64
 	defectHops  uint64
-	flushes     uint64
 	seekScale   float64
 	rotScale    float64
 
@@ -335,7 +316,7 @@ func New(eng simkit.Scheduler, model Model, opts Options) (*Drive, error) {
 		rotScale:  device.NormalizeScale(opts.RotScale),
 
 		name:  name,
-		em:    simkit.Emitter(eng, opts.Obs.Sink, name),
+		em:    obs.NewEmitter(eng, opts.Obs.Sink, name),
 		reg:   reg,
 		hSeek: reg.Histogram("seek_ms", obs.PhaseEdgesMs),
 		hRot:  reg.Histogram("rot_ms", obs.PhaseEdgesMs),
@@ -347,13 +328,6 @@ func New(eng simkit.Scheduler, model Model, opts Options) (*Drive, error) {
 	}
 	for i := range d.arms {
 		a := &d.arms[i]
-		if opts.InitialCyls != nil {
-			c := opts.InitialCyls[i]
-			if c < 0 || c >= model.Geom.Cylinders {
-				return nil, fmt.Errorf("disk: initial cylinder %d out of range", c)
-			}
-			a.cyl = c
-		}
 		if opts.AngularOffsets != nil {
 			a.alpha = opts.AngularOffsets[i]
 		} else {
@@ -424,9 +398,6 @@ func (d *Drive) DefectHops() uint64 { return d.defectHops }
 // Busy reports whether the drive is servicing a request.
 func (d *Drive) Busy() bool { return d.activeChannels > 0 }
 
-// Flushes reports how many write-back destages have hit the media.
-func (d *Drive) Flushes() uint64 { return d.flushes }
-
 // Actuators reports the arm-assembly count.
 func (d *Drive) Actuators() int { return len(d.arms) }
 
@@ -453,14 +424,13 @@ func (d *Drive) ServicedByArm() []uint64 {
 // BackgroundCompleted reports how many background requests finished.
 func (d *Drive) BackgroundCompleted() uint64 { return d.bgCompleted }
 
-// BackgroundPending reports the background queue length: pending
-// destages plus queued SubmitBackground requests.
+// BackgroundPending reports how many SubmitBackground requests are
+// queued.
 func (d *Drive) BackgroundPending() int { return d.bgQueue.Len() }
 
 // Snapshot implements device.Instrumented: the drive's uniform stats
-// surface, with the defect-hop and destage counters, the background
-// queue gauge (as "dirty_writes") and the per-phase service-time
-// histograms.
+// surface, with the defect-hop counter, the background queue gauge
+// ("bg_queue_len") and the per-phase service-time histograms.
 func (d *Drive) Snapshot() obs.Snapshot {
 	s := obs.Snapshot{
 		Device:              d.name,
@@ -473,8 +443,7 @@ func (d *Drive) Snapshot() obs.Snapshot {
 	}
 	d.reg.Fill(&s)
 	s.Counters["defect_hops"] = d.defectHops
-	s.Counters["flushes"] = d.flushes
-	s.Gauges["dirty_writes"] = obs.GaugeValue{Value: d.bgDepth.Value(), Max: d.bgDepth.Max()}
+	s.Gauges["bg_queue_len"] = obs.GaugeValue{Value: d.bgDepth.Value(), Max: d.bgDepth.Max()}
 	if d.spin != nil {
 		d.spin.snapshot(&s)
 	}
@@ -522,23 +491,6 @@ func (d *Drive) FailArm(i int) error {
 		d.assignedArms--
 		d.qDepth.Set(float64(d.queue.Len()))
 	}
-	return nil
-}
-
-// RepairArm returns a deconfigured arm to service.
-func (d *Drive) RepairArm(i int) error {
-	if i < 0 || i >= len(d.arms) {
-		return fmt.Errorf("disk: arm %d out of range [0,%d)", i, len(d.arms))
-	}
-	a := &d.arms[i]
-	if !a.failed {
-		return fmt.Errorf("disk: arm %d is not deconfigured", i)
-	}
-	a.failed = false
-	if a.idle() {
-		d.idleArms++
-	}
-	d.trySchedule()
 	return nil
 }
 
@@ -680,16 +632,6 @@ func (d *Drive) Submit(r trace.Request, done device.Done) {
 			return
 		}
 	}
-	if !r.Read && d.opts.WriteCache {
-		// Write-back: acknowledge at cache latency, destage later.
-		d.buf.InsertWrite(r.LBA, r.Sectors)
-		d.cacheHit(req, now, &d.completed, done)
-		p := d.enqueue(d.bgQueue, now)
-		*p = pending{req: r, flush: true, submitMs: now}
-		p.loc = d.geo.Locate(r.LBA)
-		d.queuedBackground()
-		return
-	}
 	p := d.enqueue(d.queue, now)
 	*p = pending{req: r, done: done, obsReq: req, submitMs: now}
 	p.loc = d.geo.Locate(r.LBA)
@@ -723,12 +665,6 @@ func (d *Drive) SubmitBackground(r trace.Request, done device.Done) {
 	p := d.enqueue(d.bgQueue, now)
 	*p = pending{req: r, done: done, background: true, obsReq: req, submitMs: now}
 	p.loc = d.geo.Locate(r.LBA)
-	d.queuedBackground()
-}
-
-// queuedBackground follows a background enqueue: it updates the queue
-// gauge and dispatches if the drive can.
-func (d *Drive) queuedBackground() {
 	d.bgDepth.Set(float64(d.bgQueue.Len()))
 	d.trySchedule()
 }
@@ -896,10 +832,6 @@ func (d *Drive) startService(armIdx int, i int32, now, overheadMs, seekMs, rotMs
 	d.hSeek.Observe(seekMs)
 	d.hRot.Observe(rotMs)
 	d.hXfer.Observe(xferMs)
-	if p.flush {
-		// Destages complete no request; they trace under their own id.
-		p.obsReq = d.em.NextReq()
-	}
 	d.em.Service(p.obsReq, armIdx, p.submitMs, overheadMs, seekMs, rotMs, xferMs)
 
 	if primary {
@@ -926,9 +858,9 @@ func (d *Drive) finishService(armIdx int) {
 	a := &d.arms[armIdx]
 	// Read the in-service record in place: nothing below re-enters the
 	// drive before done runs, and done may start the arm's next
-	// service, so the callback and cylinder are taken out first.
+	// service, so the callback is taken out first.
 	p := &a.inService
-	done, cyl := p.done, p.loc.Cyl
+	done := p.done
 	p.done = nil // release the callback
 	a.busy = false
 	if a.idle() {
@@ -936,26 +868,18 @@ func (d *Drive) finishService(armIdx int) {
 	}
 	a.serviced++
 	d.activeChannels--
-	switch {
-	case p.flush:
-		// Destage: the logical write already completed at ack time
-		// and the data is already in the cache.
-		d.flushes++
-		d.em.Span(p.obsReq, obs.PhaseFlush, armIdx, d.eng.Now(), 0)
-	case p.background:
+	if p.background {
 		d.bgCompleted++
-	default:
+	} else {
 		d.completed++
 	}
-	if !p.flush {
-		if p.req.Read {
-			d.buf.InsertRead(p.req.LBA, p.req.Sectors)
-		} else {
-			d.buf.InsertWrite(p.req.LBA, p.req.Sectors)
-		}
-		if !p.fragment {
-			d.em.Complete(p.obsReq, armIdx, p.submitMs)
-		}
+	if p.req.Read {
+		d.buf.InsertRead(p.req.LBA, p.req.Sectors)
+	} else {
+		d.buf.InsertWrite(p.req.LBA, p.req.Sectors)
+	}
+	if !p.fragment {
+		d.em.Complete(p.obsReq, armIdx, p.submitMs)
 	}
 	if done != nil {
 		done(d.eng.Now())
@@ -963,48 +887,7 @@ func (d *Drive) finishService(armIdx int) {
 	if d.spin != nil && d.queue.Len() == 0 {
 		d.spin.armIdle() // idle from here unless a request arrives
 	}
-	if d.opts.IdleReturn {
-		d.returnIdleArms(armIdx, cyl)
-	}
 	d.trySchedule()
-}
-
-// returnIdleArms repositions idle arms that have drifted far from the
-// active band back toward the just-serviced cylinder. Each returning arm
-// is unavailable while it moves and pays VCM energy for the trip.
-func (d *Drive) returnIdleArms(servicedArm, cyl int) {
-	threshold := d.model.Geom.Cylinders / 8
-	for i := range d.arms {
-		a := &d.arms[i]
-		if i == servicedArm || !a.idle() {
-			continue
-		}
-		dist := a.cyl - cyl
-		if dist < 0 {
-			dist = -dist
-		}
-		if dist <= threshold {
-			continue
-		}
-		// Park a little off the target, staggered per arm, so returning
-		// arms do not stack on one cylinder.
-		target := cyl + (i+1)*64
-		if target >= d.model.Geom.Cylinders {
-			target = d.model.Geom.Cylinders - 1
-		}
-		seekMs := d.curve.Time(a.cyl-target) * d.seekScale
-		a.busy = true
-		d.idleArms--
-		d.acct.AddSeekIncrement(seekMs)
-		d.eng.After(seekMs, func() {
-			a.busy = false
-			if a.idle() {
-				d.idleArms++
-			}
-			a.cyl = target
-			d.trySchedule()
-		})
-	}
 }
 
 // preSeekAssign lets idle arms begin seeking toward queued requests
@@ -1036,16 +919,4 @@ func (d *Drive) preSeekAssign() {
 		// Overlapped motion: charge the VCM increment only.
 		d.acct.AddSeekIncrement(seekMs)
 	}
-}
-
-// Drain runs the event loop until every submitted request has
-// completed. The drive's scheduler must own its event loop (the
-// sequential Engine or a partitioned LP's Runner); a bare logical
-// process cannot drain the simulation from inside one window.
-func (d *Drive) Drain() {
-	r, ok := d.eng.(interface{ Run() })
-	if !ok {
-		panic("disk: Drain needs a scheduler that owns the event loop")
-	}
-	r.Run()
 }

@@ -545,18 +545,6 @@ func TestTransferTimeProportionalToSize(t *testing.T) {
 	}
 }
 
-func TestDrainRunsEngine(t *testing.T) {
-	eng, d := newDrive(t, smallModel(), Options{})
-	done := false
-	eng.At(0, func() {
-		d.Submit(trace.Request{LBA: 0, Sectors: 8, Read: false}, func(float64) { done = true })
-	})
-	d.Drain()
-	if !done {
-		t.Fatalf("Drain did not run to completion")
-	}
-}
-
 func TestMeanRandomServiceTimeMatchesTheory(t *testing.T) {
 	// For random single-sector reads on an idle drive, mean service ≈
 	// overhead + mean seek + half a revolution. This anchors the whole

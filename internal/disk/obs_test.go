@@ -89,11 +89,35 @@ func TestTracePhaseSumEqualsResponse(t *testing.T) {
 
 // TestSnapshotConsistency pins the uniform stats surface (the drive's
 // only metrics API since the per-getter surface was removed) to facts
-// derivable from the replayed trace.
+// derivable from the replayed trace. Every third request goes through
+// SubmitBackground, and a snapshot at each arrival holds the
+// background queue gauge to BackgroundPending while work is queued.
 func TestSnapshotConsistency(t *testing.T) {
-	eng, d := newDrive(t, smallModel(), Options{WriteCache: true})
+	eng, d := newDrive(t, smallModel(), Options{})
 	tr := obsTrace(12, 300, 3, d.Capacity())
-	obsReplay(eng, d, tr)
+	var bg, probed uint64
+	for i, r := range tr {
+		i, r := i, r
+		eng.At(r.ArrivalMs, func() {
+			g := d.Snapshot().Gauges["bg_queue_len"]
+			if int(g.Value) != d.BackgroundPending() {
+				t.Errorf("request %d: bg_queue_len gauge %+v vs BackgroundPending %d", i, g, d.BackgroundPending())
+			}
+			if g.Value > 0 {
+				probed++
+			}
+			if i%3 == 0 {
+				bg++
+				d.SubmitBackground(r, nil)
+			} else {
+				d.Submit(r, nil)
+			}
+		})
+	}
+	eng.Run()
+	if probed == 0 {
+		t.Fatalf("no arrival saw background work queued")
+	}
 
 	s := d.Snapshot()
 	if s.Device != "test-small" || s.Kind != "disk" {
@@ -102,24 +126,21 @@ func TestSnapshotConsistency(t *testing.T) {
 	if s.Submitted != uint64(len(tr)) {
 		t.Fatalf("submitted %d, want %d", s.Submitted, len(tr))
 	}
-	if s.Completed != uint64(len(tr)) {
-		t.Fatalf("completed %d, want %d", s.Completed, len(tr))
+	if s.Completed != uint64(len(tr))-bg || s.BackgroundCompleted != bg {
+		t.Fatalf("completed %d + %d background, want %d + %d", s.Completed, s.BackgroundCompleted, uint64(len(tr))-bg, bg)
 	}
 	if s.Queue.Len != 0 || s.Queue.Max < 1 {
 		t.Fatalf("queue %+v after a drained replay", s.Queue)
 	}
-	if s.Counters["flushes"] != d.Flushes() || s.Counters["defect_hops"] != d.DefectHops() {
-		t.Fatalf("counters %v vs flushes=%d hops=%d", s.Counters, d.Flushes(), d.DefectHops())
+	if s.Counters["defect_hops"] != d.DefectHops() {
+		t.Fatalf("counters %v vs hops=%d", s.Counters, d.DefectHops())
 	}
-	if d.Flushes() == 0 {
-		t.Fatalf("write-back run destaged nothing")
+	if g := s.Gauges["bg_queue_len"]; g.Value != 0 || g.Max < 1 || d.BackgroundPending() != 0 {
+		t.Fatalf("bg_queue_len gauge %+v, BackgroundPending %d after a drained replay", g, d.BackgroundPending())
 	}
-	if g := s.Gauges["dirty_writes"]; int(g.Value) != d.BackgroundPending() {
-		t.Fatalf("dirty_writes gauge %+v vs getter %d", g, d.BackgroundPending())
-	}
-	// The per-phase histograms saw every media service: read misses plus
-	// destaged writes (acked writes split into flushes + still-dirty).
-	media := s.Completed - s.CacheHits - uint64(d.BackgroundPending())
+	// The per-phase histograms saw every media service: foreground and
+	// background requests that missed the cache.
+	media := s.Completed + s.BackgroundCompleted - s.CacheHits
 	if h := s.Histograms["seek_ms"]; h.N != media || h.N == 0 {
 		t.Fatalf("seek histogram N=%d, want %d media services", h.N, media)
 	}

@@ -322,65 +322,3 @@ func BenchmarkLatencyTo(b *testing.B) {
 
 // latencySink keeps BenchmarkLatencyTo's results live.
 var latencySink float64
-
-// --- Physical (bang-bang) seek curve ---
-
-func TestPhysicalCurveValidation(t *testing.T) {
-	spec := barracudaSeek()
-	if _, err := NewPhysicalSeekCurve(spec, -1); err == nil {
-		t.Fatalf("negative settle accepted")
-	}
-	if _, err := NewPhysicalSeekCurve(spec, spec.AvgMs); err == nil {
-		t.Fatalf("settle >= average seek time accepted")
-	}
-	if _, err := NewPhysicalSeekCurve(spec, spec.AvgMs-0.01); err == nil {
-		t.Fatalf("settle leaving no ramp time accepted")
-	}
-}
-
-func TestPhysicalCurveHitsAnchors(t *testing.T) {
-	spec := barracudaSeek()
-	p, err := NewPhysicalSeekCurve(spec, 0.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := p.Time(spec.MaxCyl / 3); math.Abs(got-spec.AvgMs) > 0.05 {
-		t.Fatalf("Time(maxcyl/3) = %v, want ~%v", got, spec.AvgMs)
-	}
-	if got := p.Time(spec.MaxCyl); math.Abs(got-spec.FullStrokeMs) > 1e-6 {
-		t.Fatalf("Time(maxcyl) = %v, want %v", got, spec.FullStrokeMs)
-	}
-	if p.Time(0) != 0 {
-		t.Fatalf("zero-distance seek not free")
-	}
-	if p.Time(-100) != p.Time(100) {
-		t.Fatalf("negative distance not mirrored")
-	}
-}
-
-func TestPhysicalCurveMonotoneAndPlausible(t *testing.T) {
-	spec := barracudaSeek()
-	p, err := NewPhysicalSeekCurve(spec, 0.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fitted := mustCurve(t, spec)
-	prev := 0.0
-	for d := 1; d <= spec.MaxCyl; d *= 3 {
-		pt := p.Time(d)
-		if pt <= prev {
-			t.Fatalf("physical curve not increasing at %d", d)
-		}
-		prev = pt
-		// The two models agree within 2.5x everywhere (they share both
-		// endpoints; the middle differs because the datasheet "average"
-		// anchor bends the fitted curve).
-		ft := fitted.Time(d)
-		if ratio := pt / ft; ratio < 0.4 || ratio > 2.5 {
-			t.Fatalf("physical %v vs fitted %v at %d cylinders (ratio %v)", pt, ft, d, ratio)
-		}
-	}
-	if p.Accel() <= 0 || p.MaxVelocity() <= 0 {
-		t.Fatalf("extracted parameters invalid: a=%v v=%v", p.Accel(), p.MaxVelocity())
-	}
-}

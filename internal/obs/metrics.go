@@ -4,11 +4,11 @@
 // events to a pluggable Sink.
 //
 // Every instrumented component — a disk drive, an intra-disk parallel
-// drive, a RAID array, a bus — exposes the same uniform stats surface
-// through device.Instrumented: a Snapshot whose typed fields carry the
-// universal quantities (requests, queue occupancy) and whose registry
-// maps carry component-specific extras (per-phase service-time
-// histograms, destage counters, per-arm service counts).
+// drive, a RAID array, a SMART monitor — exposes the same uniform stats
+// surface through device.Instrumented: a Snapshot whose typed fields
+// carry the universal quantities (requests, queue occupancy) and whose
+// registry maps carry component-specific extras (per-phase service-time
+// histograms, defect-hop counters, per-arm service counts).
 //
 // Instrumentation is deterministic and allocation-light: counters and
 // gauges are plain fields, histograms are fixed-bucket arrays, and a nil

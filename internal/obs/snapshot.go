@@ -10,9 +10,9 @@ import (
 //
 //   - Len is the number of requests waiting in the component's
 //     foreground dispatch queue at snapshot time. Requests currently in
-//     service are not queued; background-class work (write-back
-//     destages, SubmitBackground requests) lives in separate queues and
-//     is reported through registry gauges, never here.
+//     service are not queued; background-class work (SubmitBackground
+//     requests) lives in a separate queue and is reported through a
+//     registry gauge, never here.
 //   - Max is the high-water mark of that same quantity over the run:
 //     the largest Len observed immediately after any push onto the
 //     foreground queue, whatever code path pushed (submission, defect

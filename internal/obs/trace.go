@@ -16,10 +16,8 @@ import (
 //	seek | rotate | transfer the mechanical service phases
 //	complete                 DurMs = the request's full response time
 //
-// Cache-served requests emit submit, cache_hit and complete only.
-// Write-back destages (which complete no request) emit their mechanical
-// phases followed by flush. The invariant the schema guarantees for a
-// media-served request is
+// Cache-served requests emit submit, cache_hit and complete only. The
+// invariant the schema guarantees for a media-served request is
 //
 //	queue + overhead + seek + rotate + transfer = complete.DurMs
 //
@@ -37,15 +35,14 @@ const (
 	PhaseRotate   Phase = "rotate"
 	PhaseTransfer Phase = "transfer"
 	PhaseComplete Phase = "complete"
-	PhaseFlush    Phase = "flush"
 
 	// PhaseFault and PhaseReact are out-of-band spans: an injected
 	// hardware fault (a grown media error, an attribute-drift onset, an
 	// arm or member failure) and the degradation reaction it provoked (a
 	// SMART-driven deconfiguration, a completed rebuild). They belong to
-	// no I/O request; Lifecycles skips them the way it skips flushes, so
-	// a trace interleaves cause (fault) and effect (react) with the
-	// request spans they perturb.
+	// no I/O request; Lifecycles skips them, so a trace interleaves
+	// cause (fault) and effect (react) with the request spans they
+	// perturb.
 	PhaseFault Phase = "fault"
 	PhaseReact Phase = "react"
 )
@@ -283,8 +280,7 @@ func (lc Lifecycle) PhaseSumMs() float64 {
 
 // Lifecycles reconstructs per-request decompositions from a span
 // stream, grouping by (device, request id), in first-appearance order.
-// Flush, fault and react spans, which belong to no request, are
-// skipped.
+// Fault and react spans, which belong to no request, are skipped.
 func Lifecycles(evs []Event) []Lifecycle {
 	type key struct {
 		dev string
@@ -293,7 +289,7 @@ func Lifecycles(evs []Event) []Lifecycle {
 	index := map[key]int{}
 	var out []Lifecycle
 	for _, ev := range evs {
-		if ev.Phase == PhaseFlush || ev.Phase == PhaseFault || ev.Phase == PhaseReact {
+		if ev.Phase == PhaseFault || ev.Phase == PhaseReact {
 			continue
 		}
 		k := key{ev.Dev, ev.Req}

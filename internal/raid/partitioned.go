@@ -23,8 +23,8 @@ type MemberFunc func(s simkit.Scheduler, i int) (device.Device, error)
 // The cost model per member operation:
 //
 //   - command/data outbound: the controller's link to the member is
-//     FIFO-reserved (like Bus.Acquire); a write pays overhead plus the
-//     payload wire time, a read command pays overhead only.
+//     FIFO-reserved; a write pays overhead plus the payload wire time,
+//     a read command pays overhead only.
 //   - completion inbound: the member's return link is FIFO-reserved;
 //     a read's data pays overhead plus wire time, a write ack pays
 //     overhead only.

@@ -52,6 +52,20 @@ func (s *Sample) Merge(other *Sample) {
 	s.sorted = false
 }
 
+// Merge returns a new sample holding all observations of the inputs
+// (used to combine per-phase or per-device samples).
+func Merge(samples ...*Sample) *Sample {
+	out := &Sample{}
+	for _, s := range samples {
+		if s == nil {
+			continue
+		}
+		out.xs = append(out.xs, s.xs...)
+	}
+	out.sorted = false
+	return out
+}
+
 // Mean reports the arithmetic mean (0 for an empty sample).
 func (s *Sample) Mean() float64 {
 	if len(s.xs) == 0 {

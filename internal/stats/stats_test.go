@@ -258,45 +258,6 @@ func BenchmarkPercentile(b *testing.B) {
 	}
 }
 
-func TestRenderHistogram(t *testing.T) {
-	s := sampleOf(0.5, 2, 2, 4, 12)
-	var buf strings.Builder
-	if err := RenderHistogram(&buf, s, RotLatencyBucketEdgesMs, 20); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "<=1") || !strings.Contains(out, "11+") {
-		t.Fatalf("histogram output missing labels:\n%s", out)
-	}
-	// The modal bucket (<=3, mass 0.4) gets the full-width bar.
-	if !strings.Contains(out, strings.Repeat("#", 20)) {
-		t.Fatalf("no full-width bar:\n%s", out)
-	}
-	if err := RenderHistogram(&buf, s, RotLatencyBucketEdgesMs, 0); err == nil {
-		t.Fatalf("zero width accepted")
-	}
-	if err := RenderHistogram(&buf, s, nil, 10); err == nil {
-		t.Fatalf("empty edges accepted")
-	}
-	if err := RenderHistogram(&buf, s, []float64{3, 1}, 10); err == nil {
-		t.Fatalf("non-increasing edges accepted")
-	}
-}
-
-func TestRenderCDF(t *testing.T) {
-	s := sampleOf(1, 6, 30, 300)
-	var buf strings.Builder
-	if err := RenderCDF(&buf, s, 10); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "<=200") {
-		t.Fatalf("CDF output missing buckets:\n%s", buf.String())
-	}
-	if err := RenderCDF(&buf, s, -1); err == nil {
-		t.Fatalf("negative width accepted")
-	}
-}
-
 func TestMerge(t *testing.T) {
 	a := sampleOf(1, 2)
 	b := sampleOf(3)
