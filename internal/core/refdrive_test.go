@@ -271,6 +271,7 @@ func (d *refDrive) Submit(r trace.Request, done device.Done) {
 						}
 						outstanding--
 						if outstanding == 0 {
+							d.completed++
 							d.em.Complete(req, -1, now)
 							if done != nil {
 								done(last)
@@ -337,7 +338,9 @@ func (d *refDrive) finishService() {
 	p := d.inService
 	d.inService = refPending{} // release the done callback
 	d.busy = false
-	d.completed++
+	if !p.fragment {
+		d.completed++
+	}
 	if p.req.Read {
 		d.buf.InsertRead(p.req.LBA, p.req.Sectors)
 	} else {

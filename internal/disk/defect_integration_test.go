@@ -97,6 +97,36 @@ func TestDefectHopsCounted(t *testing.T) {
 	}
 }
 
+// TestFragmentedRequestsCompleteOnce replays requests across many
+// remapped sectors: a fragmented request is serviced extent by extent
+// but completes once, so Completed equals Submitted and each done
+// callback runs once.
+func TestFragmentedRequestsCompleteOnce(t *testing.T) {
+	eng, d, tab := defectDrive(t)
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 6000; i++ {
+		tab.Grow(rng.Int63n(tab.UserSectors())) // a rare duplicate is refused
+	}
+	const n = 300
+	dones := 0
+	for i := 0; i < n; i++ {
+		lba := rng.Int63n(d.Capacity() - 256)
+		eng.At(float64(i)*2, func() {
+			d.Submit(trace.Request{LBA: lba, Sectors: 256, Read: i%2 == 0},
+				func(float64) { dones++ })
+		})
+	}
+	eng.Run()
+	s := d.Snapshot()
+	if d.DefectHops() == 0 {
+		t.Fatal("no request crossed a remapped sector")
+	}
+	if s.Submitted != n || s.Completed != n || dones != n {
+		t.Fatalf("submitted %d, completed %d, done callbacks %d, want %d each (defect hops %d)",
+			s.Submitted, s.Completed, dones, n, d.DefectHops())
+	}
+}
+
 func TestRequestBeyondUserSpacePanics(t *testing.T) {
 	eng, d, tab := defectDrive(t)
 	eng.At(0, func() {

@@ -619,6 +619,7 @@ func (d *Drive) Submit(r trace.Request, done device.Done) {
 						}
 						outstanding--
 						if outstanding == 0 {
+							d.completed++
 							d.em.Complete(req, -1, now)
 							if done != nil {
 								done(last)
@@ -868,9 +869,10 @@ func (d *Drive) finishService(armIdx int) {
 	}
 	a.serviced++
 	d.activeChannels--
+	// A fragment's request is counted once, by its last extent's done.
 	if p.background {
 		d.bgCompleted++
-	} else {
+	} else if !p.fragment {
 		d.completed++
 	}
 	if p.req.Read {

@@ -3,10 +3,11 @@ package stats
 import (
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func sampleOf(xs ...float64) *Sample {
@@ -64,18 +65,22 @@ func TestPercentileNearestRank(t *testing.T) {
 
 func TestPercentilePanics(t *testing.T) {
 	var s Sample
-	for _, f := range []func(){
-		func() { s.Percentile(50) },
-		func() { sampleOf(1).Percentile(-1) },
-		func() { sampleOf(1).Percentile(101) },
+	for _, tc := range []struct {
+		f    func()
+		want string // in the panic message
+	}{
+		{func() { s.Percentile(50) }, "empty"},
+		{func() { sampleOf(1).Percentile(-1) }, "-1"},
+		{func() { sampleOf(1).Percentile(101) }, "101"},
+		{func() { sampleOf(1).Percentile(math.NaN()) }, "NaN"},
 	} {
 		func() {
 			defer func() {
-				if recover() == nil {
-					t.Errorf("expected panic")
+				if msg, _ := recover().(string); !strings.Contains(msg, tc.want) {
+					t.Errorf("panic %q, want one naming %q", msg, tc.want)
 				}
 			}()
-			f()
+			tc.f()
 		}()
 	}
 }
@@ -220,7 +225,8 @@ func TestPropertyPercentileMonotone(t *testing.T) {
 	}
 }
 
-// Adding observations after a sorted read must still work.
+// Adding observations after a query must still work, and neither the
+// query nor the Add reorders the sample.
 func TestInterleavedAddAndQuery(t *testing.T) {
 	var s Sample
 	s.Add(10)
@@ -228,33 +234,119 @@ func TestInterleavedAddAndQuery(t *testing.T) {
 		t.Fatalf("Percentile after first add")
 	}
 	s.Add(1)
-	if s.Percentile(0) != 1 {
-		t.Fatalf("sample not re-sorted after Add")
+	if s.Percentile(0) != 1 || s.FractionAtMost(1) != 0.5 {
+		t.Fatalf("query after Add missed the new value")
 	}
-	if !sort.Float64sAreSorted(s.xs) {
-		t.Fatalf("internal state unsorted after query")
+	s.Add(5)
+	if sm := s.Summarize(); sm.P50 != 5 || sm.Max != 10 {
+		t.Fatalf("Summarize after Add = %+v", sm)
+	}
+	if !slices.Equal(s.xs, []float64{10, 1, 5}) {
+		t.Fatalf("sample reordered: %v, want insertion order [10 1 5]", s.xs)
 	}
 }
 
-// BenchmarkPercentile times a percentile query on a freshly filled
-// sample, which is dominated by the sort: each iteration restores the
-// same 100 000 unsorted values, outside the timer.
+// TestStatisticsIgnoreQueryOrder requires Mean, StdDev and CI95 to
+// come out bit-identical whichever queries ran before them, in any
+// order, and the sample's values to stay in insertion order: summing
+// in a different order rounds differently.
+func TestStatisticsIgnoreQueryOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	var s, other Sample
+	for i := 0; i < 5000; i++ {
+		s.Add(math.Pow(10, rng.Float64()*8-3)) // wide range: order changes the sum
+		other.Add(rng.ExpFloat64() * 12)
+	}
+	inserted := slices.Clone(s.xs)
+	type moments struct{ mean, sd, lo, hi uint64 }
+	read := func() moments {
+		lo, hi := s.CI95()
+		return moments{math.Float64bits(s.Mean()), math.Float64bits(s.StdDev()), math.Float64bits(lo), math.Float64bits(hi)}
+	}
+	want := read()
+	if sm := s.Summarize(); math.Float64bits(sm.Mean) != want.mean || math.Float64bits(sm.StdDev) != want.sd {
+		t.Fatalf("Summarize mean/sd differ from Mean/StdDev")
+	}
+	queries := []struct {
+		name string
+		f    func()
+	}{
+		{"Percentile", func() { _ = s.Percentile(90) }},
+		{"CDF", func() { _ = s.ResponseCDF() }},
+		{"PDF", func() { _ = s.RotLatencyPDF() }},
+		{"Summarize", func() { _ = s.Summarize() }},
+		{"KolmogorovDistance", func() { _ = KolmogorovDistance(&s, &other) }},
+		{"Merge", func() { _ = Merge(&other, &s); (&Sample{}).Merge(&s) }},
+	}
+	for round := 0; round < 20; round++ {
+		rng.Shuffle(len(queries), func(i, j int) { queries[i], queries[j] = queries[j], queries[i] })
+		for _, q := range queries {
+			q.f()
+			if got := read(); got != want {
+				t.Fatalf("round %d: after %s, mean/sd/CI bits %x, want %x", round, q.name, got, want)
+			}
+		}
+	}
+	if !slices.Equal(s.xs, inserted) {
+		t.Fatalf("queries reordered the sample")
+	}
+	var fresh Sample
+	for _, x := range append(slices.Clone(other.xs), inserted...) {
+		fresh.Add(x)
+	}
+	if m := Merge(&other, &s); math.Float64bits(m.Mean()) != math.Float64bits(fresh.Mean()) {
+		t.Fatalf("merged mean %v, want %v (the inputs' values in order)", m.Mean(), fresh.Mean())
+	}
+}
+
+// benchSink keeps the benchmarks' results alive.
+var benchSink float64
+
+// BenchmarkPercentile times a percentile query on 100 000 values. The
+// query reads the sample without reordering it, so every iteration
+// answers from the same unsorted values.
 func BenchmarkPercentile(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	var s Sample
-	vals := make([]float64, 100000)
-	for i := range vals {
-		vals[i] = rng.Float64() * 1000
-		s.Add(vals[i])
+	for i := 0; i < 100000; i++ {
+		s.Add(rng.Float64() * 1000)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		copy(s.xs, vals)
-		s.sorted = false
-		b.StartTimer()
-		_ = s.Percentile(90)
+		benchSink = s.Percentile(90)
+	}
+}
+
+// BenchmarkSummarize times a summary of 30 000 response-like values:
+// three percentile ranks resolved together, the mean, the standard
+// deviation and the maximum.
+func BenchmarkSummarize(b *testing.B) {
+	rng := rand.New(rand.NewSource(3))
+	var s Sample
+	for i := 0; i < 30000; i++ {
+		s.Add(rng.ExpFloat64() * 12)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink = s.Summarize().P90
+	}
+}
+
+// BenchmarkResponseCDF times the paper's response-time CDF over 30 000
+// response-like values, one counting pass; its one allocation is the
+// result slice.
+func BenchmarkResponseCDF(b *testing.B) {
+	rng := rand.New(rand.NewSource(3))
+	var s Sample
+	for i := 0; i < 30000; i++ {
+		s.Add(rng.ExpFloat64() * 12)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink = s.ResponseCDF()[0]
 	}
 }
 
@@ -300,12 +392,49 @@ func TestSampleMergeMethod(t *testing.T) {
 	}
 }
 
-func TestSampleMergeInvalidatesSortCache(t *testing.T) {
+// A query after Merge sees the merged values, appended in order.
+func TestQueryAfterMerge(t *testing.T) {
 	a := sampleOf(5, 1)
-	_ = a.Percentile(50) // forces a sort
+	_ = a.Percentile(50)
 	a.Merge(sampleOf(0))
-	if a.Percentile(0) != 0 {
-		t.Fatalf("stale sort cache after Merge: min %v", a.Percentile(0))
+	if a.Percentile(0) != 0 || a.FractionAtMost(0) != 1.0/3 {
+		t.Fatalf("query after Merge missed the merged value: min %v", a.Percentile(0))
+	}
+	if !slices.Equal(a.xs, []float64{5, 1, 0}) {
+		t.Fatalf("merged sample %v, want [5 1 0]", a.xs)
+	}
+}
+
+func TestKolmogorovDistance(t *testing.T) {
+	nan := math.NaN()
+	for _, tc := range []struct {
+		a, b []float64
+		want float64
+	}{
+		{nil, nil, 0},
+		{[]float64{1}, nil, 1},
+		{[]float64{1, 2, 3}, []float64{3, 2, 1}, 0},
+		{[]float64{1, 2}, []float64{3, 4}, 1},
+		{[]float64{1, 2, 3, 4}, []float64{3, 4, 5, 6}, 0.5},
+		{[]float64{0}, []float64{math.Copysign(0, -1)}, 0},
+		{[]float64{1, nan}, []float64{2}, nan},
+		{[]float64{2}, []float64{nan, 1}, nan},
+		{nil, []float64{nan}, nan},
+	} {
+		a, b := sampleOf(tc.a...), sampleOf(tc.b...)
+		got := make(chan float64, 1)
+		go func() { got <- KolmogorovDistance(a, b) }()
+		select {
+		case d := <-got:
+			if d != tc.want && !(math.IsNaN(d) && math.IsNaN(tc.want)) {
+				t.Errorf("KolmogorovDistance(%v, %v) = %v, want %v", tc.a, tc.b, d, tc.want)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("KolmogorovDistance(%v, %v) did not return", tc.a, tc.b)
+		}
+		if !sameBits(a.xs, tc.a) || !sameBits(b.xs, tc.b) {
+			t.Errorf("KolmogorovDistance reordered its inputs %v, %v", tc.a, tc.b)
+		}
 	}
 }
 
