@@ -24,10 +24,11 @@
 // only wall-clock time changes.
 //
 // -degraded (raidN only, N >= 3) swaps the stripe set to RAID-5 and
-// injects the degradation study's fault timeline: one member dies at
-// 35% of the nominal duration and is rebuilt from 45%, the rebuild's
-// survivor reads and reconstruction writes crossing the member links
-// behind foreground traffic. Still byte-identical at any worker count.
+// injects experiments.MemberDeathPlan, the degradation study's
+// timeline: the middle member dies mid-run and is rebuilt under load,
+// the rebuild's survivor reads and reconstruction writes crossing the
+// member links behind foreground traffic. Still byte-identical at any
+// worker count.
 // -replay is rejected for raidN: partitioned arrays replay synthesized
 // workloads only.
 //
@@ -240,12 +241,14 @@ func run(wl, replayFile, system string, requests, reorder int, seed int64, rpm f
 		// -degraded swaps the stripe set to RAID-5.
 		level := "RAID-0"
 		var layout raid.Layout
+		var r5 *raid.RAID5
 		if degraded {
 			if n < 3 {
 				return fmt.Errorf("-degraded needs -system raidN with N >= 3, got %d members", n)
 			}
 			level = "RAID-5 degraded"
-			layout, err = raid.NewRAID5(n, memberSectors, experiments.StripeUnitSectors)
+			r5, err = raid.NewRAID5(n, memberSectors, experiments.StripeUnitSectors)
+			layout = r5
 		} else {
 			layout, err = raid.NewRAID0(n, memberSectors, experiments.StripeUnitSectors)
 		}
@@ -263,17 +266,8 @@ func run(wl, replayFile, system string, requests, reorder int, seed int64, rpm f
 			return err
 		}
 		if degraded {
-			// One member dies at 35% of the nominal duration and is
-			// rebuilt from 45%, sweeping its extent in 256 chunks — the
-			// degradation study's timeline on the CLI's array.
-			durationMs := spec.MeanInterArrivalMs * float64(requests)
-			plan, err := fault.Compile(fault.Spec{Death: &fault.Death{
-				AtMs:         0.35 * durationMs,
-				Member:       n / 2,
-				RebuildAtMs:  0.45 * durationMs,
-				ChunkSectors: experiments.RebuildChunkSectors(layout.(raid.MemberSizer).MemberExtent()),
-				Depth:        4,
-			}}, seed)
+			// The degraded-array plan LPRAID runs, on the CLI's array.
+			plan, err := experiments.MemberDeathPlan(r5, spec.MeanInterArrivalMs*float64(requests), seed)
 			if err != nil {
 				return err
 			}

@@ -171,6 +171,7 @@ func evalPoint(q experiments.WhatIfQuery, env thermal.Envelope) (string, error) 
 		return "", err
 	}
 	lo, hi := p.Means.CI95()
+	sm := p.Merged.Summarize()
 
 	pm, err := experiments.SAPowerModel(q.Actuators, q.RPM)
 	if err != nil {
@@ -183,6 +184,6 @@ func evalPoint(q experiments.WhatIfQuery, env thermal.Envelope) (string, error) 
 	}
 	return fmt.Sprintf("%d,%d,%d,%.2f,%.2f,%.2f,%.2f,%.2f,%.2f,%.2f,%.1f,%v,%.1f,%.1f\n",
 		q.Actuators, int(q.RPM), q.Reps,
-		p.MeanMs, lo, hi, p.Merged.Percentile(90), p.Merged.Percentile(99),
+		p.MeanMs, lo, hi, sm.P90, sm.P99,
 		p.TotalW, pm.PeakPower(), temp, ok, c.Low, c.High), nil
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/bus"
 	"repro/internal/core"
 	"repro/internal/defect"
 	"repro/internal/device"
@@ -15,7 +14,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/raid"
 	"repro/internal/simkit"
-	"repro/internal/simkit/par"
 	"repro/internal/smart"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -62,9 +60,23 @@ func RebuildChunkSectors(extent int64) int64 {
 	return (extent + chunks - 1) / chunks
 }
 
-// DefaultDegradationDepths returns the rebuild queue depths the study
-// sweeps: serialized, moderately and deeply overlapped chunk pipelines.
-func DefaultDegradationDepths() []int { return []int{1, 4, 16} }
+// degradationDepths are the rebuild queue depths the study sweeps:
+// serialized, moderately and deeply overlapped chunk pipelines.
+var degradationDepths = [...]int{1, 4, 16}
+
+// memberDeath is the member-death timeline of every degraded scenario:
+// the member dies at degradationDeathFrac of the nominal duration and
+// is rebuilt from degradationRebuildFrac, its extent swept in
+// RebuildChunkSectors chunks at the given pipeline depth.
+func memberDeath(durationMs float64, member int, extent int64, depth int) *fault.Death {
+	return &fault.Death{
+		AtMs:         degradationDeathFrac * durationMs,
+		Member:       member,
+		RebuildAtMs:  degradationRebuildFrac * durationMs,
+		ChunkSectors: RebuildChunkSectors(extent),
+		Depth:        depth,
+	}
+}
 
 // DegradationRun is one scenario's measurement: the usual run sample
 // plus the degradation-specific quantities (surviving actuators, grown
@@ -155,21 +167,12 @@ func degradationRun(label string, dev device.Device, resp *stats.Sample,
 //     the worst surviving DASH configuration.
 //   - rebuild(d=N): a RAID-5 of four HC-SD drives serving the same
 //     stream; one member accumulates latent sector errors, another dies
-//     and is rebuilt under foreground load at chunk depth N.
-//   - rebuild-lp(d=N): the same fault scenario on the partitioned
-//     topology — controller and members on separate logical processes,
-//     rebuild traffic crossing the member links. Each runs one worker:
-//     the fleet already owns the cores.
+//     and is rebuilt under foreground load at chunk depth N, for each
+//     of degradationDepths.
 //
 // Every scenario derives all randomness from cfg.Seed, so the study is
 // byte-identical at any Parallelism.
 func DegradationStudy(spec trace.WorkloadSpec, cfg Config) (*DegradationResult, error) {
-	return RunDegradationStudy(spec, cfg, DefaultDegradationDepths())
-}
-
-// RunDegradationStudy is DegradationStudy with an explicit rebuild
-// depth sweep.
-func RunDegradationStudy(spec trace.WorkloadSpec, cfg Config, depths []int) (*DegradationResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -186,17 +189,27 @@ func RunDegradationStudy(spec trace.WorkloadSpec, cfg Config, depths []int) (*De
 	// unit.
 	per := (total + int64(degradationMembers-1) - 1) / int64(degradationMembers-1)
 	per = (per + StripeUnitSectors - 1) / StripeUnitSectors * StripeUnitSectors
-	chunk := RebuildChunkSectors(per)
 
-	jobs := []fleet.Job[DegradationRun]{
-		{Name: spec.Name + "/degradation/healthy", Run: func(context.Context, int64) (DegradationRun, error) {
+	// dash is one DASH scenario: the SA(4) drive serving the workload's
+	// HC-SD stream. arm binds the scenario's faults to the drive before
+	// the replay and returns their injector; nil arm runs fault-free.
+	dash := func(label string,
+		arm func(eng *simkit.Engine, d *core.ParallelDrive, sink *obs.MemorySink) (*fault.Injector, error),
+	) fleet.Job[DegradationRun] {
+		return fleet.Job[DegradationRun]{Name: spec.Name + "/degradation/" + label, Run: func(context.Context, int64) (DegradationRun, error) {
 			eng := simkit.New()
 			sink := cfg.Observe.sink()
 			d, err := core.New(eng, disk.BarracudaES(), core.Config{
-				Actuators: degradationArms, Obs: sinkOptions(sink, "healthy"),
+				Actuators: degradationArms, Obs: sinkOptions(sink, label),
 			})
 			if err != nil {
 				return DegradationRun{}, err
+			}
+			var inj *fault.Injector
+			if arm != nil {
+				if inj, err = arm(eng, d, sink); err != nil {
+					return DegradationRun{}, err
+				}
 			}
 			s, err := hcsdStream(spec, cfg)
 			if err != nil {
@@ -206,19 +219,15 @@ func RunDegradationStudy(spec trace.WorkloadSpec, cfg Config, depths []int) (*De
 			if err != nil {
 				return DegradationRun{}, err
 			}
-			r := degradationRun("healthy", d, resp, eng, sink, nil, cfg.Observe)
+			r := degradationRun(label, d, resp, eng, sink, inj, cfg.Observe)
 			r.HealthyArms, r.TotalArms = d.HealthyArms(), degradationArms
 			return r, nil
-		}},
-		{Name: spec.Name + "/degradation/smart", Run: func(context.Context, int64) (DegradationRun, error) {
-			eng := simkit.New()
-			sink := cfg.Observe.sink()
-			d, err := core.New(eng, disk.BarracudaES(), core.Config{
-				Actuators: degradationArms, Obs: sinkOptions(sink, "smart-deconfig"),
-			})
-			if err != nil {
-				return DegradationRun{}, err
-			}
+		}}
+	}
+
+	jobs := []fleet.Job[DegradationRun]{
+		dash("healthy", nil),
+		dash("smart-deconfig", func(eng *simkit.Engine, d *core.ParallelDrive, sink *obs.MemorySink) (*fault.Injector, error) {
 			monitors := make([]*smart.Monitor, degradationArms)
 			for i := range monitors {
 				monitors[i] = smart.NewMonitor(cfg.Seed+int64(100+i), nil)
@@ -230,12 +239,12 @@ func RunDegradationStudy(spec trace.WorkloadSpec, cfg Config, depths []int) (*De
 				Rate:      degradationDriftRate,
 			}}}, cfg.Seed)
 			if err != nil {
-				return DegradationRun{}, err
+				return nil, err
 			}
 			inj, err := fault.NewInjector(eng, plan, fault.Targets{Monitors: monitors},
 				sinkOptions(sink, "smart-deconfig/fault"))
 			if err != nil {
-				return DegradationRun{}, err
+				return nil, err
 			}
 			inj.Schedule()
 			sentry, err := smart.NewSentry(eng, monitors, durationMs/degradationSentryPolls,
@@ -245,57 +254,29 @@ func RunDegradationStudy(spec trace.WorkloadSpec, cfg Config, depths []int) (*De
 					}
 				})
 			if err != nil {
-				return DegradationRun{}, err
+				return nil, err
 			}
 			sentry.Start(durationMs)
-			s, err := hcsdStream(spec, cfg)
-			if err != nil {
-				return DegradationRun{}, err
-			}
-			resp, err := ReplayStream(eng, d, s)
-			if err != nil {
-				return DegradationRun{}, err
-			}
-			r := degradationRun("smart-deconfig", d, resp, eng, sink, inj, cfg.Observe)
-			r.HealthyArms, r.TotalArms = d.HealthyArms(), degradationArms
-			return r, nil
-		}},
-		{Name: spec.Name + "/degradation/arm-fault-x2", Run: func(context.Context, int64) (DegradationRun, error) {
-			eng := simkit.New()
-			sink := cfg.Observe.sink()
-			d, err := core.New(eng, disk.BarracudaES(), core.Config{
-				Actuators: degradationArms, Obs: sinkOptions(sink, "arm-fault-x2"),
-			})
-			if err != nil {
-				return DegradationRun{}, err
-			}
+			return inj, nil
+		}),
+		dash("arm-fault-x2", func(eng *simkit.Engine, d *core.ParallelDrive, sink *obs.MemorySink) (*fault.Injector, error) {
 			plan, err := fault.Compile(fault.Spec{ArmFaults: []fault.ArmFault{
 				{AtMs: degradationArmFrac1 * durationMs, Arm: 1},
 				{AtMs: degradationArmFrac2 * durationMs, Arm: 3},
 			}}, cfg.Seed)
 			if err != nil {
-				return DegradationRun{}, err
+				return nil, err
 			}
 			inj, err := fault.NewInjector(eng, plan, fault.Targets{Arms: d},
 				sinkOptions(sink, "arm-fault-x2/fault"))
 			if err != nil {
-				return DegradationRun{}, err
+				return nil, err
 			}
 			inj.Schedule()
-			s, err := hcsdStream(spec, cfg)
-			if err != nil {
-				return DegradationRun{}, err
-			}
-			resp, err := ReplayStream(eng, d, s)
-			if err != nil {
-				return DegradationRun{}, err
-			}
-			r := degradationRun("arm-fault-x2", d, resp, eng, sink, inj, cfg.Observe)
-			r.HealthyArms, r.TotalArms = d.HealthyArms(), degradationArms
-			return r, nil
-		}},
+			return inj, nil
+		}),
 	}
-	for _, depth := range depths {
+	for _, depth := range degradationDepths {
 		depth := depth
 		label := fmt.Sprintf("rebuild(d=%d)", depth)
 		jobs = append(jobs, fleet.Job[DegradationRun]{
@@ -327,21 +308,14 @@ func RunDegradationStudy(spec trace.WorkloadSpec, cfg Config, depths []int) (*De
 				if err != nil {
 					return DegradationRun{}, err
 				}
-				deathMs := degradationDeathFrac * durationMs
 				plan, err := fault.Compile(fault.Spec{
 					SectorErrors: fault.SectorErrors{
 						Count:       degradationSectorErrors,
 						StartMs:     degradationErrorStartFrac * durationMs,
-						EndMs:       deathMs,
+						EndMs:       degradationDeathFrac * durationMs,
 						UserSectors: per,
 					},
-					Death: &fault.Death{
-						AtMs:         deathMs,
-						Member:       degradationDeadMember,
-						RebuildAtMs:  degradationRebuildFrac * durationMs,
-						ChunkSectors: chunk,
-						Depth:        depth,
-					},
+					Death: memberDeath(durationMs, degradationDeadMember, per, depth),
 				}, cfg.Seed)
 				if err != nil {
 					return DegradationRun{}, err
@@ -361,85 +335,6 @@ func RunDegradationStudy(spec trace.WorkloadSpec, cfg Config, depths []int) (*De
 					return DegradationRun{}, err
 				}
 				r := degradationRun(label, arr, resp, eng, sink, inj, cfg.Observe)
-				r.RebuildDepth = depth
-				r.Reallocated = dt.Reallocated()
-				return r, nil
-			},
-		})
-	}
-	// The same rebuild scenarios on the genuinely partitioned topology:
-	// controller and members on separate LPs, sector errors applied on
-	// the defect-table member's own LP, death and rebuild injected on
-	// the controller's. One worker per job: the fleet already spreads
-	// the study's jobs across the cores.
-	for _, depth := range depths {
-		depth := depth
-		label := fmt.Sprintf("rebuild-lp(d=%d)", depth)
-		jobs = append(jobs, fleet.Job[DegradationRun]{
-			Name: fmt.Sprintf("%s/degradation/%s", spec.Name, label),
-			Run: func(context.Context, int64) (DegradationRun, error) {
-				pe := par.New(degradationMembers+1, par.Options{Workers: 1})
-				sink := cfg.Observe.sink()
-				dt, err := defect.NewTable(per+degradationSpareSectors, degradationSpareSectors)
-				if err != nil {
-					return DegradationRun{}, err
-				}
-				layout, err := raid.NewRAID5(degradationMembers, per, StripeUnitSectors)
-				if err != nil {
-					return DegradationRun{}, err
-				}
-				model := disk.BarracudaES()
-				arr, err := raid.NewPartitioned(pe, layout, bus.DefaultLink(), int64(model.Geom.SectorBytes),
-					func(s simkit.Scheduler, i int) (device.Device, error) {
-						opts := disk.Options{Obs: lpSinkOptions(pe.LP(1+i), sink, fmt.Sprintf("%s/m%d", label, i))}
-						if i == degradationDefectMember {
-							opts.Defects = dt
-						}
-						return disk.New(s, model, opts)
-					})
-				if err != nil {
-					return DegradationRun{}, err
-				}
-				deathMs := degradationDeathFrac * durationMs
-				plan, err := fault.Compile(fault.Spec{
-					SectorErrors: fault.SectorErrors{
-						Count:       degradationSectorErrors,
-						StartMs:     degradationErrorStartFrac * durationMs,
-						EndMs:       deathMs,
-						UserSectors: per,
-					},
-					Death: &fault.Death{
-						AtMs:         deathMs,
-						Member:       degradationDeadMember,
-						RebuildAtMs:  degradationRebuildFrac * durationMs,
-						ChunkSectors: chunk,
-						Depth:        depth,
-					},
-				}, cfg.Seed)
-				if err != nil {
-					return DegradationRun{}, err
-				}
-				defectLP := pe.LP(1 + degradationDefectMember)
-				inj, err := fault.NewInjector(pe.LP(0), plan, fault.Targets{
-					Defects:     dt,
-					DefectsOn:   defectLP,
-					DefectsSink: lpWrap(defectLP, sink),
-					Array:       arr,
-				}, lpSinkOptions(pe.LP(0), sink, label+"/fault"))
-				if err != nil {
-					return DegradationRun{}, err
-				}
-				inj.Schedule()
-				s, err := hcsdStream(spec, cfg)
-				if err != nil {
-					return DegradationRun{}, err
-				}
-				runner := pe.Runner(0)
-				resp, err := ReplayStream(runner, arr, s)
-				if err != nil {
-					return DegradationRun{}, err
-				}
-				r := degradationRun(label, arr, resp, runner, sink, inj, cfg.Observe)
 				r.RebuildDepth = depth
 				r.Reallocated = dt.Reallocated()
 				return r, nil

@@ -59,8 +59,8 @@ func TestDegradationScenariosTakeEffect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(dr.Runs) != 3+2*len(DefaultDegradationDepths()) {
-		t.Fatalf("got %d runs, want %d", len(dr.Runs), 3+2*len(DefaultDegradationDepths()))
+	if len(dr.Runs) != 3+len(degradationDepths) {
+		t.Fatalf("got %d runs, want %d", len(dr.Runs), 3+len(degradationDepths))
 	}
 	healthy, smart, armed := dr.Runs[0], dr.Runs[1], dr.Runs[2]
 	if healthy.HealthyArms != degradationArms {
@@ -103,11 +103,11 @@ func TestRebuildUnderLoadDeterministic(t *testing.T) {
 	run := func(parallelism int) DegradationRun {
 		cfg := Config{Requests: 1200, Seed: 23, Parallelism: parallelism,
 			Observe: Observe{Metrics: true}}
-		dr, err := RunDegradationStudy(trace.Websearch(), cfg, []int{8})
+		dr, err := DegradationStudy(trace.Websearch(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return dr.Runs[len(dr.Runs)-1]
+		return dr.Runs[len(dr.Runs)-1] // rebuild(d=16)
 	}
 	a, b := run(1), run(8)
 	if a.CopiedSectors != b.CopiedSectors || a.CopiedSectors == 0 {

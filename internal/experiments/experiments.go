@@ -92,22 +92,19 @@ func sinkOptions(sink *obs.MemorySink, name string) obs.Options {
 	return o
 }
 
-// lpWrap wraps the shared memory sink in one LP's span buffer (see
-// par.LP.WrapSink): emitters on that LP append to LP-private storage
-// and the engine flushes at each window barrier in LP order, so a
-// genuinely multi-LP run neither races on the sink nor reorders events
-// across worker counts. Nil stays nil (tracing off).
-func lpWrap(lp *par.LP, sink *obs.MemorySink) obs.Sink {
-	if sink == nil {
-		return nil
-	}
-	return lp.WrapSink(sink)
-}
-
 // lpSinkOptions is sinkOptions for a component living on one LP of a
-// partitioned engine.
+// partitioned engine: the shared memory sink is wrapped in that LP's
+// span buffer (see par.LP.WrapSink), so emitters on the LP append to
+// LP-private storage and the engine flushes at each window barrier in
+// LP order. A genuinely multi-LP run then neither races on the sink nor
+// reorders events across worker counts. A nil sink stays nil (tracing
+// off).
 func lpSinkOptions(lp *par.LP, sink *obs.MemorySink, name string) obs.Options {
-	return obs.Options{Name: name, Sink: lpWrap(lp, sink)}
+	o := obs.Options{Name: name}
+	if sink != nil {
+		o.Sink = lp.WrapSink(sink)
+	}
+	return o
 }
 
 // DefaultConfig returns the standard experiment scale.

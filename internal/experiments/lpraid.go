@@ -26,12 +26,6 @@ type LPRAIDOpts struct {
 	// which caps at 16 drives on one event loop, this scenario exists to
 	// exercise arrays too wide for a single timeline.
 	Drives int
-	// Actuators per member drive (default 2).
-	Actuators int
-	// Intensity is the per-drive load level (default Light). The array's
-	// arrival rate is this intensity's rate times Drives, so per-member
-	// load stays constant as the array widens.
-	Intensity workload.Intensity
 	// Workers is the partitioned engine's worker-goroutine count,
 	// passed straight to par.Options.Workers: zero means all cores.
 	// Results are byte-identical at every setting.
@@ -40,24 +34,32 @@ type LPRAIDOpts struct {
 	// partitioned engine: the layout becomes RAID-5 (the array needs
 	// redundancy to survive), one member dies mid-run, and a rebuild
 	// sweeps its extent back over the member links under the same
-	// foreground load. Requires Drives >= 3.
+	// foreground load (MemberDeathPlan). Requires Drives >= 3.
 	Degraded bool
-	// RebuildDepth is the degraded scenario's chunk pipeline depth
-	// (default 4; ignored when Degraded is false).
-	RebuildDepth int
 }
 
-func (o LPRAIDOpts) withDefaults() LPRAIDOpts {
-	if o.Drives == 0 {
-		o.Drives = 64
-	}
-	if o.Actuators == 0 {
-		o.Actuators = 2
-	}
-	if o.RebuildDepth == 0 {
-		o.RebuildDepth = 4
-	}
-	return o
+// The scale scenario's fixed member drive and load: 2-actuator drives
+// under the light per-drive intensity. The array's arrival rate is that
+// intensity's rate times Drives, so per-member load stays constant as
+// the array widens.
+const (
+	lpraidActuators = 2
+	lpraidIntensity = workload.Light
+)
+
+// arrayRebuildDepth is the chunk pipeline depth of a degraded array's
+// rebuild (MemberDeathPlan).
+const arrayRebuildDepth = 4
+
+// MemberDeathPlan compiles the fault plan of a degraded RAID-5 array
+// (LPRAID's degraded run and idpsim -degraded): the middle member dies
+// and is rebuilt under load on the degradation study's timeline, at
+// chunk depth 4. durationMs is the workload's nominal duration (mean
+// inter-arrival × request count).
+func MemberDeathPlan(layout *raid.RAID5, durationMs float64, seed int64) (fault.Plan, error) {
+	return fault.Compile(fault.Spec{
+		Death: memberDeath(durationMs, layout.Members()/2, layout.MemberExtent(), arrayRebuildDepth),
+	}, seed)
 }
 
 // LPRAIDResult is one partitioned-array run.
@@ -109,7 +111,9 @@ func lpraid(cfg Config, opts LPRAIDOpts) (*LPRAIDResult, *par.Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
 	}
-	opts = opts.withDefaults()
+	if opts.Drives == 0 {
+		opts.Drives = 64
+	}
 	if opts.Drives < 1 {
 		return nil, nil, fmt.Errorf("experiments: LPRAID drives %d", opts.Drives)
 	}
@@ -124,11 +128,13 @@ func lpraid(cfg Config, opts LPRAIDOpts) (*LPRAIDResult, *par.Engine, error) {
 	// scenario needs a layout that can reconstruct, so it runs RAID-5
 	// over the same member set.
 	var layout raid.Layout
+	var r5 *raid.RAID5
 	if opts.Degraded {
 		if opts.Drives < 3 {
 			return nil, nil, fmt.Errorf("experiments: LPRAID degraded needs >= 3 drives, got %d", opts.Drives)
 		}
-		layout, err = raid.NewRAID5(opts.Drives, memberSectors, StripeUnitSectors)
+		r5, err = raid.NewRAID5(opts.Drives, memberSectors, StripeUnitSectors)
+		layout = r5
 	} else {
 		layout, err = raid.NewRAID0(opts.Drives, memberSectors, StripeUnitSectors)
 	}
@@ -140,7 +146,7 @@ func lpraid(cfg Config, opts LPRAIDOpts) (*LPRAIDResult, *par.Engine, error) {
 	arr, err := raid.NewPartitioned(pe, layout, bus.DefaultLink(), int64(model.Geom.SectorBytes),
 		func(s simkit.Scheduler, i int) (device.Device, error) {
 			return core.New(s, model, core.Config{
-				Actuators: opts.Actuators,
+				Actuators: lpraidActuators,
 				Obs:       lpSinkOptions(pe.LP(1+i), sink, fmt.Sprintf("lpraid/m%d", i)),
 			})
 		})
@@ -150,7 +156,7 @@ func lpraid(cfg Config, opts LPRAIDOpts) (*LPRAIDResult, *par.Engine, error) {
 
 	// Offered load scales with the array: Drives times the intensity's
 	// per-drive rate, addressed across the whole array capacity.
-	spec := workload.Paper(opts.Intensity, layout.Capacity()).WithRequests(cfg.Requests)
+	spec := workload.Paper(lpraidIntensity, layout.Capacity()).WithRequests(cfg.Requests)
 	spec.MeanInterArrivalMs /= float64(opts.Drives)
 	g, err := workload.NewGenerator(spec, cfg.Seed)
 	if err != nil {
@@ -159,18 +165,10 @@ func lpraid(cfg Config, opts LPRAIDOpts) (*LPRAIDResult, *par.Engine, error) {
 
 	var inj *fault.Injector
 	if opts.Degraded {
-		// One member dies mid-run and is rebuilt under load, on the
-		// degradation study's timeline fractions. The injector lives on
-		// the controller LP — the only place fail/rebuild calls are
-		// legal on a partitioned array.
+		// The injector lives on the controller LP — the only place
+		// fail/rebuild calls are legal on a partitioned array.
 		durationMs := spec.MeanInterArrivalMs * float64(cfg.Requests)
-		plan, err := fault.Compile(fault.Spec{Death: &fault.Death{
-			AtMs:         degradationDeathFrac * durationMs,
-			Member:       opts.Drives / 2,
-			RebuildAtMs:  degradationRebuildFrac * durationMs,
-			ChunkSectors: RebuildChunkSectors(layout.(raid.MemberSizer).MemberExtent()),
-			Depth:        opts.RebuildDepth,
-		}}, cfg.Seed)
+		plan, err := MemberDeathPlan(r5, durationMs, cfg.Seed)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -190,8 +188,8 @@ func lpraid(cfg Config, opts LPRAIDOpts) (*LPRAIDResult, *par.Engine, error) {
 	elapsed := runner.Now()
 	res := &LPRAIDResult{
 		Drives:    opts.Drives,
-		Actuators: opts.Actuators,
-		Intensity: opts.Intensity,
+		Actuators: lpraidActuators,
+		Intensity: lpraidIntensity,
 		Windows:   pe.Windows(),
 		BusyLPs:   pe.BusyLPs(),
 		Resp:      resp,

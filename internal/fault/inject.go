@@ -25,20 +25,11 @@ type Rebuilder interface {
 // Targets binds each fault class to the simulated component it acts on.
 // A target may be nil when the plan carries no events of its class.
 type Targets struct {
-	// Defects receives sector errors as Grow calls.
+	// Defects receives sector errors as Grow calls. The table must
+	// belong to a drive scheduled on the injector's own engine: a
+	// sector error is applied there, so it must never reach into a
+	// member LP of a partitioned engine.
 	Defects *defect.Table
-	// DefectsOn, when set, is the scheduler (logical process) that owns
-	// the defect table: sector-error events are armed and applied there
-	// instead of on the injector's engine. Required whenever the table's
-	// drive lives on a member LP of a partitioned engine — a sector
-	// error applied from the controller's LP would mutate member state
-	// across the LP boundary and race under parallel windows.
-	DefectsOn simkit.Scheduler
-	// DefectsSink receives the sector-error spans when DefectsOn is set.
-	// Pass the owning LP's wrapped sink (par.LP.WrapSink) so emission
-	// stays race-free and worker-count-invariant; nil disables tracing
-	// of those events.
-	DefectsSink obs.Sink
 	// Monitors receive drift onsets, indexed by Event.Component.
 	Monitors []*smart.Monitor
 	// Arms receives arm failures.
@@ -73,16 +64,6 @@ type Injector struct {
 	cReactions    *obs.Counter
 	cRefused      *obs.Counter
 	gRebuildDone  *obs.Gauge
-
-	// Sector-error state when Targets.DefectsOn routes those events to
-	// the defect table's own LP: written only by that LP's events, kept
-	// apart from the registry counters (which other kinds mutate on the
-	// injector's LP) so every field stays single-writer under parallel
-	// windows. Injected, Refused, and Snapshot merge the two after the
-	// run, when the engine is quiescent.
-	demEm          *obs.Emitter
-	sectorInjected uint64
-	sectorRefused  uint64
 
 	copied        int64
 	rebuildDoneMs float64
@@ -151,9 +132,6 @@ func NewInjector(eng simkit.Scheduler, plan Plan, targets Targets, ob obs.Option
 	inj.cReactions = inj.reg.Counter("reactions")
 	inj.cRefused = inj.reg.Counter("refused")
 	inj.gRebuildDone = inj.reg.Gauge("rebuild_done_ms")
-	if targets.DefectsOn != nil {
-		inj.demEm = obs.NewEmitter(targets.DefectsOn, targets.DefectsSink, name+"/defects")
-	}
 	return inj, nil
 }
 
@@ -163,24 +141,8 @@ func NewInjector(eng simkit.Scheduler, plan Plan, targets Targets, ob obs.Option
 func (inj *Injector) Schedule() {
 	for _, ev := range inj.plan.Events {
 		ev := ev
-		if ev.Kind == KindSectorError && inj.targets.DefectsOn != nil {
-			inj.targets.DefectsOn.At(ev.AtMs, func() { inj.applySectorOnDefectsLP(ev) })
-			continue
-		}
 		inj.eng.At(ev.AtMs, func() { inj.apply(ev) })
 	}
-}
-
-// applySectorOnDefectsLP grows the defect table from an event on its
-// owning LP. It touches only the dedicated sector fields — never the
-// registry counters, which belong to the injector's own LP.
-func (inj *Injector) applySectorOnDefectsLP(ev Event) {
-	if err := inj.targets.Defects.Grow(ev.LBA); err != nil {
-		inj.sectorRefused++
-		return
-	}
-	inj.sectorInjected++
-	inj.demEm.Fault(obs.PhaseFault, -1, ev.LBA, 1)
 }
 
 // apply performs one fault event against its target. A target that
@@ -246,16 +208,13 @@ func (inj *Injector) React(component int) {
 }
 
 // Injected reports how many plan events were applied successfully.
-// Call it only when the engine is quiescent: it merges counts owned by
-// the defects LP with the injector's own.
 func (inj *Injector) Injected() uint64 {
-	return inj.cSectorErrors.Value() + inj.sectorInjected + inj.cDriftOnsets.Value() +
+	return inj.cSectorErrors.Value() + inj.cDriftOnsets.Value() +
 		inj.cArmFailures.Value() + inj.cDeaths.Value() + inj.cRebuilds.Value()
 }
 
-// Refused reports how many plan events the target rejected (quiescent
-// engine only, like Injected).
-func (inj *Injector) Refused() uint64 { return inj.cRefused.Value() + inj.sectorRefused }
+// Refused reports how many plan events the target rejected.
+func (inj *Injector) Refused() uint64 { return inj.cRefused.Value() }
 
 // CopiedSectors reports the total sectors restored by completed
 // rebuilds.
@@ -270,10 +229,6 @@ func (inj *Injector) RebuildDoneMs() float64 { return inj.rebuildDoneMs }
 func (inj *Injector) Snapshot() obs.Snapshot {
 	s := obs.Snapshot{Device: inj.name, Kind: "fault-injector"}
 	inj.reg.Fill(&s)
-	if inj.targets.DefectsOn != nil {
-		s.Counters["sector_errors"] += inj.sectorInjected
-		s.Counters["refused"] += inj.sectorRefused
-	}
 	if inj.targets.Defects != nil {
 		s.Children = append(s.Children, inj.targets.Defects.Snapshot())
 	}

@@ -174,18 +174,19 @@ func buildResult(q Query, key, codeVersion string, runs []*experiments.WhatIfRun
 		return nil, err
 	}
 	lo, hi := p.Means.CI95()
+	sm := p.Merged.Summarize()
 	res := &Result{
 		Query:       q.Normalize(),
 		Key:         key,
 		CodeVersion: codeVersion,
 		Reps:        len(runs),
 		Summary: Summary{
-			Count:  p.Merged.Count(),
+			Count:  sm.Count,
 			MeanMs: p.MeanMs,
-			P50Ms:  p.Merged.Percentile(50),
-			P90Ms:  p.Merged.Percentile(90),
-			P99Ms:  p.Merged.Percentile(99),
-			MaxMs:  p.Merged.Max(),
+			P50Ms:  sm.P50,
+			P90Ms:  sm.P90,
+			P99Ms:  sm.P99,
+			MaxMs:  sm.Max,
 		},
 		CI95MeanMs: [2]float64{lo, hi},
 		CDF: CDF{

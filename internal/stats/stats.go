@@ -95,17 +95,21 @@ func (s *Sample) Max() float64 {
 
 // StdDev reports the population standard deviation.
 func (s *Sample) StdDev() float64 {
-	n := len(s.xs)
-	if n == 0 {
+	if len(s.xs) == 0 {
 		return 0
 	}
-	mu := s.Mean()
+	return s.stddev(s.Mean())
+}
+
+// stddev is StdDev about the sample's mean mu, which the caller has
+// already computed (nonempty sample only).
+func (s *Sample) stddev(mu float64) float64 {
 	var ss float64
 	for _, x := range s.xs {
 		d := x - mu
 		ss += d * d
 	}
-	return math.Sqrt(ss / float64(n))
+	return math.Sqrt(ss / float64(len(s.xs)))
 }
 
 // CI95 reports the normal-approximation 95% confidence interval of the
@@ -117,7 +121,7 @@ func (s *Sample) CI95() (lo, hi float64) {
 		return 0, 0
 	}
 	mu := s.Mean()
-	half := 1.96 * s.StdDev() / math.Sqrt(float64(n))
+	half := 1.96 * s.stddev(mu) / math.Sqrt(float64(n))
 	return mu - half, mu + half
 }
 
@@ -451,14 +455,15 @@ func (s *Sample) Summarize() Summary {
 	n := len(s.xs)
 	var p [3]float64
 	selectRanks(s.xs, []int{nearestRank(50, n), nearestRank(90, n), nearestRank(99, n)}, p[:])
+	mu := s.Mean()
 	return Summary{
 		Count:  n,
-		Mean:   s.Mean(),
+		Mean:   mu,
 		P50:    p[0],
 		P90:    p[1],
 		P99:    p[2],
 		Max:    s.Max(),
-		StdDev: s.StdDev(),
+		StdDev: s.stddev(mu),
 	}
 }
 

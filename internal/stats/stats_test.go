@@ -225,21 +225,40 @@ func TestPropertyPercentileMonotone(t *testing.T) {
 	}
 }
 
+// moments reads every mean-derived statistic of s as bits: Mean,
+// StdDev, CI95 and Summarize's Mean and StdDev.
+func moments(s *Sample) [6]uint64 {
+	lo, hi := s.CI95()
+	sm := s.Summarize()
+	var m [6]uint64
+	for i, x := range []float64{s.Mean(), s.StdDev(), lo, hi, sm.Mean, sm.StdDev} {
+		m[i] = math.Float64bits(x)
+	}
+	return m
+}
+
 // Adding observations after a query must still work, and neither the
-// query nor the Add reorders the sample.
+// query nor the Add reorders the sample. The moments after each Add
+// match a fresh sample's: no query result outlives the values it read.
 func TestInterleavedAddAndQuery(t *testing.T) {
 	var s Sample
 	s.Add(10)
-	if s.Percentile(50) != 10 {
-		t.Fatalf("Percentile after first add")
+	if s.Percentile(50) != 10 || moments(&s) != moments(sampleOf(10)) {
+		t.Fatalf("queries after first add")
 	}
 	s.Add(1)
 	if s.Percentile(0) != 1 || s.FractionAtMost(1) != 0.5 {
 		t.Fatalf("query after Add missed the new value")
 	}
+	if moments(&s) != moments(sampleOf(10, 1)) {
+		t.Fatalf("moments after Add missed the new value")
+	}
 	s.Add(5)
 	if sm := s.Summarize(); sm.P50 != 5 || sm.Max != 10 {
 		t.Fatalf("Summarize after Add = %+v", sm)
+	}
+	if moments(&s) != moments(sampleOf(10, 1, 5)) {
+		t.Fatalf("moments after second Add missed the new value")
 	}
 	if !slices.Equal(s.xs, []float64{10, 1, 5}) {
 		t.Fatalf("sample reordered: %v, want insertion order [10 1 5]", s.xs)
@@ -396,9 +415,13 @@ func TestSampleMergeMethod(t *testing.T) {
 func TestQueryAfterMerge(t *testing.T) {
 	a := sampleOf(5, 1)
 	_ = a.Percentile(50)
+	_ = moments(a)
 	a.Merge(sampleOf(0))
 	if a.Percentile(0) != 0 || a.FractionAtMost(0) != 1.0/3 {
 		t.Fatalf("query after Merge missed the merged value: min %v", a.Percentile(0))
+	}
+	if moments(a) != moments(sampleOf(5, 1, 0)) {
+		t.Fatalf("moments after Merge missed the merged value")
 	}
 	if !slices.Equal(a.xs, []float64{5, 1, 0}) {
 		t.Fatalf("merged sample %v, want [5 1 0]", a.xs)
