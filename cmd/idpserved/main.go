@@ -26,20 +26,18 @@ import (
 
 func main() {
 	var (
-		addr      = flag.String("addr", ":8080", "listen address")
-		workers   = flag.Int("workers", 0, "compute pool size (0 = GOMAXPROCS)")
-		queue     = flag.Int("queue", 0, "admission queue depth (0 = 4x workers)")
-		cacheN    = flag.Int("cache", 0, "result cache entries (0 = 4096)")
-		maxWaitMs = flag.Int("max-wait-ms", 0, "shed when estimated queue wait exceeds this (0 = off)")
-		version   = flag.String("code-version", "", "override detected code version in cache keys")
-		drainFor  = flag.Duration("drain-timeout", 30*time.Second, "max time to drain on shutdown")
+		addr     = flag.String("addr", ":8080", "listen address")
+		workers  = flag.Int("workers", 0, "compute pool size (0 = GOMAXPROCS)")
+		queue    = flag.Int("queue", 0, "admission queue depth (0 = 4x workers)")
+		cacheN   = flag.Int("cache", 0, "result cache entries (0 = 4096)")
+		version  = flag.String("code-version", "", "override detected code version in cache keys")
+		drainFor = flag.Duration("drain-timeout", 30*time.Second, "max time to drain on shutdown")
 	)
 	flag.Parse()
 	if err := run(*addr, serve.Config{
 		Workers:      *workers,
 		QueueDepth:   *queue,
 		CacheEntries: *cacheN,
-		MaxEstWaitMs: *maxWaitMs,
 		CodeVersion:  *version,
 	}, *drainFor); err != nil {
 		fmt.Fprintln(os.Stderr, "idpserved:", err)

@@ -184,6 +184,6 @@ func evalPoint(q experiments.WhatIfQuery, env thermal.Envelope) (string, error) 
 	}
 	return fmt.Sprintf("%d,%d,%d,%.2f,%.2f,%.2f,%.2f,%.2f,%.2f,%.2f,%.1f,%v,%.1f,%.1f\n",
 		q.Actuators, int(q.RPM), q.Reps,
-		p.MeanMs, lo, hi, sm.P90, sm.P99,
+		p.Merged.Mean(), lo, hi, sm.P90, sm.P99,
 		p.TotalW, pm.PeakPower(), temp, ok, c.Low, c.High), nil
 }

@@ -173,10 +173,7 @@ func degradationRun(label string, dev device.Device, resp *stats.Sample,
 // Every scenario derives all randomness from cfg.Seed, so the study is
 // byte-identical at any Parallelism.
 func DegradationStudy(spec trace.WorkloadSpec, cfg Config) (*DegradationResult, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if err := spec.WithRequests(cfg.Requests).Validate(); err != nil {
+	if err := validateStudy(spec, cfg); err != nil {
 		return nil, err
 	}
 	durationMs := spec.MeanInterArrivalMs * float64(cfg.Requests)

@@ -349,50 +349,62 @@ type LimitStudyResult struct {
 	HCSD     Run
 }
 
+// validateStudy reports the first problem with a single-workload
+// study's config or its workload at the config's scale.
+func validateStudy(spec trace.WorkloadSpec, cfg Config) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	return spec.WithRequests(cfg.Requests).Validate()
+}
+
+// mdJob is the fleet job replaying the workload on its tuned MD array.
+func mdJob(spec trace.WorkloadSpec, cfg Config) fleet.Job[Run] {
+	return fleet.Job[Run]{Name: spec.Name + "/MD", Run: func(context.Context, int64) (Run, error) {
+		eng := simkit.New()
+		sink := cfg.Observe.sink()
+		md, err := NewMDSystem(eng, spec, sinkOptions(sink, ""))
+		if err != nil {
+			return Run{}, err
+		}
+		g, err := trace.NewGenerator(spec.WithRequests(cfg.Requests), cfg.Seed)
+		if err != nil {
+			return Run{}, err
+		}
+		resp, err := ReplayStream(eng, md.Router, g)
+		if err != nil {
+			return Run{}, err
+		}
+		return Run{
+			Label:     "MD",
+			Resp:      resp,
+			RotLat:    &stats.Sample{},
+			Power:     md.Router.Power(eng.Now()),
+			ElapsedMs: eng.Now(),
+			Completed: uint64(resp.Count()),
+			Events:    cfg.Observe.events(sink),
+			Snap:      cfg.Observe.snap(md.Router),
+		}, nil
+	}}
+}
+
+// hcsdBaseJob is the fleet job replaying the workload on the stock
+// HC-SD drive.
+func hcsdBaseJob(spec trace.WorkloadSpec, cfg Config) fleet.Job[Run] {
+	return hcsdJob(spec.Name+"/HC-SD", spec, cfg, disk.BarracudaES(),
+		disk.Options{Obs: obs.Options{Name: "hcsd"}}, "HC-SD")
+}
+
 // LimitStudy runs the paper's §7.1 migration study for one workload:
 // the tuned MD array versus the single high-capacity drive. The two
 // systems replay the same deterministic request stream on independent
 // engines and fan out through the fleet; each job synthesizes its
 // private stream on the fly, so no job ever holds a full trace.
 func LimitStudy(spec trace.WorkloadSpec, cfg Config) (*LimitStudyResult, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := validateStudy(spec, cfg); err != nil {
 		return nil, err
 	}
-	if err := spec.WithRequests(cfg.Requests).Validate(); err != nil {
-		return nil, err
-	}
-
-	jobs := []fleet.Job[Run]{
-		{Name: spec.Name + "/MD", Run: func(context.Context, int64) (Run, error) {
-			eng := simkit.New()
-			sink := cfg.Observe.sink()
-			md, err := NewMDSystem(eng, spec, sinkOptions(sink, ""))
-			if err != nil {
-				return Run{}, err
-			}
-			g, err := trace.NewGenerator(spec.WithRequests(cfg.Requests), cfg.Seed)
-			if err != nil {
-				return Run{}, err
-			}
-			resp, err := ReplayStream(eng, md.Router, g)
-			if err != nil {
-				return Run{}, err
-			}
-			return Run{
-				Label:     "MD",
-				Resp:      resp,
-				RotLat:    &stats.Sample{},
-				Power:     md.Router.Power(eng.Now()),
-				ElapsedMs: eng.Now(),
-				Completed: uint64(resp.Count()),
-				Events:    cfg.Observe.events(sink),
-				Snap:      cfg.Observe.snap(md.Router),
-			}, nil
-		}},
-		hcsdJob(spec.Name+"/HC-SD", spec, cfg, disk.BarracudaES(),
-			disk.Options{Obs: obs.Options{Name: "hcsd"}}, "HC-SD"),
-	}
-	runs, err := fleet.Run(jobs, cfg.fleetOptions())
+	runs, err := fleet.Run([]fleet.Job[Run]{mdJob(spec, cfg), hcsdBaseJob(spec, cfg)}, cfg.fleetOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -428,10 +440,7 @@ type BottleneckResult struct {
 // Bottleneck runs the §7.1 bottleneck isolation on the HC-SD drive:
 // artificially scaled seek times and rotational latencies.
 func Bottleneck(spec trace.WorkloadSpec, cfg Config) (*BottleneckResult, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if err := spec.WithRequests(cfg.Requests).Validate(); err != nil {
+	if err := validateStudy(spec, cfg); err != nil {
 		return nil, err
 	}
 	cases := Figure4Cases()
@@ -560,26 +569,24 @@ type MultiActuatorResult struct {
 	Runs     []Run // SA(1), SA(2), ... in order
 }
 
-// MultiActuator runs the §7.2 evaluation for one workload.
+// MultiActuator runs the §7.2 evaluation for one workload: the MD
+// baseline and SA(1)..SA(maxActuators) in one fan-out.
 func MultiActuator(spec trace.WorkloadSpec, cfg Config, maxActuators int) (*MultiActuatorResult, error) {
 	if maxActuators < 1 {
 		return nil, fmt.Errorf("experiments: maxActuators %d", maxActuators)
 	}
-	ls, err := LimitStudy(spec, cfg)
-	if err != nil {
+	if err := validateStudy(spec, cfg); err != nil {
 		return nil, err
 	}
-	out := &MultiActuatorResult{Workload: spec.Name, MD: ls.MD}
-	jobs := make([]fleet.Job[Run], maxActuators)
+	jobs := []fleet.Job[Run]{mdJob(spec, cfg)}
 	for n := 1; n <= maxActuators; n++ {
-		jobs[n-1] = saJob(spec, cfg, n, 0)
+		jobs = append(jobs, saJob(spec, cfg, n, 0))
 	}
 	runs, err := fleet.Run(jobs, cfg.fleetOptions())
 	if err != nil {
 		return nil, err
 	}
-	out.Runs = runs
-	return out, nil
+	return &MultiActuatorResult{Workload: spec.Name, MD: runs[0], Runs: runs[1:]}, nil
 }
 
 // ReducedRPMResult is one workload's Figure 6/7 measurement: SA(n)
@@ -597,15 +604,14 @@ func ReducedRPMPoints() (actuators []int, rpms []float64) {
 	return []int{2, 4}, []float64{7200, 6200, 5200, 4200}
 }
 
-// ReducedRPM runs the §7.2 reduced-RPM power/performance study.
+// ReducedRPM runs the §7.2 reduced-RPM power/performance study: the MD
+// and HC-SD baselines and every ReducedRPMPoints design in one fan-out.
 func ReducedRPM(spec trace.WorkloadSpec, cfg Config) (*ReducedRPMResult, error) {
-	ls, err := LimitStudy(spec, cfg)
-	if err != nil {
+	if err := validateStudy(spec, cfg); err != nil {
 		return nil, err
 	}
-	out := &ReducedRPMResult{Workload: spec.Name, MD: ls.MD, HCSD: ls.HCSD}
+	jobs := []fleet.Job[Run]{mdJob(spec, cfg), hcsdBaseJob(spec, cfg)}
 	arms, rpms := ReducedRPMPoints()
-	var jobs []fleet.Job[Run]
 	for _, rpm := range rpms {
 		for _, a := range arms {
 			jobs = append(jobs, saJob(spec, cfg, a, rpm))
@@ -615,8 +621,7 @@ func ReducedRPM(spec trace.WorkloadSpec, cfg Config) (*ReducedRPMResult, error) 
 	if err != nil {
 		return nil, err
 	}
-	out.Runs = runs
-	return out, nil
+	return &ReducedRPMResult{Workload: spec.Name, MD: runs[0], HCSD: runs[1], Runs: runs[2:]}, nil
 }
 
 // SAPowerModel builds the power model of an HC-SD-SA(n) design point at

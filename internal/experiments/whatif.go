@@ -244,12 +244,8 @@ func WhatIfJobs(q WhatIfQuery, ob Observe) []fleet.Job[*WhatIfRun] {
 type WhatIfPool struct {
 	// Merged holds every replicate's response times, in replicate order.
 	Merged *stats.Sample
-	// MeanMs is Merged's mean, taken before anything sorts Merged:
-	// percentiles sort the sample in place, and the summation order sets
-	// the mean's low bits.
-	MeanMs float64
-	// Means holds one mean per replicate; its CI95 brackets MeanMs with
-	// the spread of independent draws.
+	// Means holds one mean per replicate; its CI95 brackets Merged's
+	// mean with the spread of independent draws.
 	Means *stats.Sample
 	// Power is the mean power per mode (Power.Watts) over the mean
 	// simulated duration of one replicate (Power.Elapsed). TotalW is the
@@ -276,7 +272,6 @@ func PoolWhatIf(runs []*WhatIfRun) (*WhatIfPool, error) {
 		p.Power.Elapsed += r.ElapsedMs
 	}
 	n := float64(len(runs))
-	p.MeanMs = p.Merged.Mean()
 	p.TotalW /= n
 	for m := range p.Power.Watts {
 		p.Power.Watts[m] /= n

@@ -150,8 +150,9 @@ func TestPoolWhatIfAggregates(t *testing.T) {
 	if got := p.Means.Count(); got != q.Reps {
 		t.Errorf("means count %d, want %d", got, q.Reps)
 	}
-	if lo, hi := p.Means.CI95(); !(lo < p.MeanMs && p.MeanMs < hi) {
-		t.Errorf("CI95 [%v, %v] excludes the pooled mean %v", lo, hi, p.MeanMs)
+	lo, hi := p.Means.CI95()
+	if mean := p.Merged.Mean(); !(lo < mean && mean < hi) {
+		t.Errorf("CI95 [%v, %v] excludes the pooled mean %v", lo, hi, mean)
 	}
 }
 
@@ -166,7 +167,7 @@ func TestPoolWhatIfDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		lo, hi := p.Means.CI95()
-		return fmt.Sprintf("%d %v %v %v %v %v %v %v %v", p.Merged.Count(), p.MeanMs, lo, hi,
+		return fmt.Sprintf("%d %v %v %v %v %v %v %v %v", p.Merged.Count(), p.Merged.Mean(), lo, hi,
 			p.Merged.Percentile(50), p.Merged.Percentile(99), p.TotalW, p.Power.Watts, p.Power.Elapsed)
 	}
 	if a, b := pool(1), pool(4); a != b {
@@ -186,8 +187,8 @@ func TestPoolWhatIfOneReplicate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lo, hi := p.Means.CI95(); lo != mean || hi != mean || p.MeanMs != mean {
-		t.Errorf("CI95 [%v, %v], pooled mean %v; want all %v", lo, hi, p.MeanMs, mean)
+	if lo, hi := p.Means.CI95(); lo != mean || hi != mean || p.Merged.Mean() != mean {
+		t.Errorf("CI95 [%v, %v], pooled mean %v; want all %v", lo, hi, p.Merged.Mean(), mean)
 	}
 	if p.Merged.Count() != r.Resp.Count() || p.TotalW != r.Power.Total() ||
 		p.Power.Watts != r.Power.Watts || p.Power.Elapsed != r.ElapsedMs {

@@ -1,7 +1,7 @@
-// Package raid models multi-disk storage arrays: the JBOD concatenation
-// used for the paper's MD systems, RAID-0 striping (the paper's §7.3
-// arrays), and — beyond the paper — RAID-1 mirroring and RAID-5 rotating
-// parity with read-modify-write updates.
+// Package raid models multi-disk storage arrays: the pass-through router
+// of the paper's MD systems (RouteByDisk), JBOD concatenation, RAID-0
+// striping (the paper's §7.3 arrays), and — beyond the paper — RAID-1
+// mirroring and RAID-5 rotating parity with read-modify-write updates.
 package raid
 
 import (
@@ -82,9 +82,9 @@ type Layout interface {
 }
 
 // ---------------------------------------------------------------------
-// JBOD: concatenation. This is the paper's MD model — each traced
-// request already names its disk, but a JBOD layout also lets a single
-// flat address space span the members in disk order.
+// JBOD: concatenation. The paper's MD model is RouteByDisk, since each
+// traced request already names its disk; a JBOD layout instead lets a
+// single flat address space span the members in disk order.
 
 // JBOD concatenates member disks into one flat address space.
 type JBOD struct {

@@ -24,55 +24,6 @@ type call struct {
 	err  error
 
 	refs int // waiter count, guarded by flightGroup.mu
-
-	// progress fans fleet progress events out to streaming waiters.
-	progress progressFan
-}
-
-// progressEvent is one fleet progress report, relayed to stream
-// subscribers.
-type progressEvent struct {
-	Done  int    `json:"done"`
-	Total int    `json:"total"`
-	Job   string `json:"job"`
-}
-
-// progressFan broadcasts progress events to subscribers without ever
-// blocking the worker: a subscriber whose buffer is full misses events
-// (progress is advisory; the result line is authoritative).
-type progressFan struct {
-	mu   sync.Mutex
-	subs []chan progressEvent
-}
-
-func (f *progressFan) subscribe() chan progressEvent {
-	ch := make(chan progressEvent, 32)
-	f.mu.Lock()
-	f.subs = append(f.subs, ch)
-	f.mu.Unlock()
-	return ch
-}
-
-func (f *progressFan) unsubscribe(ch chan progressEvent) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for i, s := range f.subs {
-		if s == ch {
-			f.subs = append(f.subs[:i], f.subs[i+1:]...)
-			return
-		}
-	}
-}
-
-func (f *progressFan) broadcast(ev progressEvent) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for _, ch := range f.subs {
-		select {
-		case ch <- ev:
-		default: // slow subscriber: drop rather than stall the fan-out
-		}
-	}
 }
 
 // flightGroup deduplicates concurrent computations by cache key.

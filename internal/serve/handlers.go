@@ -6,13 +6,9 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"sync"
 
 	"repro/internal/trace"
 )
-
-// maxBatchQueries bounds one batch request's fan-out.
-const maxBatchQueries = 256
 
 // maxBodyBytes bounds request bodies; queries are small.
 const maxBodyBytes = 1 << 20
@@ -23,19 +19,12 @@ const maxBodyBytes = 1 << 20
 //	GET  /v1/stats      server counters (cache, singleflight, shedding)
 //	GET  /v1/workloads  the queryable workloads and the default scale
 //	POST /v1/query      one Query → one Result
-//	POST /v1/batch      {"queries":[...]} → {"results":[...]}, identical
-//	                    sub-queries coalesced, distinct ones sharded
-//	                    over the worker pool
-//	POST /v1/stream     one Query → NDJSON progress events, then the
-//	                    result
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	mux.HandleFunc("GET /v1/workloads", s.handleWorkloads)
 	mux.HandleFunc("POST /v1/query", s.handleQuery)
-	mux.HandleFunc("POST /v1/batch", s.handleBatch)
-	mux.HandleFunc("POST /v1/stream", s.handleStream)
 	return mux
 }
 
@@ -108,7 +97,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 		return
 	}
-	body, hit, err := s.answer(r.Context(), q, nil)
+	body, hit, err := s.answer(r.Context(), q)
 	if err != nil {
 		if r.Context().Err() != nil {
 			return // client gone; nothing useful to write
@@ -129,158 +118,4 @@ func cacheHeader(hit bool) string {
 		return "hit"
 	}
 	return "miss"
-}
-
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Queries []Query `json:"queries"`
-	}
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("parsing batch: %v", err)})
-		return
-	}
-	if n := len(req.Queries); n == 0 || n > maxBatchQueries {
-		writeJSON(w, http.StatusBadRequest,
-			errorBody{Error: fmt.Sprintf("batch size %d outside [1,%d]", n, maxBatchQueries)})
-		return
-	}
-
-	// Sub-queries resolve concurrently: identical ones collapse into a
-	// single flight, distinct ones shard over the compute pool. Each
-	// entry is either a raw Result or an error envelope, in request
-	// order.
-	type entry struct {
-		body []byte
-		hit  bool
-		err  error
-	}
-	entries := make([]entry, len(req.Queries))
-	var wg sync.WaitGroup
-	for i, q := range req.Queries {
-		i, q := i, q
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			body, hit, err := s.answer(r.Context(), q, nil)
-			entries[i] = entry{body: body, hit: hit, err: err}
-		}()
-	}
-	wg.Wait()
-	if r.Context().Err() != nil {
-		return
-	}
-
-	// Result entries carry a "query" member; refused entries carry
-	// "error" (and retry_after_s when shed), in request order.
-	out := make([]json.RawMessage, len(entries))
-	for i, e := range entries {
-		if e.err != nil {
-			var shed *shedError
-			env := errorBody{Error: e.err.Error()}
-			if errors.As(e.err, &shed) {
-				env.RetryAfter = shed.retryAfter
-			}
-			data, _ := json.Marshal(env)
-			out[i] = data
-			continue
-		}
-		out[i] = e.body
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"results": out})
-}
-
-// streamLine is one NDJSON line of a /v1/stream response.
-type streamLine struct {
-	Type   string          `json:"type"` // "progress", "result", "error"
-	Done   int             `json:"done,omitempty"`
-	Total  int             `json:"total,omitempty"`
-	Job    string          `json:"job,omitempty"`
-	Cached bool            `json:"cached,omitempty"`
-	Result json.RawMessage `json:"result,omitempty"`
-	Error  string          `json:"error,omitempty"`
-}
-
-// handleStream answers one query as NDJSON: progress lines relayed
-// from the fleet's progress hooks as the replicates run, then a result
-// (or error) line. A cached answer goes straight to the result line.
-// A refusal (shed, draining, invalid) that happens before any line was
-// written is a plain HTTP status, exactly like /v1/query.
-func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	q, err := decodeQuery(r)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
-		return
-	}
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		writeJSON(w, http.StatusInternalServerError, errorBody{Error: "streaming unsupported"})
-		return
-	}
-
-	// answer runs in its own goroutine; the subscription it makes (as
-	// soon as the flight is joined, so no event is missed) feeds the
-	// lines channel through a relay. Only this handler goroutine
-	// touches the ResponseWriter.
-	lines := make(chan streamLine, 64)
-	var relayWG sync.WaitGroup
-	subscribe := func(c *call) func() {
-		sub := c.progress.subscribe()
-		relayWG.Add(1)
-		go func() {
-			defer relayWG.Done()
-			for ev := range sub {
-				lines <- streamLine{Type: "progress", Done: ev.Done, Total: ev.Total, Job: ev.Job}
-			}
-		}()
-		return func() { c.progress.unsubscribe(sub); close(sub) }
-	}
-
-	done := make(chan struct{})
-	var body []byte
-	var hit bool
-	var ansErr error
-	go func() {
-		defer close(done)
-		body, hit, ansErr = s.answer(r.Context(), q, subscribe)
-	}()
-
-	wrote := false
-	writeLine := func(l streamLine) {
-		if !wrote {
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			w.WriteHeader(http.StatusOK)
-			wrote = true
-		}
-		if data, err := json.Marshal(l); err == nil {
-			w.Write(append(data, '\n'))
-			flusher.Flush()
-		}
-	}
-
-	for finished := false; !finished; {
-		select {
-		case l := <-lines:
-			writeLine(l)
-		case <-done:
-			finished = true
-		}
-	}
-	// answer has returned, so its cleanup closed the subscription;
-	// drain the relay's tail, then emit the final line.
-	go func() { relayWG.Wait(); close(lines) }()
-	for l := range lines {
-		writeLine(l)
-	}
-	switch {
-	case ansErr != nil && r.Context().Err() != nil:
-		return // client gone
-	case ansErr != nil && !wrote:
-		writeErr(w, ansErr) // refused before the stream started
-	case ansErr != nil:
-		writeLine(streamLine{Type: "error", Error: ansErr.Error()})
-	default:
-		writeLine(streamLine{Type: "result", Cached: hit, Result: body})
-	}
 }

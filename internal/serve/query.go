@@ -182,7 +182,7 @@ func buildResult(q Query, key, codeVersion string, runs []*experiments.WhatIfRun
 		Reps:        len(runs),
 		Summary: Summary{
 			Count:  sm.Count,
-			MeanMs: p.MeanMs,
+			MeanMs: p.Merged.Mean(),
 			P50Ms:  sm.P50,
 			P90Ms:  sm.P90,
 			P99Ms:  sm.P99,

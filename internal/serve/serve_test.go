@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -96,11 +95,11 @@ func TestServeByteIdentity(t *testing.T) {
 	// its flight, so none of them can arrive late enough to hit the
 	// cache instead.
 	s2, ts2 := newTestServer(t, Config{Workers: 4})
-	s2.runner = func(ctx context.Context, q Query, progress func(int, int, string)) ([]*experiments.WhatIfRun, error) {
+	s2.runner = func(ctx context.Context, q Query) ([]*experiments.WhatIfRun, error) {
 		for deadline := time.Now().Add(30 * time.Second); s2.Stats().Collapsed < 15 && time.Now().Before(deadline); {
 			time.Sleep(time.Millisecond)
 		}
-		return runQuery(ctx, q, progress)
+		return runQuery(ctx, q)
 	}
 	var wg sync.WaitGroup
 	bodies := make([][]byte, 16)
@@ -209,7 +208,7 @@ func fakeRuns(n int) []*experiments.WhatIfRun {
 func TestSheddingUnderOverload(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
 	release := make(chan struct{})
-	s.runner = func(ctx context.Context, q Query, progress func(int, int, string)) ([]*experiments.WhatIfRun, error) {
+	s.runner = func(ctx context.Context, q Query) ([]*experiments.WhatIfRun, error) {
 		select {
 		case <-release:
 			return fakeRuns(q.Reps), nil
@@ -282,7 +281,7 @@ func TestDrainShedsAndFinishes(t *testing.T) {
 
 	started := make(chan struct{}, 8)
 	release := make(chan struct{})
-	s.runner = func(ctx context.Context, q Query, progress func(int, int, string)) ([]*experiments.WhatIfRun, error) {
+	s.runner = func(ctx context.Context, q Query) ([]*experiments.WhatIfRun, error) {
 		started <- struct{}{}
 		<-release
 		return fakeRuns(q.Reps), nil
@@ -343,7 +342,7 @@ func TestAbandonedQueryCanceled(t *testing.T) {
 		s.Drain(ctx)
 	}()
 	runnerCanceled := make(chan struct{})
-	s.runner = func(ctx context.Context, q Query, progress func(int, int, string)) ([]*experiments.WhatIfRun, error) {
+	s.runner = func(ctx context.Context, q Query) ([]*experiments.WhatIfRun, error) {
 		<-ctx.Done()
 		close(runnerCanceled)
 		return nil, ctx.Err()
@@ -352,7 +351,7 @@ func TestAbandonedQueryCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	ansDone := make(chan error, 1)
 	go func() {
-		_, _, err := s.answer(ctx, testQuery(), nil)
+		_, _, err := s.answer(ctx, testQuery())
 		ansDone <- err
 	}()
 	time.Sleep(20 * time.Millisecond) // let the call reach the runner
@@ -367,148 +366,28 @@ func TestAbandonedQueryCanceled(t *testing.T) {
 	}
 }
 
-// TestBatchCoalesces: a batch with duplicate sub-queries computes each
-// distinct query once, answers in request order, and reports per-entry
-// errors for invalid sub-queries.
-func TestBatchCoalesces(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 2})
-	qa := testQuery()
-	qb := testQuery()
-	qb.Seed = 77
-	bad := Query{WhatIfQuery: experiments.WhatIfQuery{Workload: "nope"}}
-
-	payload := map[string]any{"queries": []Query{qa, qb, qa, bad, qa}}
-	data, _ := json.Marshal(payload)
-	resp, err := http.Post(ts.URL+"/v1/batch", "application/json", bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("batch status %d: %s", resp.StatusCode, body)
-	}
-	var out struct {
-		Results []json.RawMessage `json:"results"`
-	}
-	if err := json.Unmarshal(body, &out); err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Results) != 5 {
-		t.Fatalf("got %d results, want 5", len(out.Results))
-	}
-	if !bytes.Equal(out.Results[0], out.Results[2]) || !bytes.Equal(out.Results[0], out.Results[4]) {
-		t.Error("identical sub-queries returned different bodies")
-	}
-	if bytes.Equal(out.Results[0], out.Results[1]) {
-		t.Error("distinct sub-queries returned identical bodies")
-	}
-	if !strings.Contains(string(out.Results[3]), "error") {
-		t.Errorf("invalid sub-query entry lacks error: %s", out.Results[3])
-	}
-	if st := s.Stats(); st.Computed != 2 {
-		t.Errorf("batch computed %d distinct queries, want 2", st.Computed)
-	}
+// invalidQueries are malformed and invalid query bodies; where want is
+// set, the 400's error message must name the offending input. The query
+// has no engine-selection field: lp_parallel is unknown.
+var invalidQueries = map[string]struct{ body, want string }{
+	"bad json":        {body: "{"},
+	"unknown field":   {body: `{"workload":"Financial","bogus":1}`, want: "bogus"},
+	"lp_parallel":     {body: `{"workload":"Financial","lp_parallel":true}`, want: `unknown field \"lp_parallel\"`},
+	"bad workload":    {body: `{"workload":"nope"}`},
+	"bad actuators":   {body: `{"workload":"Financial","actuators":99}`},
+	"trace too large": {body: fmt.Sprintf(`{"workload":"Financial","requests":%d,"include_trace":true}`, MaxTraceRequests+1)},
+	// The serving limits, beyond what the model itself accepts.
+	"rpm off grid":  {body: `{"workload":"Financial","rpm":3000}`, want: "what-if: rpm 3000 not in the evaluated grid (7200, 6200, 5200, 4200)"},
+	"actuators 9":   {body: `{"workload":"Financial","actuators":9}`, want: "what-if: actuators 9 outside [1,8]"},
+	"arrival scale": {body: `{"workload":"Financial","arrival_scale":20}`, want: "what-if: arrival_scale 20 outside [0.1,16]"},
+	"requests 9M":   {body: `{"workload":"Financial","requests":9000000}`, want: "what-if: requests 9000000 outside [1,8000000]"},
+	"reps 65":       {body: `{"workload":"Financial","reps":65}`, want: "what-if: reps 65 outside [1,64]"},
 }
 
-// TestStreamProgressAndResult: the NDJSON stream carries progress
-// events while the query computes and ends with the same canonical
-// result body /v1/query returns; a warm re-stream returns the cached
-// result immediately.
-func TestStreamProgressAndResult(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2})
-	q := testQuery()
-	q.Reps = 4 // several replicates → several progress events
-
-	data, _ := json.Marshal(q)
-	resp, err := http.Post(ts.URL+"/v1/stream", "application/json", bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != 200 {
-		b, _ := io.ReadAll(resp.Body)
-		t.Fatalf("stream status %d: %s", resp.StatusCode, b)
-	}
-	var progress int
-	var result json.RawMessage
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1024), 16<<20)
-	for sc.Scan() {
-		var line streamLine
-		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
-			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
-		}
-		switch line.Type {
-		case "progress":
-			progress++
-			if line.Total != 4 {
-				t.Errorf("progress total = %d, want 4", line.Total)
-			}
-		case "result":
-			result = line.Result
-		case "error":
-			t.Fatalf("stream error: %s", line.Error)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if progress == 0 {
-		t.Error("no progress events streamed")
-	}
-	if result == nil {
-		t.Fatal("no result line")
-	}
-
-	// The streamed result must equal the query endpoint's body.
-	r2, body := postQuery(t, ts.URL, q)
-	if r2.Header.Get("X-Idp-Cache") != "hit" {
-		t.Errorf("query after stream should hit the cache")
-	}
-	if !bytes.Equal(bytes.TrimSpace(body), bytes.TrimSpace(result)) {
-		t.Error("streamed result differs from query result")
-	}
-
-	// Warm stream: straight to a cached result line.
-	resp2, err := http.Post(ts.URL+"/v1/stream", "application/json", bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	all, _ := io.ReadAll(resp2.Body)
-	lines := bytes.Split(bytes.TrimSpace(all), []byte("\n"))
-	if len(lines) != 1 {
-		t.Fatalf("warm stream wrote %d lines, want 1 (cached result)", len(lines))
-	}
-	var final streamLine
-	if err := json.Unmarshal(lines[0], &final); err != nil {
-		t.Fatal(err)
-	}
-	if final.Type != "result" || !final.Cached {
-		t.Errorf("warm stream line = type %q cached %v, want cached result", final.Type, final.Cached)
-	}
-}
-
-// TestQueryValidation400 maps malformed and invalid queries to 400s;
-// where want is set, the error message must name the offending input.
-// The query has no engine-selection field: lp_parallel is unknown.
+// TestQueryValidation400 maps every invalidQueries body to a 400.
 func TestQueryValidation400(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
-	for name, c := range map[string]struct{ body, want string }{
-		"bad json":        {body: "{"},
-		"unknown field":   {body: `{"workload":"Financial","bogus":1}`, want: "bogus"},
-		"lp_parallel":     {body: `{"workload":"Financial","lp_parallel":true}`, want: `unknown field \"lp_parallel\"`},
-		"bad workload":    {body: `{"workload":"nope"}`},
-		"bad actuators":   {body: `{"workload":"Financial","actuators":99}`},
-		"trace too large": {body: fmt.Sprintf(`{"workload":"Financial","requests":%d,"include_trace":true}`, MaxTraceRequests+1)},
-		// The serving limits, beyond what the model itself accepts.
-		"rpm off grid":  {body: `{"workload":"Financial","rpm":3000}`, want: "what-if: rpm 3000 not in the evaluated grid (7200, 6200, 5200, 4200)"},
-		"actuators 9":   {body: `{"workload":"Financial","actuators":9}`, want: "what-if: actuators 9 outside [1,8]"},
-		"arrival scale": {body: `{"workload":"Financial","arrival_scale":20}`, want: "what-if: arrival_scale 20 outside [0.1,16]"},
-		"requests 9M":   {body: `{"workload":"Financial","requests":9000000}`, want: "what-if: requests 9000000 outside [1,8000000]"},
-		"reps 65":       {body: `{"workload":"Financial","reps":65}`, want: "what-if: reps 65 outside [1,64]"},
-	} {
+	for name, c := range invalidQueries {
 		resp, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(c.body))
 		if err != nil {
 			t.Fatal(err)

@@ -10,15 +10,13 @@
 //   - singleflight deduplication, so identical concurrent queries run
 //     once and everyone shares the body;
 //   - admission control: a bounded compute queue sharded over a worker
-//     pool sized to GOMAXPROCS, with queue-depth/estimated-wait
-//     shedding (429 + Retry-After) under overload;
+//     pool sized to GOMAXPROCS, shedding with 429 + Retry-After when
+//     the queue is full;
 //   - cancellation: when every waiter for a query disconnects, the
 //     computation's context is canceled and the cancellation
 //     propagates through fleet.Run into the simulation's arrival loop;
 //   - graceful drain: a draining server sheds new work with 503 and
-//     finishes what it admitted;
-//   - streaming progress: an NDJSON endpoint relays fleet progress
-//     events while the query computes.
+//     finishes what it admitted.
 //
 // serve is shell code in the idplint sense: it may use goroutines,
 // locks, and the wall clock, because nothing here influences simulation
@@ -51,10 +49,6 @@ type Config struct {
 	QueueDepth int
 	// CacheEntries bounds the result cache; 0 means 4096 entries.
 	CacheEntries int
-	// MaxEstWaitMs sheds a query whose estimated queue wait (recent
-	// mean compute time × queue occupancy / workers) exceeds this
-	// deadline, even when the queue has room. 0 disables the check.
-	MaxEstWaitMs int
 	// CodeVersion overrides the detected build version in cache keys
 	// (useful for tests; empty = detect from build info).
 	CodeVersion string
@@ -132,7 +126,7 @@ type Server struct {
 
 	// runner computes one query's replicate runs; tests substitute it
 	// to make compute time and failures controllable.
-	runner func(ctx context.Context, q Query, progress func(done, total int, job string)) ([]*experiments.WhatIfRun, error)
+	runner func(ctx context.Context, q Query) ([]*experiments.WhatIfRun, error)
 }
 
 // NewServer builds and starts the service's worker pool.
@@ -167,13 +161,12 @@ func NewServer(cfg Config) *Server {
 // out through fleet under the call's context. Parallelism 1 keeps one
 // admitted query on one worker; concurrency comes from distinct
 // queries sharding over the pool.
-func runQuery(ctx context.Context, q Query, progress func(done, total int, job string)) ([]*experiments.WhatIfRun, error) {
+func runQuery(ctx context.Context, q Query) ([]*experiments.WhatIfRun, error) {
 	ob := experiments.Observe{Metrics: q.IncludeMetrics, Trace: q.IncludeTrace}
 	return fleet.Run(experiments.WhatIfJobs(q.WhatIfQuery, ob), fleet.Options{
 		Parallelism: 1,
 		BaseSeed:    q.Seed,
 		Context:     ctx,
-		Progress:    progress,
 	})
 }
 
@@ -256,12 +249,6 @@ func (s *Server) admit(c *call) error {
 		return &shedError{status: 503, retryAfter: 1, msg: "draining: not accepting new computations"}
 	}
 	retry := s.retryAfterSeconds()
-	if s.cfg.MaxEstWaitMs > 0 {
-		if est := s.estWaitMs(); est > float64(s.cfg.MaxEstWaitMs) {
-			return &shedError{status: 429, retryAfter: retry,
-				msg: fmt.Sprintf("overloaded: estimated wait %.0fms exceeds %dms", est, s.cfg.MaxEstWaitMs)}
-		}
-	}
 	select {
 	case s.workCh <- c:
 		s.inflight.Add(1)
@@ -298,9 +285,7 @@ func (s *Server) executeCall(c *call) {
 	defer s.inflight.Done()
 	start := time.Now()
 	s.nComputed.Add(1)
-	runs, err := s.runner(c.ctx, c.q, func(done, total int, job string) {
-		c.progress.broadcast(progressEvent{Done: done, Total: total, Job: job})
-	})
+	runs, err := s.runner(c.ctx, c.q)
 	var body []byte
 	if err == nil {
 		body, err = buildResult(c.q, c.key, s.codeVersion, runs)
@@ -330,12 +315,8 @@ func (s *Server) observeComputeMs(ms float64) {
 }
 
 // answer resolves one query: cache, then singleflight, then admission
-// and compute. It blocks until the answer (or refusal) is known. When
-// subscribe is non-nil it is invoked right after the flight is joined
-// (before any progress event can fire) so the caller can attach to the
-// computation's progress fan; the cleanup it returns runs when the
-// wait ends.
-func (s *Server) answer(ctx context.Context, q Query, subscribe func(*call) func()) ([]byte, bool, error) {
+// and compute. It blocks until the answer (or refusal) is known.
+func (s *Server) answer(ctx context.Context, q Query) ([]byte, bool, error) {
 	s.nQueries.Add(1)
 	q = q.Normalize()
 	if err := q.Validate(); err != nil {
@@ -365,10 +346,6 @@ func (s *Server) answer(ctx context.Context, q Query, subscribe func(*call) func
 	}
 	s.nCacheMisses.Add(1)
 	defer s.flight.detach(c)
-	if subscribe != nil {
-		cleanup := subscribe(c)
-		defer cleanup()
-	}
 	if leader {
 		if err := s.admit(c); err != nil {
 			s.nShed.Add(1)
