@@ -144,7 +144,7 @@ func newRefDrive(eng simkit.Scheduler, model disk.Model, opts disk.Options) (*re
 		curve:     curve,
 		rot:       rot,
 		buf:       buf,
-		queue:     sched.NewQueueSized[refPending](cfg, 256),
+		queue:     sched.NewQueue[refPending](cfg),
 		acct:      power.NewAccountant(pm),
 		pm:        pm,
 		opts:      opts,

@@ -305,7 +305,7 @@ func New(eng simkit.Scheduler, model Model, opts Options) (*Drive, error) {
 		curve:     curve,
 		rot:       rot,
 		buf:       buf,
-		queue:     sched.NewQueueSized[int32](cfg, 256),
+		queue:     sched.NewQueue[int32](cfg),
 		bgQueue:   sched.NewQueue[int32](cfg),
 		acct:      power.NewAccountant(pm),
 		pm:        pm,

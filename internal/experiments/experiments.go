@@ -156,7 +156,9 @@ func (r *Run) ResponseCDF() []float64 { return r.Resp.ResponseCDF() }
 // fan-out's memory flat: jobs stream straight from a trace.Generator and
 // never materialize multi-million-entry traces or event queues. Each
 // request in flight holds a pooled completion record, so the replay
-// itself allocates nothing per request.
+// itself allocates nothing per request, and when the stream reports its
+// length (trace.Len) the response sample is sized once up front instead
+// of growing as responses arrive.
 //
 // A stream that terminates with an error (an ingestion parse failure,
 // an unroutable remap — see trace.Err) stops chaining arrivals; the
@@ -175,6 +177,7 @@ func ReplayStream(eng simkit.Runner, dev device.Device, s trace.Stream) (*stats.
 // run, never perturb it.
 func replayStreamCtx(ctx context.Context, eng simkit.Runner, dev device.Device, s trace.Stream, batch int) (*stats.Sample, error) {
 	rp := &replay{resp: &stats.Sample{}}
+	rp.resp.Grow(trace.Len(s))
 	cur, ok := s.Next()
 	if !ok {
 		eng.Run()
@@ -480,6 +483,7 @@ func runDrive(ctx context.Context, model disk.Model, opts disk.Options, label st
 	var d *disk.Drive
 	var dev device.Instrumented // the SA(n) snapshot carries the parallel-drive labels
 	if opts.Actuators > 0 {
+		rot.Grow(trace.Len(s)) // room for one media access per request
 		opts.OnService = func(_, r, _ float64) { rot.Add(r) }
 		pd, err := core.New(eng, model, opts)
 		if err != nil {

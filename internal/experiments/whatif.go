@@ -262,6 +262,11 @@ func PoolWhatIf(runs []*WhatIfRun) (*WhatIfPool, error) {
 		return nil, fmt.Errorf("what-if: no replicate runs to pool")
 	}
 	p := &WhatIfPool{Merged: &stats.Sample{}, Means: &stats.Sample{}}
+	total := 0
+	for _, r := range runs {
+		total += r.Resp.Count()
+	}
+	p.Merged.Grow(total)
 	for _, r := range runs {
 		p.Merged.Merge(r.Resp)
 		p.Means.Add(r.Resp.Mean())

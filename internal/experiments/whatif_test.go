@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/fleet"
+	"repro/internal/stats"
 )
 
 // whatIfTestQuery is a small but non-trivial query: a faulted SA(2)
@@ -193,6 +194,33 @@ func TestPoolWhatIfOneReplicate(t *testing.T) {
 	if p.Merged.Count() != r.Resp.Count() || p.TotalW != r.Power.Total() ||
 		p.Power.Watts != r.Power.Watts || p.Power.Elapsed != r.ElapsedMs {
 		t.Errorf("pool of one differs from its run: %+v vs %+v", p.Power, r.Power)
+	}
+}
+
+// TestPoolWhatIfSizesMergedOnce: pooling makes the same allocations
+// whatever the replicates hold, because the merged sample is sized to
+// their total before the first merge.
+func TestPoolWhatIfSizesMergedOnce(t *testing.T) {
+	runs := func(each int) []*WhatIfRun {
+		out := make([]*WhatIfRun, 4)
+		for i := range out {
+			resp := &stats.Sample{}
+			for j := 0; j < each; j++ {
+				resp.Add(float64(i + j))
+			}
+			out[i] = &WhatIfRun{Run: Run{Resp: resp}}
+		}
+		return out
+	}
+	allocs := func(rs []*WhatIfRun) float64 {
+		return testing.AllocsPerRun(10, func() {
+			if _, err := PoolWhatIf(rs); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(runs(100)), allocs(runs(50_000)); small != large {
+		t.Fatalf("pooling 4 x 100 responses made %v allocations, 4 x 50 000 made %v; want equal", small, large)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"unicode/utf8"
 )
 
 // MarshalSnapshot renders a snapshot tree as canonical JSON: the byte
@@ -22,6 +23,12 @@ import (
 //     child lists are omitted entirely (never emitted as {} or []),
 //     mirroring the omitempty tags;
 //   - map keys are emitted in ascending byte order;
+//   - strings escape only '"', '\\' and control characters (\n, \r and
+//     \t by their short forms, the rest as \u00XX); every other
+//     character is written as UTF-8, and an invalid UTF-8 byte as
+//     U+FFFD, which is what json.Unmarshal reads it as. Printable
+//     ASCII, and so every label a device emits, is quoted exactly as
+//     strconv.Quote quotes it;
 //   - floats use strconv.FormatFloat(v, 'g', -1, 64): the shortest
 //     representation that parses back to the same float64, with no
 //     locale or width variation;
@@ -56,7 +63,37 @@ type jsonEncoder struct {
 }
 
 func (e *jsonEncoder) raw(s string) { e.buf = append(e.buf, s...) }
-func (e *jsonEncoder) str(s string) { e.buf = strconv.AppendQuote(e.buf, s) }
+
+// str appends s as a JSON string (see MarshalSnapshot for the form).
+func (e *jsonEncoder) str(s string) {
+	const hex = "0123456789abcdef"
+	e.buf = append(e.buf, '"')
+	for i := 0; i < len(s); {
+		c := s[i]
+		switch {
+		case c == '"' || c == '\\':
+			e.buf = append(e.buf, '\\', c)
+		case c == '\n':
+			e.buf = append(e.buf, '\\', 'n')
+		case c == '\r':
+			e.buf = append(e.buf, '\\', 'r')
+		case c == '\t':
+			e.buf = append(e.buf, '\\', 't')
+		case c < 0x20:
+			e.buf = append(e.buf, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
+		case c < utf8.RuneSelf:
+			e.buf = append(e.buf, c)
+		default:
+			r, size := utf8.DecodeRuneInString(s[i:])
+			e.buf = utf8.AppendRune(e.buf, r) // an invalid byte is RuneError, size 1
+			i += size
+			continue
+		}
+		i++
+	}
+	e.buf = append(e.buf, '"')
+}
+
 func (e *jsonEncoder) uns(v uint64) { e.buf = strconv.AppendUint(e.buf, v, 10) }
 func (e *jsonEncoder) ints(v int)   { e.buf = strconv.AppendInt(e.buf, int64(v), 10) }
 func (e *jsonEncoder) flt(v float64) {

@@ -1,8 +1,11 @@
 package obs
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -92,8 +95,9 @@ func TestMarshalSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// normalizeEmpties maps nil and empty maps to nil so DeepEqual compares
-// content, not the nil/empty distinction JSON cannot express.
+// normalizeEmpties maps nil and empty maps and slices to nil so
+// DeepEqual compares content, not the nil/empty distinction the
+// canonical form does not keep.
 func normalizeEmpties(s Snapshot) Snapshot {
 	if len(s.Counters) == 0 {
 		s.Counters = nil
@@ -104,10 +108,97 @@ func normalizeEmpties(s Snapshot) Snapshot {
 	if len(s.Histograms) == 0 {
 		s.Histograms = nil
 	}
+	for k, h := range s.Histograms {
+		if len(h.Edges) == 0 {
+			h.Edges = nil
+		}
+		if len(h.Counts) == 0 {
+			h.Counts = nil
+		}
+		s.Histograms[k] = h
+	}
+	if len(s.Children) == 0 {
+		s.Children = nil
+	}
 	for i := range s.Children {
 		s.Children[i] = normalizeEmpties(s.Children[i])
 	}
 	return s
+}
+
+// TestMarshalSnapshotQuotesAnyString: any label, control characters
+// and invalid UTF-8 included, encodes as a JSON string that parses back
+// to the label as json.Unmarshal reads it (an invalid byte as U+FFFD),
+// and printable ASCII is quoted as strconv.Quote quotes it.
+func TestMarshalSnapshotQuotesAnyString(t *testing.T) {
+	for label, want := range map[string]string{
+		`sa4/(1/2)S "q" \ x`: `sa4/(1/2)S "q" \ x`,
+		"\x00\x1f\x7f\t\n\r": "\x00\x1f\x7f\t\n\r",
+		"a\xffb\u2028é":      "a\ufffdb\u2028é",
+	} {
+		data, err := MarshalSnapshot(Snapshot{Device: label})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !json.Valid(data) {
+			t.Fatalf("%q: invalid JSON %s", label, data)
+		}
+		back, err := UnmarshalSnapshot(data)
+		if err != nil || back.Device != want {
+			t.Fatalf("%q: parsed back as %q, %v; want %q", label, back.Device, err, want)
+		}
+		if again, _ := MarshalSnapshot(back); !bytes.Equal(again, data) {
+			t.Fatalf("%q: re-marshal differs:\n%s\n%s", label, data, again)
+		}
+	}
+	data, _ := MarshalSnapshot(Snapshot{Device: ` !"#$%&'()*+,-./09:;<=>?@AZ[\]^_` + "`az{|}~"})
+	if want := `{"device":` + strconv.Quote(` !"#$%&'()*+,-./09:;<=>?@AZ[\]^_`+"`az{|}~") + `,`; !strings.HasPrefix(string(data), want) {
+		t.Fatalf("printable ASCII quoted as %s, want the prefix %s", data, want)
+	}
+}
+
+// FuzzSnapshotRoundTrip feeds arbitrary bytes to UnmarshalSnapshot,
+// which must never panic. Whatever parses must survive the canonical
+// form: marshal, unmarshal and marshal again give identical bytes, and
+// the snapshot parsed back equals the one first parsed.
+func FuzzSnapshotRoundTrip(f *testing.F) {
+	for _, s := range []Snapshot{
+		testSnapshot(),
+		{Device: "d", Kind: "k", Gauges: map[string]GaugeValue{"g": {Value: -0.0, Max: 1e-300}}},
+		{Device: "arm0", Kind: "actuator", Submitted: 50, Completed: 50, BackgroundCompleted: 3},
+	} {
+		data, err := MarshalSnapshot(s)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(`{"device":"a\u0001b","kind":"\u007f\t","counters":{},"children":[]}`))
+	f.Add([]byte(`{"histograms":{"h":{"edges":null,"counts":[],"sum":-0,"n":1}},"queue":{"len":-3}}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := UnmarshalSnapshot(data)
+		if err != nil {
+			return
+		}
+		once, err := MarshalSnapshot(s)
+		if err != nil {
+			t.Fatalf("marshaling a parsed snapshot: %v", err)
+		}
+		back, err := UnmarshalSnapshot(once)
+		if err != nil {
+			t.Fatalf("the canonical form %s does not parse: %v", once, err)
+		}
+		twice, err := MarshalSnapshot(back)
+		if err != nil {
+			t.Fatalf("marshaling the snapshot parsed back: %v", err)
+		}
+		if !bytes.Equal(once, twice) {
+			t.Fatalf("re-marshal differs:\n%s\n%s", once, twice)
+		}
+		if !reflect.DeepEqual(normalizeEmpties(s), normalizeEmpties(back)) {
+			t.Fatalf("round trip changed the snapshot:\n%+v\nvs\n%+v", s, back)
+		}
+	})
 }
 
 // TestMarshalSnapshotNonFinite: NaN and Inf have no canonical form and

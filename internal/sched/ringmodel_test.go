@@ -298,21 +298,30 @@ func TestTakeRejectsStalePick(t *testing.T) {
 	q.Take(pk)
 }
 
-// TestQueueSizedPreallocates checks that a pre-sized queue absorbs its
-// stated capacity without growing.
-func TestQueueSizedPreallocates(t *testing.T) {
-	q := NewQueueSized[int](Config{Policy: FCFS}, 100)
-	if len(q.buf) < 100 {
-		t.Fatalf("preallocated capacity %d < 100", len(q.buf))
+// TestQueueGrowsFromUse checks that a queue holds no ring until its
+// first Push, then 16 entries, doubling only when it is full, and that
+// growing keeps every entry in arrival order across a wrapped ring.
+func TestQueueGrowsFromUse(t *testing.T) {
+	q := NewQueue[int](Config{Policy: FCFS})
+	if q.buf != nil {
+		t.Fatalf("new queue holds a %d-entry ring", len(q.buf))
 	}
-	before := len(q.buf)
-	for i := 0; i < 100; i++ {
+	q.Push(-1, 0)
+	if len(q.buf) != 16 {
+		t.Fatalf("first Push made a %d-entry ring, want 16", len(q.buf))
+	}
+	q.Pop(0, nil) // the next entries wrap around the ring's end
+	for i := 0; i < 40; i++ {
 		q.Push(i, float64(i))
+		want := 16
+		for want < i+1 {
+			want *= 2
+		}
+		if len(q.buf) != want {
+			t.Fatalf("%d entries in a %d-entry ring, want %d", i+1, len(q.buf), want)
+		}
 	}
-	if len(q.buf) != before {
-		t.Fatalf("ring grew from %d to %d despite pre-sizing", before, len(q.buf))
-	}
-	for i := 0; i < 100; i++ {
+	for i := 0; i < 40; i++ {
 		if v, ok := q.Pop(float64(i), nil); !ok || v != i {
 			t.Fatalf("Pop %d = (%d,%v)", i, v, ok)
 		}

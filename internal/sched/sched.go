@@ -134,22 +134,14 @@ type Queue[T any] struct {
 	forced uint64 // dispatches forced by the age cap
 }
 
-// NewQueue builds a queue with the given configuration.
+// NewQueue builds a queue with the given configuration. Its ring is
+// allocated at the first Push, with 16 entries, and doubles only when
+// full, so a queue costs memory only as deep as it gets.
 func NewQueue[T any](cfg Config) *Queue[T] {
 	if cfg.Window < 0 {
 		cfg.Window = 0
 	}
 	return &Queue[T]{cfg: cfg}
-}
-
-// NewQueueSized builds a queue with room for at least capacity entries
-// preallocated, so steady-state pushes never grow the ring.
-func NewQueueSized[T any](cfg Config, capacity int) *Queue[T] {
-	q := NewQueue[T](cfg)
-	if capacity > 0 {
-		q.grow(capacity)
-	}
-	return q
 }
 
 // Config returns the queue configuration.

@@ -1,9 +1,11 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 
@@ -80,13 +82,24 @@ func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"workloads": out})
 }
 
-// decodeQuery parses one Query from the request body.
+// decodeQuery parses one Query from the request body, which must hold
+// nothing else but JSON whitespace: a body with more after the query
+// is rejected rather than answered for its first part.
 func decodeQuery(r *http.Request) (Query, error) {
 	var q Query
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
+	body := http.MaxBytesReader(nil, r.Body, maxBodyBytes)
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&q); err != nil {
 		return Query{}, fmt.Errorf("parsing query: %w", err)
+	}
+	rest, err := io.ReadAll(io.MultiReader(dec.Buffered(), body))
+	if err != nil {
+		return Query{}, fmt.Errorf("parsing query: %w", err)
+	}
+	if trailing := bytes.TrimLeft(rest, " \t\r\n"); len(trailing) > 0 {
+		return Query{}, fmt.Errorf("parsing query: trailing data after the query object: %q",
+			trailing[:min(len(trailing), 32)])
 	}
 	return q, nil
 }

@@ -382,6 +382,10 @@ var invalidQueries = map[string]struct{ body, want string }{
 	"arrival scale": {body: `{"workload":"Financial","arrival_scale":20}`, want: "what-if: arrival_scale 20 outside [0.1,16]"},
 	"requests 9M":   {body: `{"workload":"Financial","requests":9000000}`, want: "what-if: requests 9000000 outside [1,8000000]"},
 	"reps 65":       {body: `{"workload":"Financial","reps":65}`, want: "what-if: reps 65 outside [1,64]"},
+	// One query per body: a valid query followed by anything but
+	// whitespace is not answered for its first part.
+	"trailing data": {body: `{"workload":"Financial","requests":500,"seed":1} {"workload":"nope"} garbage`,
+		want: "trailing data after the query object"},
 }
 
 // TestQueryValidation400 maps every invalidQueries body to a 400.

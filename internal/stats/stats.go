@@ -26,13 +26,31 @@ var RotLatencyBucketEdgesMs = []float64{1, 3, 5, 7, 8, 9, 11}
 // It keeps them in insertion order: no query reorders them, so Mean,
 // StdDev and CI95 depend only on the data, and readers may query a
 // sample concurrently while nothing adds to it.
+//
+// A sample whose size is unknown grows by doubling in Add, which
+// allocates about twice the bytes it finally keeps. A caller that knows
+// how many observations are coming calls Grow first, and the sample
+// allocates once.
 type Sample struct {
 	xs []float64
 }
 
-// Add records one observation. The slice grows by doubling: append
-// grows a slice past 256 elements by about 1.25x, so a large sample
-// would allocate about five times its final size along the way.
+// Grow makes room for n more observations in one allocation, so the
+// next n calls to Add allocate nothing. n <= 0, or room already there,
+// is a no-op.
+func (s *Sample) Grow(n int) {
+	if n <= cap(s.xs)-len(s.xs) {
+		return
+	}
+	grown := make([]float64, len(s.xs), len(s.xs)+n)
+	copy(grown, s.xs)
+	s.xs = grown
+}
+
+// Add records one observation. Past any room Grow made, the slice grows
+// by doubling: append grows a slice past 256 elements by about 1.25x,
+// so a large sample would allocate about five times its final size
+// along the way.
 func (s *Sample) Add(x float64) {
 	if len(s.xs) == cap(s.xs) {
 		grown := make([]float64, len(s.xs), max(2*cap(s.xs), 8))

@@ -502,3 +502,42 @@ func TestAddGrowsByDoubling(t *testing.T) {
 		t.Fatalf("sample holds %d values, min %v, max %v", s.Count(), s.Percentile(0), s.Max())
 	}
 }
+
+// TestGrowAllocatesOnce checks that Grow(n) followed by n Adds makes
+// one allocation, where Add alone doubles its way up (15 growths for
+// 100 000 values), and that Grow keeps what the sample already holds.
+func TestGrowAllocatesOnce(t *testing.T) {
+	const n = 100_000
+	var s Sample
+	allocs := testing.AllocsPerRun(5, func() {
+		s = Sample{}
+		s.Grow(n)
+		for i := 0; i < n; i++ {
+			s.Add(float64(n - i))
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("Grow(%d) and %d Adds allocated %v times, want 1", n, n, allocs)
+	}
+	if s.Count() != n || s.Percentile(0) != 1 || s.Max() != n {
+		t.Fatalf("sample holds %d values, min %v, max %v", s.Count(), s.Percentile(0), s.Max())
+	}
+
+	var g Sample
+	g.Add(3)
+	g.Add(1)
+	g.Grow(0)
+	g.Grow(-1)
+	g.Grow(50)
+	if allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 50; i++ {
+			g.Add(2)
+		}
+		g.xs = g.xs[:2]
+	}); allocs != 0 {
+		t.Fatalf("50 Adds after Grow(50) allocated %v times, want 0", allocs)
+	}
+	if g.Count() != 2 || g.Max() != 3 || g.Percentile(0) != 1 {
+		t.Fatalf("Grow lost observations: %v", g.xs)
+	}
+}

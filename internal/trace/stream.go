@@ -27,6 +27,18 @@ func Err(s Stream) error {
 	return nil
 }
 
+// Len reports how many more requests s will yield, or -1 when s cannot
+// tell. Streams that know their length in advance (the generators, and
+// the remap and bound layers over them) expose a Len() method; a file
+// Reader does not, since it learns its length only by reading. A replay
+// sizes its per-request samples from Len once instead of growing them.
+func Len(s Stream) int {
+	if ls, ok := s.(interface{ Len() int }); ok {
+		return ls.Len()
+	}
+	return -1
+}
+
 // remapStream applies the MD→HC-SD address migration on the fly.
 type remapStream struct {
 	s       Stream
@@ -55,6 +67,16 @@ func (s *remapStream) Next() (Request, bool) {
 	r.LBA += s.offsets[r.Disk]
 	r.Disk = 0
 	return r, true
+}
+
+// Len forwards the inner stream's length (see the package-level Len):
+// every request it yields is remapped or ends the stream, which then
+// reports 0.
+func (s *remapStream) Len() int {
+	if s.done {
+		return 0
+	}
+	return Len(s.s)
 }
 
 // Err reports why the stream terminated early: an unroutable request,
@@ -106,6 +128,15 @@ func (s *boundStream) Next() (Request, bool) {
 	}
 	s.n++
 	return r, true
+}
+
+// Len forwards the inner stream's length, and reports 0 once a request
+// that did not fit has ended the stream.
+func (s *boundStream) Len() int {
+	if s.err != nil {
+		return 0
+	}
+	return Len(s.s)
 }
 
 // Err reports the first request that did not fit, or the inner

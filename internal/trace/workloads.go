@@ -216,6 +216,9 @@ func NewGenerator(spec WorkloadSpec, seed int64) (*Generator, error) {
 	}, nil
 }
 
+// Len reports how many requests the stream has yet to yield.
+func (g *Generator) Len() int { return g.spec.Requests - g.emitted }
+
 // Next yields the following request of the stream; ok is false once
 // spec.Requests requests have been produced.
 func (g *Generator) Next() (r Request, ok bool) {

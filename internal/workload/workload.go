@@ -145,6 +145,9 @@ func NewGenerator(spec Spec, seed int64) (*Generator, error) {
 
 var _ trace.Stream = (*Generator)(nil)
 
+// Len reports how many requests the stream has yet to yield.
+func (g *Generator) Len() int { return g.spec.Requests - g.emitted }
+
 // Next yields the following request; ok is false once spec.Requests
 // requests have been produced.
 func (g *Generator) Next() (trace.Request, bool) {

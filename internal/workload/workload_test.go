@@ -150,3 +150,24 @@ func BenchmarkGeneratorStream(b *testing.B) {
 		}
 	}
 }
+
+// TestGeneratorLen checks that the generator's length counts down to 0
+// in step with Next.
+func TestGeneratorLen(t *testing.T) {
+	spec := Paper(Moderate, 1<<24).WithRequests(300)
+	g, err := NewGenerator(spec, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < spec.Requests; i++ {
+		if got := trace.Len(g); got != spec.Requests-i {
+			t.Fatalf("Len = %d before request %d, want %d", got, i, spec.Requests-i)
+		}
+		if _, ok := g.Next(); !ok {
+			t.Fatalf("generator ended at request %d", i)
+		}
+	}
+	if _, ok := g.Next(); ok || trace.Len(g) != 0 {
+		t.Fatalf("Len = %d past exhaustion, want 0", trace.Len(g))
+	}
+}
