@@ -30,6 +30,16 @@ func scanInt(s string) (n int64, end int) {
 	return n, end
 }
 
+// scanIntN is scanInt for a field read into an int, as toInt reads
+// it: n is also -1 when the value does not fit an int.
+func scanIntN(s string) (n int, end int) {
+	v, end := scanInt(s)
+	if int64(int(v)) != v {
+		return -1, end
+	}
+	return int(v), end
+}
+
 // pow10 holds the powers of ten float64 represents exactly.
 var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
 	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17}
@@ -42,24 +52,20 @@ var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
 // one division rounds correctly and the bits agree. Otherwise f is -1.
 func scanFloat(s string) (f float64, end int) {
 	var m uint64
-	dot := -1
-	for end < len(s) {
-		c := s[end]
-		if d := c - '0'; d <= 9 {
-			m = m*10 + uint64(d)
-		} else if c != '.' || dot >= 0 || end == 0 {
-			break
-		} else {
-			dot = end
-		}
+	for end < len(s) && s[end]-'0' <= 9 {
+		m = m*10 + uint64(s[end]-'0')
 		end++
+	}
+	k := 0
+	if end > 0 && end < len(s) && s[end] == '.' {
+		dot := end
+		for end++; end < len(s) && s[end]-'0' <= 9; end++ {
+			m = m*10 + uint64(s[end]-'0')
+		}
+		k = end - dot - 1
 	}
 	if end == 0 || end > 19 || m>>52 != 0 {
 		return -1, end
-	}
-	k := 0
-	if dot >= 0 {
-		k = end - dot - 1
 	}
 	return float64(m) / pow10[k], end
 }
@@ -96,14 +102,16 @@ type wsCursor struct{ s string }
 
 func isWS(c byte) bool { return c == ' ' || c == '\t' }
 
-func (c *wsCursor) skipWS() string {
-	s := c.s
+// trimLeftWS returns s without its leading spaces and tabs.
+func trimLeftWS(s string) string {
 	i := 0
 	for i < len(s) && isWS(s[i]) {
 		i++
 	}
 	return s[i:]
 }
+
+func (c *wsCursor) skipWS() string { return trimLeftWS(c.s) }
 
 // finish ends the field s that a number prefix of length j began,
 // reporting whether the prefix was the whole field.
@@ -139,6 +147,16 @@ func (c *wsCursor) float() (float64, string) {
 		f = -1
 	}
 	return f, tok
+}
+
+// cutWS splits s at its first run of spaces and tabs into the field
+// before the run and the rest after it.
+func cutWS(s string) (field, rest string) {
+	i := 0
+	for i < len(s) && !isWS(s[i]) {
+		i++
+	}
+	return s[:i], trimLeftWS(s[i:])
 }
 
 // countWS reports how many whitespace-separated fields line has, up to
@@ -224,3 +242,20 @@ func trimField(s string) string {
 }
 
 func printable(c byte) bool { return c > ' ' && c < utf8.RuneSelf }
+
+// foldsTo reports whether s equals lower, a word of lower-case ASCII
+// letters, in any ASCII case: b|0x20 is an ASCII letter's lower case
+// only when b is that letter in either case. For a word without k or s
+// it is strings.EqualFold, since the only runes outside ASCII that fold
+// to an ASCII letter are the Kelvin sign (k) and the long s (s).
+func foldsTo(s, lower string) bool {
+	if len(s) != len(lower) {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		if s[i]|0x20 != lower[i] {
+			return false
+		}
+	}
+	return true
+}

@@ -175,13 +175,13 @@ func FuzzParseMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pairs := []struct {
 			name string
-			got  lineParser
+			got  *parser
 			want refParser
 		}{
-			{"native", nativeParser{}, refNativeParser{}},
-			{"spc", spcParser{}, refSPCParser{}},
-			{"msr", &msrParser{}, &refMSRParser{}},
-			{"blkparse", &blkparseParser{}, &refBlkparseParser{}},
+			{"native", &parser{format: FormatNative}, refNativeParser{}},
+			{"spc", &parser{format: FormatSPC}, refSPCParser{}},
+			{"msr", &parser{format: FormatMSR}, &refMSRParser{}},
+			{"blkparse", &parser{format: FormatBlkparse}, &refBlkparseParser{}},
 		}
 		for _, line := range strings.Split(string(data), "\n") {
 			line = strings.TrimSpace(line)
@@ -189,7 +189,8 @@ func FuzzParseMatchesReference(f *testing.F) {
 				continue
 			}
 			for _, p := range pairs {
-				r, skip, err := p.got.parse(line)
+				var r Request
+				skip, err := p.got.parse(line, &r)
 				wr, wskip, werr := p.want.parse(line)
 				if !sameParse(r, skip, err, wr, wskip, werr) {
 					t.Fatalf("%s: line %q:\n got %s\nwant %s", p.name, line,
@@ -202,4 +203,100 @@ func FuzzParseMatchesReference(f *testing.F) {
 
 func parseResult(r Request, skip bool, err error) string {
 	return fmt.Sprintf("%+v (arrival bits %#x) skip=%v err=%v", r, math.Float64bits(r.ArrivalMs), skip, err)
+}
+
+// FuzzReaderMatchesReference feeds arbitrary bytes to the Reader of
+// each format, forced, at every reorder window from 0 to 7, and to the
+// Reader as it stood before records were parsed in place
+// (ref_reader_test.go) over the reference parsers: both must emit the
+// same requests, arrivals compared by their bits, and end with the
+// same Err text. Sniff, over the head Open would peek, must name the
+// same format as the reference sniff or fail with the same text.
+func FuzzReaderMatchesReference(f *testing.F) {
+	paths, err := filepath.Glob(filepath.Join("testdata", "sample.*"))
+	if err != nil || len(paths) == 0 {
+		f.Fatalf("no fixtures: %v", err)
+	}
+	for _, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	for _, in := range []string{
+		// CRLF line ends, in every format.
+		"0.5 0 100 8 R\r\n1.25 3 999999 64 W\r\n",
+		"ASU,LBA,Size,Opcode,Timestamp\r\n0,1024,4096,r,1.5\r\n1,2048,6000,W,1.5021\r\n",
+		"128166372003000000,srv0,0,Read,1024,4096,500\r\n128166372003050000,srv0,1,write,1536,512,400\r\n",
+		"8,0 1 1 0.5 42 Q R 100 + 8 [fio]\r\n8,16 1 2 0.25 42 Q W 200 + 8 [fio]\r\n",
+		// A last line without a newline, after blank and comment lines.
+		"\n\n# header\n  # indented comment\n0.5 0 100 8 R\n\n2.5 1 8 16 w",
+		"0,1,4096,r,0.020\n\n#x\n0,2,4096,r,0.010\n0,3,4096,r,0.015",
+		// Tab-padded lines, and tabs between fields.
+		"\t0.5\t0\t100\t8\tR\t\n \t1.5 0 200\t\t8 W \t\n",
+		"\t8,0\t1 1\t0.5 42\tQ\tR 100\t+\t8 [fio]\t\n",
+		"\t0, 1 ,4096\t,r,\t0.5\t\n",
+		// Near-sorted arrivals, ties, and a regression beyond any window.
+		"3 0 1 8 R\n1 0 2 8 R\n2 0 3 8 R\n2 0 4 8 R\n0 0 5 8 R\n9 0 6 8 R\n",
+		"0,1,4096,r,0.5\n0,2,4096,r,0.5\n0,3,4096,r,0.4\n0,4,4096,r,0.6\n0,5,4096,r,0.1\n",
+		// Disk numbers and lengths past 2^32: out of range where int is
+		// 32 bits wide, so both readers must fail there alike.
+		"0.5 5000000000 100 8 R\n1.5 0 100 5000000000 W\n",
+		"5000000000,1,4096,r,0.5\n",
+		"128166372003000000,srv0,5000000000,Read,1024,4096,500\n",
+		"8,0 1 1 0.5 42 Q R 100 + 5000000000 [fio]\n",
+	} {
+		f.Add([]byte(in))
+	}
+	// A line past the scanner's 64 KiB initial buffer, and one past its
+	// 1 MiB limit: the second ends every stream with the scanner's
+	// error, after the lines before it.
+	long := func(n int) []byte {
+		return []byte("0.5 0 100 8 R\n1.5 0 " + strings.Repeat("7", n) + " 8 W\n2.5 0 300 8 R\n")
+	}
+	f.Add(long(70 << 10))
+	f.Add(long(1<<20 + 10))
+	// A blkparse record cut by the end of the sniffed head right after
+	// "+ 8", behind lines only blkparse skips: whole it is no record, so
+	// the format is unrecognized, but its truncated head would read as
+	// blkparse if the sniff kept it.
+	rec := "8,0 1 1 0.5 42 Q R 100 + 8"
+	var sb strings.Builder
+	for sb.Len() < sniffBytes-len(rec)-100 {
+		sb.WriteString("CPU0 (8,0):\n")
+	}
+	sb.WriteString("#" + strings.Repeat("x", sniffBytes-len(rec)-sb.Len()-2) + "\n")
+	f.Add([]byte(sb.String() + rec + "x [fio]\n"))
+
+	formats := []Format{FormatNative, FormatSPC, FormatMSR, FormatBlkparse}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		head := data[:min(len(data), sniffBytes)]
+		gf, gerr := Sniff(head)
+		wf, werr := refSniff(head)
+		if gf != wf || fmt.Sprint(gerr) != fmt.Sprint(werr) {
+			t.Fatalf("Sniff = %q, %v; reference %q, %v", gf, gerr, wf, werr)
+		}
+		for _, format := range formats {
+			for w := 0; w < 8; w++ {
+				opts := ReaderOpts{ReorderWindow: w}
+				got := newReader(bytes.NewReader(data), format, opts)
+				want := newRefReader(bytes.NewReader(data), refParserFor(format), opts)
+				for i := 0; ; i++ {
+					r, ok := got.Next()
+					wr, wok := want.Next()
+					if ok != wok || (ok && !sameParse(r, false, nil, wr, false, nil)) {
+						t.Fatalf("%s window %d: request %d: got %s (ok %v), want %s (ok %v)",
+							format, w, i, parseResult(r, false, nil), ok, parseResult(wr, false, nil), wok)
+					}
+					if !ok {
+						break
+					}
+				}
+				if fmt.Sprint(got.Err()) != fmt.Sprint(want.Err()) {
+					t.Fatalf("%s window %d: Err = %v, want %v", format, w, got.Err(), want.Err())
+				}
+			}
+		}
+	})
 }

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -45,16 +47,36 @@ type ReaderOpts struct {
 	ReorderWindow int
 }
 
-// lineParser parses one trimmed, non-blank, non-comment line of a
-// specific format. skip=true drops the line without error (headers,
-// summary sections, records that are not data I/O). Parsers validate
-// every field except the arrival sign — near-sorted rebasing means an
-// arrival may only be judged after reordering, which the Reader does.
-// The line aliases the Reader's scan buffer and is valid only during the
-// call: a parser that keeps any part of it must copy it (strings.Clone).
-type lineParser interface {
-	format() Format
-	parse(line string) (r Request, skip bool, err error)
+// parser reads the lines of one format, with the state the format
+// keeps across lines: MSR's first tick and blkparse's device map. A
+// line reaches parse trimmed, neither blank nor a comment. skip=true
+// drops the line without error (headers, summary sections, records
+// that are not data I/O); a line that is neither skipped nor in error
+// writes every field of r, and no other line writes r at all. Parsers
+// validate every field except the arrival sign — near-sorted rebasing
+// means an arrival may only be judged after reordering, which the
+// Reader does. The line aliases the Reader's scan buffer and is valid
+// only during the call: a parser that keeps any part of it must copy it
+// (strings.Clone).
+type parser struct {
+	format Format
+
+	haveFirst bool           // msr: firstTick is set
+	firstTick int64          // msr: the first record's tick
+	devs      map[string]int // blkparse: maj,min -> Disk, by first appearance
+}
+
+func (p *parser) parse(line string, r *Request) (skip bool, err error) {
+	switch p.format {
+	case FormatSPC:
+		return parseSPC(line, r)
+	case FormatMSR:
+		return p.parseMSR(line, r)
+	case FormatBlkparse:
+		return p.parseBlkparse(line, r)
+	default:
+		return parseNative(line, r)
+	}
 }
 
 // Reader is a streaming trace ingester: an io.Reader-backed Stream that
@@ -69,7 +91,7 @@ type lineParser interface {
 type Reader struct {
 	sc     *bufio.Scanner
 	closer io.Closer
-	p      lineParser
+	p      parser
 	opts   ReaderOpts
 
 	lineNo  int
@@ -81,9 +103,12 @@ type Reader struct {
 	based  bool
 	base   float64
 
-	emitted  int
+	emitted  bool    // prev and prevLine hold the last emitted record
 	prev     float64 // last emitted arrival, for ordering enforcement
 	prevLine int
+
+	// rec is the record the parser writes each line into.
+	rec Request
 
 	// Bounded reorder buffer: a min-heap on (ArrivalMs, seq), where seq
 	// preserves input order among equal arrivals.
@@ -97,9 +122,9 @@ type pendingReq struct {
 	seq  int
 }
 
-// newReader assembles a Reader over r for the given parser. Foreign
-// formats (everything but native) rebase arrivals to start at zero.
-func newReader(r io.Reader, p lineParser, opts ReaderOpts) *Reader {
+// newReader assembles a Reader over r for format f. Foreign formats
+// (everything but native) rebase arrivals to start at zero.
+func newReader(r io.Reader, f Format, opts ReaderOpts) *Reader {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	if opts.ReorderWindow < 0 {
@@ -107,34 +132,34 @@ func newReader(r io.Reader, p lineParser, opts ReaderOpts) *Reader {
 	}
 	return &Reader{
 		sc:     sc,
-		p:      p,
+		p:      parser{format: f},
 		opts:   opts,
-		rebase: p.format() != FormatNative,
+		rebase: f != FormatNative,
 	}
 }
 
 // NewNativeReader streams the repository's text trace format.
 func NewNativeReader(r io.Reader, opts ReaderOpts) *Reader {
-	return newReader(r, nativeParser{}, opts)
+	return newReader(r, FormatNative, opts)
 }
 
 // NewSPCReader streams an SPC-1-style CSV trace.
 func NewSPCReader(r io.Reader, opts ReaderOpts) *Reader {
-	return newReader(r, spcParser{}, opts)
+	return newReader(r, FormatSPC, opts)
 }
 
 // NewMSRReader streams an MSR-Cambridge / SNIA CSV block trace.
 func NewMSRReader(r io.Reader, opts ReaderOpts) *Reader {
-	return newReader(r, &msrParser{}, opts)
+	return newReader(r, FormatMSR, opts)
 }
 
 // NewBlkparseReader streams blkparse default text output.
 func NewBlkparseReader(r io.Reader, opts ReaderOpts) *Reader {
-	return newReader(r, &blkparseParser{}, opts)
+	return newReader(r, FormatBlkparse, opts)
 }
 
 // Format reports the format this reader parses.
-func (rd *Reader) Format() Format { return rd.p.format() }
+func (rd *Reader) Format() Format { return rd.p.format }
 
 // Err reports the terminal error of the stream, if any. It is non-nil
 // only after Next has returned false because of a malformed line, an
@@ -154,36 +179,56 @@ func (rd *Reader) Close() error {
 
 // Next yields the stream's following request in arrival order; ok is
 // false when the stream is exhausted or failed (see Err).
+//
+// Each scanned line is parsed straight into rd.rec. The reorder window
+// is a min-heap of up to W requests. Once it is full, each parsed
+// record is pushed and the least request popped in one sift (a
+// push-pop), so any record that is out of order by at most W positions
+// is restored to arrival order. With W = 0 the heap stays empty and a
+// record goes from parse to emit without passing through it.
 func (rd *Reader) Next() (Request, bool) {
-	if rd.done {
-		return Request{}, false
-	}
-	// The reorder window is a min-heap of up to W requests. Once it is
-	// full, each scanned record is pushed and the least request popped
-	// in one sift (a push-pop), so any record that is out of order by at
-	// most W positions is restored to arrival order. With W = 0 the heap
-	// stays empty and a record goes from parse to emit without passing
-	// through it.
-	var p pendingReq
-	for {
+	for !rd.done {
 		if rd.scanned {
 			if len(rd.win) == 0 {
 				rd.done = true
-				return Request{}, false
+				break
 			}
-			p = rd.pop()
-			break
+			p := rd.pop()
+			if !rd.emit(&p.r, p.line) {
+				break
+			}
+			return p.r, true
 		}
-		r, line, ok := rd.scanOne()
-		if !ok {
-			if rd.err != nil {
-				rd.done = true
-				return Request{}, false
+		if !rd.sc.Scan() {
+			if err := rd.sc.Err(); err != nil {
+				rd.fail(rd.lineNo, err)
+				break
 			}
 			rd.scanned = true
 			continue
 		}
-		p = pendingReq{r: r, line: line, seq: rd.seq}
+		rd.lineNo++
+		// View the scanned bytes in place instead of copying them into a
+		// fresh string: the line only has to live through parse (see
+		// parser), and skipping the copy makes a record cost no
+		// allocation.
+		b := rd.sc.Bytes()
+		line := trimField(unsafe.String(unsafe.SliceData(b), len(b)))
+		if line == "" || line[0] == '#' {
+			continue
+		}
+		skip, err := rd.p.parse(line, &rd.rec)
+		if err == nil && !skip {
+			err = validateShape(&rd.rec)
+		}
+		if err != nil {
+			rd.fail(rd.lineNo, err)
+			break
+		}
+		if skip {
+			continue
+		}
+		p := pendingReq{r: rd.rec, line: rd.lineNo, seq: rd.seq}
 		rd.seq++
 		if len(rd.win) < rd.opts.ReorderWindow {
 			rd.push(p)
@@ -193,23 +238,36 @@ func (rd *Reader) Next() (Request, bool) {
 			p, rd.win[0] = rd.win[0], p
 			rd.down()
 		}
-		break
+		if !rd.emit(&p.r, p.line) {
+			break
+		}
+		return p.r, true
 	}
+	return Request{}, false
+}
 
+// fail ends the stream with err, read at the given line.
+func (rd *Reader) fail(line int, err error) {
+	rd.err = fmt.Errorf("trace: %s: line %d: %v", rd.Format(), line, err)
+	rd.done = true
+}
+
+// emit rebases r, read at the given line, and checks its arrival
+// against the last emitted one. It reports false, with the stream
+// ended, when r may not be emitted.
+func (rd *Reader) emit(r *Request, line int) bool {
 	// Rebase before the ordering check so both sides of the comparison
 	// live in the same (rebased) time domain; the base is the first
 	// *emitted* arrival, so reordering composes with rebasing.
 	if rd.rebase {
 		if !rd.based {
 			rd.based = true
-			rd.base = p.r.ArrivalMs
+			rd.base = r.ArrivalMs
 		}
-		p.r.ArrivalMs -= rd.base
-		if math.IsInf(p.r.ArrivalMs, 0) {
-			rd.err = fmt.Errorf("trace: %s: line %d: arrival overflows once rebased to the first arrival",
-				rd.Format(), p.line)
-			rd.done = true
-			return Request{}, false
+		r.ArrivalMs -= rd.base
+		if math.IsInf(r.ArrivalMs, 0) {
+			rd.fail(line, errors.New("arrival overflows once rebased to the first arrival"))
+			return false
 		}
 	}
 
@@ -218,63 +276,25 @@ func (rd *Reader) Next() (Request, bool) {
 	// otherwise replay with negative inter-arrivals, corrupting the
 	// analyzer's CV^2 and violating the engine's assumption that
 	// submissions never precede the clock.
-	if rd.emitted > 0 && p.r.ArrivalMs < rd.prev {
+	if rd.emitted && r.ArrivalMs < rd.prev {
 		hint := ""
 		if rd.opts.ReorderWindow == 0 {
 			hint = " (near-sorted input? set ReorderWindow)"
 		} else {
 			hint = fmt.Sprintf(" (beyond the %d-request reorder window)", rd.opts.ReorderWindow)
 		}
-		rd.err = fmt.Errorf("trace: %s: line %d: arrival %.6f ms precedes line %d (%.6f ms)%s",
-			rd.Format(), p.line, p.r.ArrivalMs, rd.prevLine, rd.prev, hint)
-		rd.done = true
-		return Request{}, false
+		rd.fail(line, fmt.Errorf("arrival %.6f ms precedes line %d (%.6f ms)%s",
+			r.ArrivalMs, rd.prevLine, rd.prev, hint))
+		return false
 	}
-	if !rd.rebase && p.r.ArrivalMs < 0 {
-		rd.err = fmt.Errorf("trace: %s: line %d: negative arrival %v ms",
-			rd.Format(), p.line, p.r.ArrivalMs)
-		rd.done = true
-		return Request{}, false
+	if !rd.rebase && r.ArrivalMs < 0 {
+		rd.fail(line, fmt.Errorf("negative arrival %v ms", r.ArrivalMs))
+		return false
 	}
-	rd.prev = p.r.ArrivalMs
-	rd.prevLine = p.line
-	rd.emitted++
-	return p.r, true
-}
-
-// scanOne advances to the next parsed request, skipping blank lines,
-// comments and parser-skipped records. ok=false means end of input or
-// an error recorded in rd.err.
-func (rd *Reader) scanOne() (Request, int, bool) {
-	for rd.sc.Scan() {
-		rd.lineNo++
-		// View the scanned bytes in place instead of copying them into a
-		// fresh string: the line only has to live through parse (see
-		// lineParser), and skipping the copy makes a record cost no
-		// allocation.
-		b := rd.sc.Bytes()
-		line := strings.TrimSpace(unsafe.String(unsafe.SliceData(b), len(b)))
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		r, skip, err := rd.p.parse(line)
-		if err != nil {
-			rd.err = fmt.Errorf("trace: %s: line %d: %v", rd.Format(), rd.lineNo, err)
-			return Request{}, 0, false
-		}
-		if skip {
-			continue
-		}
-		if err := validateShape(r); err != nil {
-			rd.err = fmt.Errorf("trace: %s: line %d: %v", rd.Format(), rd.lineNo, err)
-			return Request{}, 0, false
-		}
-		return r, rd.lineNo, true
-	}
-	if err := rd.sc.Err(); err != nil {
-		rd.err = fmt.Errorf("trace: %s: line %d: %v", rd.Format(), rd.lineNo, err)
-	}
-	return Request{}, 0, false
+	rd.prev = r.ArrivalMs
+	rd.prevLine = line
+	rd.emitted = true
+	return true
 }
 
 // validateShape checks every Request field except the arrival sign,
@@ -282,7 +302,7 @@ func (rd *Reader) scanOne() (Request, int, bool) {
 // would also slip past the ordering check, since every comparison with
 // NaN is false, and an End past MaxInt64 would wrap negative and slip
 // past every capacity check downstream.
-func validateShape(r Request) error {
+func validateShape(r *Request) error {
 	switch {
 	case math.IsNaN(r.ArrivalMs) || math.IsInf(r.ArrivalMs, 0):
 		return fmt.Errorf("non-finite arrival %v", r.ArrivalMs)
@@ -367,7 +387,7 @@ func Open(r io.Reader, opts ReaderOpts) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newReader(br, parserFor(f), opts), nil
+	return newReader(br, f, opts), nil
 }
 
 // OpenFile opens path and sniffs its format; the caller owns Close.
@@ -387,29 +407,34 @@ func OpenFile(path string, opts ReaderOpts) (*Reader, error) {
 
 const sniffBytes = 64 * 1024
 
-// Sniff determines the trace format of the leading bytes of a file.
+// Sniff determines the trace format of the leading bytes of a file. It
+// reads the lines of head in place, each trimmed as the Reader trims
+// it, and allocates nothing for them.
 func Sniff(head []byte) (Format, error) {
-	lines := strings.Split(string(head), "\n")
-	if len(head) == sniffBytes && len(lines) > 1 {
+	if len(head) == sniffBytes {
 		// The head may end mid-line; drop the truncated tail.
-		lines = lines[:len(lines)-1]
+		if i := bytes.LastIndexByte(head, '\n'); i >= 0 {
+			head = head[:i]
+		}
 	}
+	text := unsafe.String(unsafe.SliceData(head), len(head))
 	sawData := false
+	var r Request
 	for _, f := range []Format{FormatNative, FormatMSR, FormatSPC, FormatBlkparse} {
-		p := parserFor(f)
-	scan:
-		for _, line := range lines {
-			line = strings.TrimSpace(line)
-			if line == "" || strings.HasPrefix(line, "#") {
+		p := parser{format: f}
+		for rest, more := text, true; more; {
+			var line string
+			line, rest, more = strings.Cut(rest, "\n")
+			line = trimField(line)
+			if line == "" || line[0] == '#' {
 				continue
 			}
 			sawData = true
-			switch _, skip, err := p.parse(line); {
-			case err != nil:
-				break scan // not this format
-			case skip:
-				continue
-			default:
+			skip, err := p.parse(line, &r)
+			if err != nil {
+				break // not this format
+			}
+			if !skip {
 				return f, nil
 			}
 		}
@@ -418,19 +443,6 @@ func Sniff(head []byte) (Format, error) {
 		return FormatNative, nil
 	}
 	return "", fmt.Errorf("trace: unrecognized format (not native, SPC CSV, MSR CSV, or blkparse text)")
-}
-
-func parserFor(f Format) lineParser {
-	switch f {
-	case FormatSPC:
-		return spcParser{}
-	case FormatMSR:
-		return &msrParser{}
-	case FormatBlkparse:
-		return &blkparseParser{}
-	default:
-		return nativeParser{}
-	}
 }
 
 // WriteStream drains s into the text trace format, reporting how many

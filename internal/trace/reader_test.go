@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -307,6 +308,28 @@ func TestSniff(t *testing.T) {
 	}
 }
 
+// TestSniffReadsHeadInPlace pins the in-place sniff: over a full
+// 64 KiB head that ends mid-line, Sniff allocates only the errors of
+// the formats it rules out (and blkparse's device map), a few hundred
+// bytes, and never a copy of the head or a slice of its lines.
+func TestSniffReadsHeadInPlace(t *testing.T) {
+	for _, c := range readerFormats {
+		head := []byte(readerInput(c.line, 5000))[:sniffBytes]
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if f, err := Sniff(head); f != Format(c.name) || err != nil {
+				t.Fatalf("sniffed %s as %q, %v", c.name, f, err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if n := (after.TotalAlloc - before.TotalAlloc) / runs; n > 1024 {
+			t.Errorf("%s: Sniff allocated %d bytes per call over a %d-byte head, want at most 1024", c.name, n, len(head))
+		}
+	}
+}
+
 // TestFixtureRoundTrip pins each vendored fixture's conversion: opening
 // the fixture (format sniffed) and writing the native text form must
 // reproduce the committed golden byte for byte — the same contract the
@@ -449,41 +472,92 @@ func TestReaderAllocsConstant(t *testing.T) {
 	}
 }
 
+// readerFormats are record lines of each format, numbered so that
+// arrivals never decrease, with a constructor for the format's Reader:
+// the input of the reader benchmarks and allocation tests. line writes
+// plain fields, as trace writers do; padded writes the same records
+// with spaces around CSV fields and timestamps in exponent form, which
+// the parsers read through strconv.
+var readerFormats = []struct {
+	name   string
+	line   func(i int) string
+	padded func(i int) string
+	open   func(r io.Reader) *Reader
+}{
+	{"native",
+		func(i int) string { return fmt.Sprintf("%d.%03d 0 %d 8 R\n", i/1000, i%1000, i*8) },
+		func(i int) string { return fmt.Sprintf("%de-3 0 %d 8 R\n", i, i*8) },
+		func(r io.Reader) *Reader { return NewNativeReader(r, ReaderOpts{}) }},
+	{"spc",
+		func(i int) string { return fmt.Sprintf("%d,%d,4096,r,%d.%03d\n", i%3, i*8, i/1000, i%1000) },
+		func(i int) string { return fmt.Sprintf("%d, %d, 4096, r, %de-3\n", i%3, i*8, i) },
+		func(r io.Reader) *Reader { return NewSPCReader(r, ReaderOpts{}) }},
+	{"msr",
+		func(i int) string {
+			return fmt.Sprintf("%d,srv0,0,Read,%d,4096,500\n", 128166372003000000+int64(i)*10000, i*4096)
+		},
+		func(i int) string {
+			return fmt.Sprintf("%d, srv0, 0, Read, %d, 4096, 500\n", 128166372003000000+int64(i)*10000, i*4096)
+		},
+		func(r io.Reader) *Reader { return NewMSRReader(r, ReaderOpts{}) }},
+	{"blkparse",
+		func(i int) string {
+			return fmt.Sprintf("8,0 1 %d %d.%09d 42 Q R %d + 8 [fio]\n", i, i/1000, (i%1000)*1000000, i*8)
+		},
+		func(i int) string { return fmt.Sprintf("8,0 1 %d %de-3 42 Q R %d + 8 [fio]\n", i, i, i*8) },
+		func(r io.Reader) *Reader { return NewBlkparseReader(r, ReaderOpts{}) }},
+}
+
+// readerInput joins the first n lines line writes.
+func readerInput(line func(i int) string, n int) string {
+	var sb strings.Builder
+	for i := 0; i < n; i++ {
+		sb.WriteString(line(i))
+	}
+	return sb.String()
+}
+
 // TestReaderNextAllocatesNothing pins the zero-copy scan: once the
 // scanner buffer is warm, Next allocates nothing per record in any
-// format.
+// format, plain or padded.
 func TestReaderNextAllocatesNothing(t *testing.T) {
-	cases := []struct {
-		name string
-		line func(i int) string
-		open func(r io.Reader) *Reader
-	}{
-		{"native", func(i int) string { return fmt.Sprintf("%d.%03d 0 %d 8 R\n", i/1000, i%1000, i*8) },
-			func(r io.Reader) *Reader { return NewNativeReader(r, ReaderOpts{}) }},
-		{"spc", func(i int) string { return fmt.Sprintf("%d,%d,4096,r,%d.%03d\n", i%3, i*8, i/1000, i%1000) },
-			func(r io.Reader) *Reader { return NewSPCReader(r, ReaderOpts{}) }},
-		{"msr", func(i int) string {
-			return fmt.Sprintf("%d,srv0,0,Read,%d,4096,500\n", 128166372003000000+int64(i)*10000, i*4096)
-		}, func(r io.Reader) *Reader { return NewMSRReader(r, ReaderOpts{}) }},
-		{"blkparse", func(i int) string {
-			return fmt.Sprintf("8,0 1 %d %d.%09d 42 Q R %d + 8 [fio]\n", i, i/1000, (i%1000)*1000000, i*8)
-		}, func(r io.Reader) *Reader { return NewBlkparseReader(r, ReaderOpts{}) }},
-	}
-	for _, c := range cases {
-		var sb strings.Builder
-		for i := 0; i < 20000; i++ {
-			sb.WriteString(c.line(i))
-		}
-		rd := c.open(strings.NewReader(sb.String()))
-		for i := 0; i < 100; i++ { // warm the scanner buffer and parser state
-			rd.Next()
-		}
-		if n := testing.AllocsPerRun(1000, func() {
-			if _, ok := rd.Next(); !ok {
-				t.Fatalf("%s: stream ended early: %v", c.name, rd.Err())
+	for _, c := range readerFormats {
+		for _, line := range []func(i int) string{c.line, c.padded} {
+			rd := c.open(strings.NewReader(readerInput(line, 20000)))
+			for i := 0; i < 100; i++ { // warm the scanner buffer and parser state
+				rd.Next()
 			}
-		}); n != 0 {
-			t.Errorf("%s: Next allocated %v times per record, want 0", c.name, n)
+			if n := testing.AllocsPerRun(1000, func() {
+				if _, ok := rd.Next(); !ok {
+					t.Fatalf("%s: stream ended early: %v", c.name, rd.Err())
+				}
+			}); n != 0 {
+				t.Errorf("%s: Next allocated %v times per record, want 0", c.name, n)
+			}
+		}
+	}
+}
+
+// TestPaddedLinesReadAsPlain checks that the padded records of each
+// format read as the same requests as their plain form: the padded
+// timestamps are the same decimals, so even the arrival bits agree.
+func TestPaddedLinesReadAsPlain(t *testing.T) {
+	for _, c := range readerFormats {
+		want, err := drain(c.open(strings.NewReader(readerInput(c.line, 3000))))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		got, err := drain(c.open(strings.NewReader(readerInput(c.padded, 3000))))
+		if err != nil {
+			t.Fatalf("%s padded: %v", c.name, err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: padded read %d requests, plain %d", c.name, len(got), len(want))
+		}
+		for i := range want {
+			if !sameParse(got[i], false, nil, want[i], false, nil) {
+				t.Fatalf("%s: request %d: padded %+v, plain %+v", c.name, i, got[i], want[i])
+			}
 		}
 	}
 }
@@ -516,13 +590,18 @@ func TestBlkparseDeviceNamesSurviveBufferReuse(t *testing.T) {
 // Per-format steady-state ingestion benchmarks. ReportAllocs makes the
 // O(1)-memory claim measurable: allocs/op is per-request and does not
 // depend on how many requests precede it.
-func benchmarkReader(b *testing.B, line func(i int) string, open func(r *strings.Reader) *Reader) {
-	var sb strings.Builder
-	const lines = 200000
-	for i := 0; i < lines; i++ {
-		sb.WriteString(line(i))
+func benchmarkReader(b *testing.B, format string, padded bool) {
+	var line func(i int) string
+	var open func(r io.Reader) *Reader
+	for _, c := range readerFormats {
+		if c.name == format {
+			line, open = c.line, c.open
+			if padded {
+				line = c.padded
+			}
+		}
 	}
-	input := sb.String()
+	input := readerInput(line, 200000)
 	sr := strings.NewReader(input)
 	rd := open(sr)
 	b.ReportAllocs()
@@ -540,30 +619,44 @@ func benchmarkReader(b *testing.B, line func(i int) string, open func(r *strings
 	}
 }
 
-func BenchmarkNativeReader(b *testing.B) {
-	benchmarkReader(b,
-		func(i int) string { return fmt.Sprintf("%d.%03d 0 %d 8 R\n", i/1000, i%1000, i*8) },
-		func(r *strings.Reader) *Reader { return NewNativeReader(r, ReaderOpts{}) })
+func BenchmarkNativeReader(b *testing.B)   { benchmarkReader(b, "native", false) }
+func BenchmarkSPCReader(b *testing.B)      { benchmarkReader(b, "spc", false) }
+func BenchmarkMSRReader(b *testing.B)      { benchmarkReader(b, "msr", false) }
+func BenchmarkBlkparseReader(b *testing.B) { benchmarkReader(b, "blkparse", false) }
+
+// BenchmarkPaddedReader reads records whose fields are padded or whose
+// timestamps have an exponent, as hand-edited or foreign-tool output
+// may be: the parsers' strconv side, which the plain benchmarks above
+// never reach.
+func BenchmarkPaddedReader(b *testing.B) {
+	for _, c := range readerFormats {
+		b.Run(c.name, func(b *testing.B) { benchmarkReader(b, c.name, true) })
+	}
 }
 
-func BenchmarkSPCReader(b *testing.B) {
-	benchmarkReader(b,
-		func(i int) string { return fmt.Sprintf("%d,%d,4096,r,%d.%03d\n", i%3, i*8, i/1000, i%1000) },
-		func(r *strings.Reader) *Reader { return NewSPCReader(r, ReaderOpts{}) })
-}
-
-func BenchmarkMSRReader(b *testing.B) {
-	benchmarkReader(b,
-		func(i int) string {
-			return fmt.Sprintf("%d,srv0,0,Read,%d,4096,500\n", 128166372003000000+int64(i)*10000, i*4096)
-		},
-		func(r *strings.Reader) *Reader { return NewMSRReader(r, ReaderOpts{}) })
-}
-
-func BenchmarkBlkparseReader(b *testing.B) {
-	benchmarkReader(b,
-		func(i int) string {
-			return fmt.Sprintf("8,0 1 %d %d.%09d 42 Q R %d + 8 [fio]\n", i, i/1000, (i%1000)*1000000, i*8)
-		},
-		func(r *strings.Reader) *Reader { return NewBlkparseReader(r, ReaderOpts{}) })
+// BenchmarkOpen opens a file of each format through the sniffing front
+// door: the sniff of a full 64 KiB head that ends mid-line, which reads
+// the head in place, and the Reader's buffers. Its allocs/op and B/op
+// pin both, so a sniff that copied or split the head again would show.
+func BenchmarkOpen(b *testing.B) {
+	for _, c := range readerFormats {
+		head := []byte(readerInput(c.line, 5000))
+		if len(head) <= sniffBytes || head[sniffBytes-1] == '\n' {
+			b.Fatalf("%s: %d-byte file does not cut a line at the sniffed head's end", c.name, len(head))
+		}
+		b.Run(c.name, func(b *testing.B) {
+			br := bytes.NewReader(head)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				br.Reset(head)
+				rd, err := Open(br, ReaderOpts{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if rd.Format() != Format(c.name) {
+					b.Fatalf("sniffed %s as %s", c.name, rd.Format())
+				}
+			}
+		})
+	}
 }

@@ -120,6 +120,32 @@ func TestAnalyzeStreamMatchesAnalyze(t *testing.T) {
 	}
 }
 
+// BenchmarkAnalyzeStream profiles a list of 100 000 Financial requests
+// in one pass, as traceinfo profiles a trace file once the reader has
+// parsed it: one op is the whole stream, and ns/req is the analyzer's
+// cost per request. Its allocations are the profiler's maps, which grow
+// with the distinct sizes, disks and gap buckets and not with length.
+func BenchmarkAnalyzeStream(b *testing.B) {
+	const n = 100000
+	g, err := trace.NewGenerator(trace.Financial().WithRequests(n), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	reqs, err := tracetest.Collect(g)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st, err := trace.AnalyzeStream(tracetest.Stream(reqs))
+		if err != nil || st.Requests != n {
+			b.Fatalf("analyzed %d of %d requests: %v", st.Requests, n, err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/req")
+}
+
 func TestRemapConcatenatesDisks(t *testing.T) {
 	out, err := tracetest.Collect(trace.RemapStream(tracetest.Stream([]trace.Request{
 		{ArrivalMs: 0, Disk: 0, LBA: 5, Sectors: 1},

@@ -21,7 +21,7 @@ func (r Request) End() int64 { return r.LBA + int64(r.Sectors) }
 
 // Validate reports the first problem with the request, if any.
 func (r Request) Validate() error {
-	if err := validateShape(r); err != nil {
+	if err := validateShape(&r); err != nil {
 		return fmt.Errorf("trace: %v", err)
 	}
 	if r.ArrivalMs < 0 {
@@ -30,15 +30,14 @@ func (r Request) Validate() error {
 	return nil
 }
 
-// nativeParser reads the repository's own text format, one request per
+// parseNative reads the repository's own text format, one request per
 // line: "<arrival-ms> <disk> <lba> <sectors> <R|W>". Unlike the foreign
 // formats, native arrivals are absolute simulation times and are never
 // rebased.
-type nativeParser struct{}
-
-func (nativeParser) format() Format { return FormatNative }
-
-func (nativeParser) parse(line string) (Request, bool, error) {
+func parseNative(line string, r *Request) (skip bool, err error) {
+	if nativePlain(line, r) {
+		return false, nil
+	}
 	c := wsCursor{line}
 	a, f0 := c.float()
 	d, f1 := c.int()
@@ -46,23 +45,23 @@ func (nativeParser) parse(line string) (Request, bool, error) {
 	n, f3 := c.int()
 	op := c.next()
 	if op == "" || c.next() != "" {
-		return Request{}, false, fmt.Errorf("want 5 fields, got %d", countWS(line, 6))
+		return false, fmt.Errorf("want 5 fields, got %d", countWS(line, 6))
 	}
 	arrival, err := toFloat(a, f0)
 	if err != nil {
-		return Request{}, false, fmt.Errorf("bad arrival: %v", err)
+		return false, fmt.Errorf("bad arrival: %v", err)
 	}
 	disk, err := toInt(d, f1)
 	if err != nil {
-		return Request{}, false, fmt.Errorf("bad disk: %v", err)
+		return false, fmt.Errorf("bad disk: %v", err)
 	}
 	lba, err := toInt64(l, f2)
 	if err != nil {
-		return Request{}, false, fmt.Errorf("bad lba: %v", err)
+		return false, fmt.Errorf("bad lba: %v", err)
 	}
 	sectors, err := toInt(n, f3)
 	if err != nil {
-		return Request{}, false, fmt.Errorf("bad sectors: %v", err)
+		return false, fmt.Errorf("bad sectors: %v", err)
 	}
 	var read bool
 	switch op {
@@ -71,7 +70,53 @@ func (nativeParser) parse(line string) (Request, bool, error) {
 	case "W", "w":
 		read = false
 	default:
-		return Request{}, false, fmt.Errorf("bad op %q", op)
+		return false, fmt.Errorf("bad op %q", op)
 	}
-	return Request{ArrivalMs: arrival, Disk: disk, LBA: lba, Sectors: sectors, Read: read}, false, nil
+	*r = Request{ArrivalMs: arrival, Disk: disk, LBA: lba, Sectors: sectors, Read: read}
+	return false, nil
+}
+
+// nativePlain reads a line whose five fields are plain, as every line
+// WriteStream writes is: a digits[.digits] arrival, disk, LBA and
+// sector count in digits alone, each short enough for scanFloat or
+// scanInt to read exactly, and a one-letter op. It reads them in one
+// pass and reports false for any other line, which parseNative then
+// reads field by field; on the lines it accepts, both reads give the
+// same request.
+func nativePlain(s string, r *Request) bool {
+	arrival, i := scanFloat(s)
+	if arrival < 0 || i == len(s) || !isWS(s[i]) {
+		return false
+	}
+	s = trimLeftWS(s[i:])
+	disk, i := scanIntN(s)
+	if disk < 0 || i == len(s) || !isWS(s[i]) {
+		return false
+	}
+	s = trimLeftWS(s[i:])
+	lba, i := scanInt(s)
+	if lba < 0 || i == len(s) || !isWS(s[i]) {
+		return false
+	}
+	s = trimLeftWS(s[i:])
+	sectors, i := scanIntN(s)
+	if sectors < 0 || i == len(s) || !isWS(s[i]) {
+		return false
+	}
+	s = trimLeftWS(s[i:])
+	if len(s) != 1 {
+		return false
+	}
+	var read bool
+	switch s[0] {
+	case 'R', 'r':
+		read = true
+	case 'W', 'w':
+	default:
+		return false
+	}
+	// Field by field: a composite literal is built on the stack and
+	// copied in 16-byte moves that stall on its 8-byte stores.
+	r.ArrivalMs, r.Disk, r.LBA, r.Sectors, r.Read = arrival, disk, lba, sectors, read
+	return true
 }
